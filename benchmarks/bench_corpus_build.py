@@ -2,17 +2,9 @@
 
 Compiling the three suite units cold through every compressed format is
 dominated by the BRISC stage's greedy dictionary construction.  This
-bench builds the corpus three ways through fresh (memory-cache)
-toolchains and lands the rows in ``pipeline_stats.txt``:
-
-* **cold** — every unit from source, no shared dictionary: times the
-  incremental-pruning + table-driven builder on its own.
-* **warm + shared-dict build** — first corpus build with a shared
-  dictionary: pays the corpus-level construction once (the artifact is
-  content-addressed, so it caches and federates like any stage output).
-* **warm (shared cached)** — the steady state: the shared dictionary
-  comes from cache and each unit's builder only scores deltas against
-  the corpus patterns.
+bench builds the corpus from source through a fresh (memory-cache)
+toolchain, timing the incremental-pruning + table-driven builder, and
+lands the row in ``pipeline_stats.txt``.
 
 The PR 5 baseline row is the same cold measurement taken with the
 pre-pruning builder (commit 416ff87) on the host that wrote the results
@@ -33,82 +25,28 @@ PR5_BRISC_SECONDS = 89.7
 UNITS = ("wc", "lcc", "gcc")
 
 
-def _corpus():
+def test_corpus_build_timings(results_dir, corpus_timings, fold_stage_stats):
     from repro.corpus import suite_source
-
-    return [(name, suite_source(name)) for name in UNITS]
-
-
-def _build(units, warm):
-    """One corpus build through a fresh toolchain; returns stats."""
     from repro.pipeline import Toolchain
 
+    units = [(name, suite_source(name)) for name in UNITS]
     tc = Toolchain()
     t0 = time.perf_counter()
-    config = tc.config
-    if warm:
-        config = config.with_shared_dict(tc.shared_dictionary(units))
-    results = [
-        tc.compile(source, name=name, stages=("wire", "brisc", "deflate"),
-                   config=config)
-        for name, source in units
-    ]
-    wall = time.perf_counter() - t0
+    for name, source in units:
+        tc.compile(source, name=name, stages=("wire", "brisc", "deflate"))
+    cold_wall = time.perf_counter() - t0
     stages = tc.stats()["stages"]
-    brisc = stages["brisc"]["seconds"] + stages.get(
-        "shared-dict", {"seconds": 0.0})["seconds"]
-    return tc, results, wall, brisc
+    cold_brisc = stages["brisc"]["seconds"]
 
-
-def test_corpus_build_timings(results_dir, corpus_timings, fold_stage_stats):
-    units = _corpus()
-    cold_tc, cold_results, cold_wall, cold_brisc = _build(units, warm=False)
-
-    warm_tc, warm_results, warm_wall, warm_brisc = _build(units, warm=True)
-
-    # Steady state: the shared dictionary is a cache hit (fetched from
-    # the warm toolchain's store), so only the per-unit warm-started
-    # builders run.  A fresh toolchain keeps its unit artifacts cold.
-    from repro.pipeline import Toolchain
-
-    t0 = time.perf_counter()
-    steady_tc = Toolchain()
-    steady_config = steady_tc.config.with_shared_dict(
-        warm_tc.shared_dictionary(units))
-    steady_results = [
-        steady_tc.compile(source, name=name,
-                          stages=("wire", "brisc", "deflate"),
-                          config=steady_config)
-        for name, source in units
-    ]
-    steady_wall = time.perf_counter() - t0
-    steady_brisc = steady_tc.stats()["stages"]["brisc"]["seconds"]
-
-    # These builds went through private toolchains; fold their stage
-    # stats into the session report so pipeline_stats.txt shows the
-    # stages this bench demonstrably ran.
-    for tc in (cold_tc, warm_tc, steady_tc):
-        fold_stage_stats(tc.stats()["stages"])
-
-    # Warm-started images must stay within 1% of the cold compressed
-    # sizes at corpus level (the shared patterns change slot choices, not
-    # quality); tiny units get a 64-byte absolute allowance because a
-    # couple of corpus dictionary entries can exceed 1% of a 2 KB image.
-    cold_total = sum(r.brisc.size for r in cold_results)
-    warm_total = sum(r.brisc.size for r in warm_results)
-    assert abs(warm_total - cold_total) <= cold_total * 0.01
-    for cold_r, warm_r in zip(cold_results, warm_results):
-        cold_size = cold_r.brisc.size
-        assert abs(warm_r.brisc.size - cold_size) <= max(64, cold_size * 0.01)
-    for warm_r, steady_r in zip(warm_results, steady_results):
-        assert steady_r.brisc.image.blob == warm_r.brisc.image.blob
+    # The build went through a private toolchain; fold its stage stats
+    # into the session report so pipeline_stats.txt shows the stages
+    # this bench demonstrably ran.
+    fold_stage_stats(stages)
 
     rows = [
         ("cold, PR 5 builder (416ff87)", PR5_BRISC_SECONDS,
          PR5_BRISC_SECONDS, len(units)),
         ("cold", cold_wall, cold_brisc, len(units)),
-        ("warm + shared-dict build", warm_wall, warm_brisc, len(units)),
-        ("warm (shared cached)", steady_wall, steady_brisc, len(units)),
     ]
     corpus_timings.extend(rows)
     save_table(results_dir, "corpus_build", render_table(

@@ -10,10 +10,6 @@ Usage::
     python -m repro stats prog.c               # per-stage timing/size stats
     python -m repro wire prog.c -o prog.wire   # emit the wire format
     python -m repro brisc prog.c -o prog.brisc # emit a BRISC image
-    python -m repro --workers 4 brisc prog.c -o prog.brisc
-                                               # parallel dictionary builder
-    python -m repro brisc prog.c -o prog.brisc --shared-dict a.c b.c
-                                               # corpus-warm-started build
     python -m repro exec-brisc prog.brisc      # interpret an image in place
     python -m repro verify prog.wire           # integrity-check a container
     python -m repro fuzz --seed 1 --mutations 500   # fault-injection sweep
@@ -50,14 +46,8 @@ from .vm import format_function, run_program
 
 def _toolchain(args) -> Toolchain:
     if getattr(args, "disk_cache", False) or getattr(args, "cache_dir", None):
-        toolchain = Toolchain(disk_cache=args.disk_cache,
-                              cache_dir=args.cache_dir)
-    else:
-        toolchain = default_toolchain()
-    workers = getattr(args, "workers", None)
-    if workers and workers > 1:
-        toolchain.config = toolchain.config.with_brisc(workers=workers)
-    return toolchain
+        return Toolchain(disk_cache=args.disk_cache, cache_dir=args.cache_dir)
+    return default_toolchain()
 
 
 def cmd_run(args) -> int:
@@ -187,25 +177,14 @@ def cmd_wire(args) -> int:
 
 def cmd_brisc(args) -> int:
     toolchain = _toolchain(args)
-    config = toolchain.config.with_brisc(k=args.k, workers=args.workers)
-    if args.shared_dict:
-        units = []
-        for path in args.shared_dict:
-            with open(path) as f:
-                units.append((path, f.read()))
-        shared = toolchain.shared_dictionary(units, config=config)
-        config = config.with_shared_dict(shared)
-        print(f"shared dictionary: {len(shared)} patterns from "
-              f"{len(units)} corpus unit(s), digest {shared.digest[:12]}")
+    config = toolchain.config.with_brisc(k=args.k)
     res = toolchain.compile_file(args.file, stages=("brisc",), config=config)
     cp = res.brisc
     with open(args.output, "wb") as f:
         f.write(cp.image.blob)
-    warm = (f", {cp.build.warm_patterns} warm-started"
-            if cp.build.warm_patterns else "")
     print(f"wrote {cp.size} bytes to {args.output} "
           f"(code segment {cp.image.code_segment_size}, "
-          f"{cp.image.pattern_count} patterns{warm})")
+          f"{cp.image.pattern_count} patterns)")
     return 0
 
 
@@ -595,10 +574,6 @@ def main(argv=None) -> int:
                         help="persist pipeline artifacts under ~/.cache/repro")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (implies --disk-cache)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for the BRISC dictionary builder's "
-                             "candidate scan (output is byte-identical for "
-                             "any worker count; default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="compile a C file and execute it")
@@ -659,10 +634,6 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("-k", type=int, default=20,
                    help="patterns admitted per pass (paper: 20)")
-    p.add_argument("--shared-dict", nargs="+", metavar="SRC", default=None,
-                   help="C sources forming a corpus; their shared BRISC "
-                        "dictionary (content-addressed, cached, federated "
-                        "like any artifact) warm-starts this unit's build")
     p.set_defaults(fn=cmd_brisc)
 
     p = sub.add_parser("exec-brisc", help="interpret a BRISC image in place")

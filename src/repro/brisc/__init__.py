@@ -11,9 +11,6 @@ Public API::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from typing import Sequence
 
 from ..vm.instr import VMProgram
 from .builder import BuildResult, PassStats, build_dictionary
@@ -21,15 +18,13 @@ from .encode import BriscImage, decode_image, encode_image
 from .interp import BriscInterpreter, run_image
 from .markov import MarkovModel
 from .pattern import DictPattern, InsnPattern, pattern_of_instr
-from .shared import SharedDictionary, build_shared_dictionary
 from .slots import SlotProgram, build_slots
 
 __all__ = [
     "BriscImage", "BriscInterpreter", "BuildResult", "CompressedProgram",
     "DictPattern", "InsnPattern", "MarkovModel", "PassStats",
-    "SharedDictionary", "SlotProgram", "build_dictionary",
-    "build_shared_dictionary", "build_slots", "compress", "decompress",
-    "pattern_of_instr", "run_image",
+    "SlotProgram", "build_dictionary", "build_slots", "compress",
+    "decompress", "pattern_of_instr", "run_image",
 ]
 
 
@@ -61,24 +56,16 @@ def compress(
     k: int = 20,
     abundant_memory: bool = False,
     max_passes: int = 40,
-    workers: Optional[int] = None,
-    warm_start: Optional[Sequence[DictPattern]] = None,
     journal: bool = False,
 ) -> CompressedProgram:
     """Compress a VM program into BRISC (K best candidates per pass).
 
-    ``workers`` shards the builder's candidate scan over a process pool;
-    the compressed image is byte-identical for any worker count.
-    ``warm_start`` (a shared corpus dictionary's patterns) admits the
-    locally profitable patterns before the first pass; patterns the
-    program never uses do not enter the image.  ``journal=True`` records
-    a replay journal on ``result.build`` so a later compile of an edited
-    program can replay this build (:mod:`repro.brisc.journal`); the
-    image bytes are unaffected.
+    ``journal=True`` records a replay journal on ``result.build`` so a
+    later compile of an edited program can replay this build
+    (:mod:`repro.brisc.journal`); the image bytes are unaffected.
     """
     build = build_dictionary(program, k=k, abundant_memory=abundant_memory,
-                             max_passes=max_passes, workers=workers,
-                             warm_start=warm_start, journal=journal)
+                             max_passes=max_passes, journal=journal)
     image, model = encode_image(build.slots, program.globals)
     return CompressedProgram(image=image, build=build, model=model)
 

@@ -13,36 +13,16 @@ The paper's algorithm:
    then any instruction that a new pattern represents more compactly;
 5. stop after a pass yielding fewer than ``K`` candidates with positive B.
 
-The candidate scan (step 2) is embarrassingly parallel across functions:
-each function contributes an independent per-candidate savings total, and
-totals merge by addition.  ``workers > 1`` shards the scan over a process
-pool; the merged savings map is identical to the serial one, and every
-downstream decision (benefit heap, tie-breaking, admission order) runs in
-the parent on the merged map, so the admitted dictionary is byte-identical
-to the serial builder's.
-
-Two further accelerations keep the output byte-identical:
-
-* **Incremental rescanning** (``prune=True``, the default): the builder
-  keeps each function's candidate→savings contribution from the previous
-  pass and, because savings merge by addition, only re-scans functions
-  whose slots the rewrite step actually changed — subtracting the stale
-  contribution and adding the fresh one reproduces exactly the map a full
-  rescan would build.  Candidates whose running savings total fell to (or
-  below) their admission floor ``dictionary_size() + W`` are dropped from
-  the live heap-candidate set on the spot instead of being re-scored
-  every round; the floor is constant per pattern, so liveness is an exact
-  predicate, not a heuristic bound.
-
-* **Warm starting** (``warm_start=...``): a corpus-level shared
-  dictionary (see :mod:`repro.brisc.shared`) is priced against the unit
-  and its locally profitable subset admitted and applied before the
-  first pass, so per-unit passes only score deltas against the
-  cross-unit patterns.  Corpus patterns whose local savings do not clear
-  the ordinary admission floor are skipped — a unit never pays
-  dictionary bytes its own code cannot earn back — and warm patterns a
-  unit never uses cost nothing in its image anyway, because the encoder
-  emits only patterns its slots reference.
+**Incremental rescanning** (``prune=True``, the default) keeps the output
+byte-identical: the builder keeps each function's candidate→savings
+contribution from the previous pass and, because savings merge by
+addition, only re-scans functions whose slots the rewrite step actually
+changed — subtracting the stale contribution and adding the fresh one
+reproduces exactly the map a full rescan would build.  Candidates whose
+running savings total fell to (or below) their admission floor
+``dictionary_size() + W`` are dropped from the live heap-candidate set on
+the spot instead of being re-scored every round; the floor is constant
+per pattern, so liveness is an exact predicate, not a heuristic bound.
 
 The returned :class:`BuildResult` carries the final slot program, the
 dictionary in admission order, per-pass statistics, and the counters the
@@ -53,10 +33,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..vm.instr import Instr, VMProgram
 from .cost import CostModel
@@ -68,15 +46,8 @@ __all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary",
 
 _MAX_PARTS = 4
 
-#: Failures that mean "this host cannot run a process pool at all"
-#: (sandboxes without semaphores, missing _multiprocessing, ...).
-_POOL_UNAVAILABLE = (OSError, PermissionError, ImportError)
-
 #: Cache type for memoized augmented sets: (pattern, insns) -> patterns.
 _AugCache = Dict[Tuple[DictPattern, Tuple[Instr, ...]], List[DictPattern]]
-
-#: One shard of the scan: (function index, function) pairs.
-_Shard = List[Tuple[int, SlotFunction]]
 
 
 class _ScanTables:
@@ -134,8 +105,6 @@ class BuildResult:
     passes: int
     base_patterns: int
     pass_stats: List[PassStats] = field(default_factory=list)
-    workers: int = 1
-    warm_patterns: int = 0
     #: Pass-by-pass replay journal (see :mod:`repro.brisc.journal`),
     #: recorded when the builder ran with ``journal=True``.  It is what
     #: lets a later build of an edited program replay this build's
@@ -221,10 +190,8 @@ def _scan_slots(
 
     Raw means pre-filter: every candidate whose occurrence saves bytes is
     summed, including patterns already in the dictionary — the caller
-    filters those out.  Keeping the scan filter-free is what lets worker
-    processes run it without a copy of the (growing) dictionary set, and
-    what makes per-function contributions subtractable for the
-    incremental rescan.
+    filters those out.  Keeping the scan filter-free is what makes
+    per-function contributions subtractable for the incremental rescan.
     """
     get = savings.get
     for i, slot in enumerate(slots):
@@ -342,81 +309,27 @@ def _combine_slots(
     return out, merged_any
 
 
-#: Per-process scan tables for pool workers.  The pool persists across
-#: passes, so a worker's tables warm up on pass 1 and serve every rescan.
-_WORKER_TABLES = _ScanTables()
-
-
-def _scan_worker(shard: _Shard) -> List[Tuple[int, Dict[DictPattern, int]]]:
-    """Process-pool entry: per-function raw savings for one shard.
-
-    Worker-local candidate ids mean nothing to the parent, so results
-    travel keyed by pattern; the parent re-interns them into its own id
-    space.
-    """
-    out: List[Tuple[int, Dict[DictPattern, int]]] = []
-    patterns = _WORKER_TABLES.patterns
-    for index, fn in shard:
-        savings: Dict[int, int] = {}
-        _scan_slots(fn.slots, savings, _WORKER_TABLES)
-        out.append((index, {patterns[cid]: v for cid, v in savings.items()}))
-    return out
-
-
-def _shard_functions(pairs: _Shard, shards: int) -> List[_Shard]:
-    """Split (index, function) pairs into ``shards`` groups balanced by
-    slot count.
-
-    Greedy longest-processing-time assignment; merge order is irrelevant
-    (savings totals are summed), so balance is all that matters.
-    """
-    buckets: List[_Shard] = [[] for _ in range(shards)]
-    loads = [0] * shards
-    order = sorted(range(len(pairs)),
-                   key=lambda i: len(pairs[i][1].slots), reverse=True)
-    for i in order:
-        target = loads.index(min(loads))
-        buckets[target].append(pairs[i])
-        loads[target] += len(pairs[i][1].slots)
-    return [b for b in buckets if b]
-
-
 class BriscBuilder:
     """Runs the greedy construction over one program.
 
-    ``workers > 1`` parallelizes the per-pass candidate scan over a
-    process pool; results are deterministic and byte-identical to the
-    serial builder (``workers=1``, the default).  Hosts without process
-    support degrade to the serial scan transparently.
-
-    ``warm_start`` admits the locally profitable subset of a shared
-    dictionary's patterns before the first pass;
-    ``prune=False`` disables the incremental rescan and re-scores
-    every candidate every pass (the pre-optimization behaviour, kept as
-    the reference for determinism tests).  ``program`` may be a
-    :class:`VMProgram` or an already-built :class:`SlotProgram` (the
-    shared-dictionary builder concatenates several units' slots).
+    ``prune=False`` disables the incremental rescan and re-scores every
+    candidate every pass (the pre-optimization behaviour, kept as the
+    reference for determinism tests).
     """
 
     def __init__(
         self,
-        program: Union[VMProgram, SlotProgram],
+        program: VMProgram,
         k: int = 20,
         abundant_memory: bool = False,
         max_passes: int = 40,
-        workers: Optional[int] = None,
-        warm_start: Optional[Sequence[DictPattern]] = None,
         prune: bool = True,
         journal: bool = False,
     ) -> None:
-        if isinstance(program, SlotProgram):
-            self.slots = program
-        else:
-            self.slots = build_slots(program)
+        self.slots = build_slots(program)
         self.k = k
         self.cost = CostModel(abundant_memory)
         self.max_passes = max_passes
-        self.workers = max(1, workers or 1)
         self.prune = prune
         self.seen: set = set()
         self.dictionary: List[DictPattern] = []
@@ -425,7 +338,6 @@ class BriscBuilder:
         self.passes = 0
         self.pass_stats: List[PassStats] = []
         self._tables = _ScanTables()
-        self._pool: Optional[ProcessPoolExecutor] = None
         # Incremental-scan state, keyed by the tables' dense candidate
         # ids: per-function raw contributions, their merged totals, the
         # live (positive-benefit) candidate set, which ids are already
@@ -443,12 +355,10 @@ class BriscBuilder:
         self._changed: Set[int] = set()
         # Replay journal: records each pass's savings deltas, live set,
         # and admissions so an edited program can replay this build (see
-        # :mod:`repro.brisc.journal`).  Warm-started builds already fold
-        # in cross-unit state the journal does not capture, and
-        # ``prune=False`` never computes per-function deltas — both
-        # simply skip recording.
+        # :mod:`repro.brisc.journal`).  ``prune=False`` never computes
+        # per-function deltas, so it skips recording.
         self._journal = None
-        if journal and prune and not warm_start:
+        if journal and prune:
             from .journal import BuildJournal
 
             self._journal = BuildJournal(
@@ -458,29 +368,6 @@ class BriscBuilder:
             )
         self._seed_base_patterns()
         self.base_patterns = len(self.dictionary)
-        self.warm_patterns = 0
-        if warm_start:
-            # Price the corpus patterns against *this* unit before
-            # admitting: a shared pattern enters only when its local
-            # savings clear the same floor ordinary admission uses, so a
-            # unit never pays dictionary bytes for corpus patterns its
-            # own code cannot earn back.  The scan that prices them is
-            # the one pass 1 needs anyway; the rewrite's changed set is
-            # carried into that pass's incremental refresh.
-            self._refresh_savings()
-            fresh = []
-            for pattern in warm_start:
-                if pattern in self.in_dictionary:
-                    continue
-                cid = self._tables.ids.get(pattern)
-                if cid is None:
-                    continue
-                if self._savings.get(cid, 0) > self._floor(cid):
-                    self._admit(pattern)
-                    fresh.append(pattern)
-            self.warm_patterns = len(fresh)
-            if fresh:
-                self._changed = self._apply_patterns(fresh)
 
     def _seed_base_patterns(self) -> None:
         journal = self._journal
@@ -579,41 +466,12 @@ class BriscBuilder:
     ) -> List[Tuple[int, Dict[int, int]]]:
         """Raw per-function savings (id-keyed) for the given indices."""
         functions = self.slots.functions
-        pairs: _Shard = [(i, functions[i]) for i in indices]
-        if self.workers > 1 and len(pairs) > 1:
-            scanned = self._parallel_scan(pairs)
-            if scanned is not None:
-                intern = self._tables.intern
-                return [(index, {intern(p): v for p, v in fresh.items()})
-                        for index, fresh in scanned]
         out: List[Tuple[int, Dict[int, int]]] = []
-        for index, fn in pairs:
+        for index in indices:
             savings: Dict[int, int] = {}
-            _scan_slots(fn.slots, savings, self._tables)
+            _scan_slots(functions[index].slots, savings, self._tables)
             out.append((index, savings))
         return out
-
-    def _parallel_scan(
-        self, pairs: _Shard
-    ) -> Optional[List[Tuple[int, Dict[DictPattern, int]]]]:
-        """Sharded scan over the pool; None when the host has no pools.
-
-        Savings merge by addition, which is commutative, so shard order
-        cannot change the merged map.
-        """
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            shards = _shard_functions(pairs, self.workers)
-            futures = [self._pool.submit(_scan_worker, s) for s in shards]
-            out: List[Tuple[int, Dict[DictPattern, int]]] = []
-            for future in futures:
-                out.extend(future.result())
-            return out
-        except _POOL_UNAVAILABLE + (BrokenProcessPool,):
-            self._shutdown_pool()
-            self.workers = 1  # degrade for the remaining passes
-            return None
 
     def _refresh_savings(self) -> None:
         """Bring the merged savings map up to date for this pass.
@@ -680,63 +538,55 @@ class BriscBuilder:
 
     # -- driver ------------------------------------------------------------
 
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
     def run(self) -> BuildResult:
         journal = self._journal
-        try:
-            while self.passes < self.max_passes:
-                self.passes += 1
-                t0 = time.perf_counter()
-                journal_pass = None
-                if journal is not None:
-                    from .journal import PassJournal
+        while self.passes < self.max_passes:
+            self.passes += 1
+            t0 = time.perf_counter()
+            journal_pass = None
+            if journal is not None:
+                from .journal import PassJournal
 
-                    journal_pass = PassJournal()
-                    journal.passes.append(journal_pass)
-                self._refresh_savings()
-                savings = self._savings
-                # Snapshot before admission: the pass's candidate count is
-                # the merged map minus patterns already admitted when the
-                # scan ran, exactly what the full-rescan filter reported.
-                candidates = len(savings) - self._dict_overlap
-                if journal_pass is not None:
-                    journal_pass.candidates = candidates
-                    journal_pass.live = sorted(self._live)
-                # The live set is exactly {cand : benefit(cand) > 0} and
-                # benefit == savings - floor, so the heap (and therefore
-                # the admission order) matches a full benefit sweep.  The
-                # tie-break keys come from the pattern objects, so the
-                # order is invariant under id assignment.
-                patterns = self._tables.patterns
-                heap = []
-                for cid in self._live:
-                    cand = patterns[cid]
-                    heap.append((self._floor(cid) - savings[cid],
-                                 cand.dictionary_size(), str(cand), cand))
-                heapq.heapify(heap)
-                admitted: List[DictPattern] = []
-                while heap and len(admitted) < self.k:
-                    _, _, _, cand = heapq.heappop(heap)
-                    admitted.append(cand)
-                    self._admit(cand)
-                if journal_pass is not None:
-                    ids = self._tables.ids
-                    journal_pass.admitted = [ids[p] for p in admitted]
-                if admitted:
-                    self._changed = self._apply_patterns(admitted)
-                self.pass_stats.append(PassStats(
-                    candidates=candidates,
-                    admitted=len(admitted),
-                    seconds=time.perf_counter() - t0,
-                ))
-                if len(admitted) < self.k:
-                    break
-        finally:
-            self._shutdown_pool()
+                journal_pass = PassJournal()
+                journal.passes.append(journal_pass)
+            self._refresh_savings()
+            savings = self._savings
+            # Snapshot before admission: the pass's candidate count is
+            # the merged map minus patterns already admitted when the
+            # scan ran, exactly what the full-rescan filter reported.
+            candidates = len(savings) - self._dict_overlap
+            if journal_pass is not None:
+                journal_pass.candidates = candidates
+                journal_pass.live = sorted(self._live)
+            # The live set is exactly {cand : benefit(cand) > 0} and
+            # benefit == savings - floor, so the heap (and therefore
+            # the admission order) matches a full benefit sweep.  The
+            # tie-break keys come from the pattern objects, so the
+            # order is invariant under id assignment.
+            patterns = self._tables.patterns
+            heap = []
+            for cid in self._live:
+                cand = patterns[cid]
+                heap.append((self._floor(cid) - savings[cid],
+                             cand.dictionary_size(), str(cand), cand))
+            heapq.heapify(heap)
+            admitted: List[DictPattern] = []
+            while heap and len(admitted) < self.k:
+                _, _, _, cand = heapq.heappop(heap)
+                admitted.append(cand)
+                self._admit(cand)
+            if journal_pass is not None:
+                ids = self._tables.ids
+                journal_pass.admitted = [ids[p] for p in admitted]
+            if admitted:
+                self._changed = self._apply_patterns(admitted)
+            self.pass_stats.append(PassStats(
+                candidates=candidates,
+                admitted=len(admitted),
+                seconds=time.perf_counter() - t0,
+            ))
+            if len(admitted) < self.k:
+                break
         if journal is not None:
             journal.seen = sorted(self.seen)
             journal.candidates_tested = self.candidates_tested
@@ -747,8 +597,6 @@ class BriscBuilder:
             passes=self.passes,
             base_patterns=self.base_patterns,
             pass_stats=self.pass_stats,
-            workers=self.workers,
-            warm_patterns=self.warm_patterns,
             journal=journal,
         )
 
@@ -760,27 +608,20 @@ def _config_sig(k: int, abundant_memory: bool, max_passes: int) -> str:
 
 
 def build_dictionary(
-    program: Union[VMProgram, SlotProgram],
+    program: VMProgram,
     k: int = 20,
     abundant_memory: bool = False,
     max_passes: int = 40,
-    workers: Optional[int] = None,
-    warm_start: Optional[Sequence[DictPattern]] = None,
     prune: bool = True,
     journal: bool = False,
 ) -> BuildResult:
     """Run greedy BRISC dictionary construction over ``program``.
 
-    ``workers`` shards the per-pass candidate scan over a process pool;
-    the result is byte-identical to the serial builder regardless of the
-    worker count.  ``warm_start`` seeds the dictionary with shared
-    corpus patterns before the first pass; ``prune=False`` falls back to
-    re-scoring every candidate every pass (identical output, used as the
-    determinism reference).  ``journal=True`` additionally records a
-    pass-by-pass replay journal on the result (see
-    :mod:`repro.brisc.journal`) that lets a later build of an edited
-    program skip re-scoring unchanged functions.
+    ``prune=False`` falls back to re-scoring every candidate every pass
+    (identical output, used as the determinism reference).
+    ``journal=True`` additionally records a pass-by-pass replay journal
+    on the result (see :mod:`repro.brisc.journal`) that lets a later
+    build of an edited program skip re-scoring unchanged functions.
     """
     return BriscBuilder(program, k, abundant_memory, max_passes,
-                        workers=workers, warm_start=warm_start,
                         prune=prune, journal=journal).run()

@@ -29,9 +29,8 @@ Candidate ids are shared with the recorded build's interning tables
 (the journal aliases them), so replay deltas, fresh scans, and recorded
 deltas all speak the same id space; new patterns introduced by the edit
 are interned append-only, which keeps every previously assigned id
-stable.  Replay is intended for the serial (``workers=1``) pipeline
-path; the journal's per-pass delta order is canonicalized to ascending
-function index on replay, matching a serial cold build.
+stable.  The journal's per-pass delta order is canonicalized to
+ascending function index on replay, matching a cold build's scan order.
 """
 
 from __future__ import annotations
@@ -387,8 +386,6 @@ def replay_build(
         passes=len(pass_stats),
         base_patterns=base_patterns,
         pass_stats=pass_stats,
-        workers=1,
-        warm_patterns=0,
         journal=new_journal,
     )
 

@@ -164,18 +164,11 @@ class BriscStage(Stage):
     requires = "codegen"
 
     def config_fragment(self, config):
-        # brisc_workers is intentionally absent: the parallel builder is
-        # byte-identical to the serial one, so changing the worker count
-        # must not invalidate cached artifacts.  A shared warm-start
-        # dictionary *does* change the output, so its content digest is
-        # in (but only when one is set, keeping legacy keys stable).
         # Journaling leaves the image bytes untouched but attaches the
-        # replay journal to the payload, so it keys separately too.
+        # replay journal to the payload, so it keys separately.
         fragment = (f"k={config.brisc_k};"
                     f"abundant={config.brisc_abundant_memory};"
                     f"passes={config.brisc_max_passes}")
-        if config.brisc_shared_dict is not None:
-            fragment += f";dict={config.brisc_shared_dict.digest}"
         if config.brisc_journal:
             fragment += ";journal=1"
         if config.brisc_container != 2:
@@ -186,12 +179,9 @@ class BriscStage(Stage):
     def run(self, value, unit, config):
         from ..brisc import compress  # deferred: brisc is the heaviest import
 
-        shared = config.brisc_shared_dict
         cp = compress(value, k=config.brisc_k,
                       abundant_memory=config.brisc_abundant_memory,
                       max_passes=config.brisc_max_passes,
-                      workers=config.brisc_workers,
-                      warm_start=shared.patterns if shared else None,
                       journal=config.brisc_journal)
         return finish_brisc(cp, config)
 
@@ -224,8 +214,6 @@ def finish_brisc(cp, config: PipelineConfig) -> Tuple[Any, int, Dict[str, Any]]:
         "patterns": cp.image.pattern_count,
         "passes": cp.build.passes,
         "candidates_tested": cp.build.candidates_tested,
-        "builder_workers": cp.build.workers,
-        "builder_warm_patterns": cp.build.warm_patterns,
         "builder_seconds": round(cp.build.seconds, 6),
         "builder_passes": [
             {"candidates": p.candidates, "admitted": p.admitted,

@@ -10,10 +10,12 @@ Two robustness layers live here rather than in every caller:
 
 * **transport** — the socket timeout applies to connect, send, and
   receive, so a silently dead peer surfaces as a typed, *retryable*
-  :class:`~repro.errors.TruncatedStreamError` instead of a hang; any
-  transport failure closes the socket, and the next request reconnects
-  (every service op is idempotent — content-addressed compilation — so
-  a resend after an ambiguous failure is safe);
+  :class:`~repro.errors.TruncatedStreamError` instead of a hang, as does
+  a peer that hangs up or resets mid-exchange (only a refused connect
+  stays a ``ConnectionError``); any transport failure closes the socket,
+  and the next request reconnects (every service op is idempotent —
+  content-addressed compilation — so a resend after an ambiguous failure
+  is safe);
 * **retry** — ``request(..., retries=N)`` (or a client-wide default)
   retries retryable structured errors and transport errors with
   jittered exponential backoff, honoring the server's ``retry_after``
@@ -158,12 +160,20 @@ class ServiceClient:
             raise TruncatedStreamError(
                 f"timed out awaiting a reply to {op!r} after "
                 f"{self.timeout}s") from exc
-        except (DecodeError, OSError):
-            # Corrupt reply or dropped connection: the stream can no
-            # longer be trusted, so the socket must not serve the next
-            # request.  close() forces a clean reconnect.
+        except DecodeError:
+            # Corrupt reply: the stream can no longer be trusted, so the
+            # socket must not serve the next request.  close() forces a
+            # clean reconnect.
             self.close()
             raise
+        except OSError as exc:
+            # The peer reset the connection (RST) or the pipe broke
+            # mid-exchange: the same truncated exchange as a clean EOF,
+            # so it surfaces in the typed taxonomy, not as a raw OSError.
+            self.close()
+            raise TruncatedStreamError(
+                f"connection lost awaiting a reply to {op!r}: "
+                f"{type(exc).__name__}: {exc}") from exc
         if payload is None:
             # The server closed instead of replying: surface as a
             # truncated exchange so retry logic can treat it uniformly.

@@ -155,11 +155,15 @@ class TestGreedyConstruction:
         assert result.passes == 1
 
 
-class TestParallelDeterminism:
-    """The sharded scan must admit the same dictionary, in the same order,
-    as the serial builder: per-function savings merge by addition and the
-    admission heap's tie-break is a total order, so worker count is
-    invisible in the output."""
+class TestPruningDeterminism:
+    """Incremental rescanning and exact candidate pruning must reproduce
+    the re-score-everything reference builder (``prune=False``) exactly:
+    same dictionary, same slots, same per-pass counters."""
+
+    #: Repetitive bodies so the greedy builder runs several passes at k=6.
+    REPETITIVE = "\n".join(
+        f"int f{i}(int a, int b) {{ return a * {i} + b; }}" for i in range(40)
+    ) + "\nint main(void) { return f1(1, 2); }"
 
     @staticmethod
     def _fingerprint(result):
@@ -169,24 +173,17 @@ class TestParallelDeterminism:
         ]
         return ([str(p) for p in result.dictionary], slots,
                 result.candidates_tested, result.passes,
-                result.base_patterns)
+                result.base_patterns,
+                [(p.candidates, p.admitted) for p in result.pass_stats])
 
-    def test_workers_match_serial_on_corpus_units(self):
-        from repro.corpus.samples import SAMPLES
-
-        for name in ("wc", "sort"):
-            prog = repro.compile_c(SAMPLES[name], name)
-            serial = build_dictionary(prog)
-            parallel = build_dictionary(prog, workers=2)
-            assert self._fingerprint(serial) == self._fingerprint(parallel)
-
-    def test_workers_recorded_in_result(self):
-        from repro.corpus.samples import SAMPLES
-
-        prog = repro.compile_c(SAMPLES["wc"], "wc")
-        result = build_dictionary(prog, workers=2)
-        assert result.workers == 2
-        assert build_dictionary(prog).workers == 1
+    def test_pruned_build_matches_unpruned_reference(self):
+        pruned = build_dictionary(repro.compile_c(self.REPETITIVE), k=6)
+        reference = build_dictionary(repro.compile_c(self.REPETITIVE), k=6,
+                                     prune=False)
+        assert pruned.passes > 1  # multi-pass, or the test proves nothing
+        assert self._fingerprint(pruned) == self._fingerprint(reference)
+        for result in (pruned, reference):
+            assert result.seconds == sum(p.seconds for p in result.pass_stats)
 
     def test_pass_stats_cover_every_pass(self):
         from repro.corpus.samples import SAMPLES
@@ -201,12 +198,3 @@ class TestParallelDeterminism:
         admitted = sum(p.admitted for p in result.pass_stats)
         assert admitted == result.dictionary_size - result.base_patterns
         assert result.seconds == sum(p.seconds for p in result.pass_stats)
-
-    def test_invalid_worker_counts_clamp_to_serial(self):
-        prog = self._small()
-        assert build_dictionary(prog, workers=0).workers == 1
-        assert build_dictionary(prog, workers=-3).workers == 1
-
-    @staticmethod
-    def _small():
-        return repro.compile_c("int main(void) { return 3; }")

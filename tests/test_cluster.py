@@ -253,31 +253,6 @@ def test_federated_cache_fills_from_live_peer_without_recompiling():
             local.close()
 
 
-def test_fleet_dictionary_federates_between_nodes():
-    """The corpus shared dictionary is a cache entry like any other: a
-    node that already built it serves it over ``cache_pull``, so a fresh
-    node warm-starts without re-running the corpus build."""
-    from repro.pipeline import Toolchain
-
-    corpus = [("hello.c", HELLO), ("twice.c", HELLO.replace("sq", "dbl"))]
-    with make_service() as peer_node:
-        shared = peer_node.service.toolchain.shared_dictionary(corpus)
-        address = f"127.0.0.1:{peer_node.port}"
-        local_cache = FederatedCache(
-            MemoryCache(), [ArtifactPeer(address, timeout=5.0)])
-        local = Toolchain(cache=local_cache)
-        try:
-            fetched = local.shared_dictionary(corpus)
-            assert fetched.digest == shared.digest
-            assert [str(p) for p in fetched.patterns] == \
-                [str(p) for p in shared.patterns]
-            row = local.stats()["stages"]["shared-dict"]
-            assert row["runs"] == 0 and row["cache_hits"] == 1
-            assert local_cache.stats()["federation"]["fills"] >= 1
-        finally:
-            local_cache.close()
-
-
 def test_federated_cache_misses_cleanly_when_peer_is_down():
     dead = ArtifactPeer("127.0.0.1:1")  # nothing listens on port 1
     local = FederatedCache(MemoryCache(), [dead])

@@ -91,18 +91,31 @@ def test_config_changes_invalidate_downstream_only():
     assert stages["brisc"]["runs"] == base_runs["brisc"] + 1
 
 
-def test_brisc_workers_do_not_churn_the_cache_key():
-    """The builder's output is byte-identical for any worker count, so
-    ``brisc_workers`` must stay out of the stage's cache key: switching
-    worker counts on the same unit serves the brisc artifact from cache."""
+#: Cache keys of the wc suite unit under the default configuration.  Any
+#: change to them invalidates every warm cache and every ``repro tables``
+#: state file, so it must be deliberate and update these literals.
+WC_DEFAULT_KEYS = {
+    "parse": "cce7e6230712bdf53da441fbe8b4b471939e251ac2f4dd8228e1c4a761db0730",
+    "lower": "4585ee98d5cfff736dd0842d312f78c40ddfa21d1a58f7d9f1583de005ed585e",
+    "codegen": "6f10268a3634a9505ac194ec5a246578a8d4655f5a15a671590fca97e15714eb",
+    "wire": "0801c7895c7358d984056ac96a9a2f3be4e3a5e3d3642de0681a38b87d34d058",
+    "brisc": "3f9907a3b0a9211aa6ef3679dff848e3aa3a8c23a13231928d178a60aa579df2",
+    "deflate": "a39438ed3395ec137c62ebeda2321b3362c24e58afe80a43eba91aaf90b18c8d",
+}
+
+#: The journaling config re-keys brisc only (``;journal=1``).
+WC_JOURNAL_KEYS = dict(
+    WC_DEFAULT_KEYS,
+    brisc="eb91c5b0c1d044f778b7f82eca8250dba507c6942b825b9bc49dbefa555694a9",
+)
+
+
+def test_default_stage_keys_are_pinned():
     tc = Toolchain()
-    tc.compile(SMALL, name="u", stages=("brisc",))
-    base_runs = tc.stats()["stages"]["brisc"]["runs"]
-    config = tc.config.with_brisc(workers=2)
-    assert config.brisc_workers == 2
-    res = tc.compile(SMALL, name="u", stages=("brisc",), config=config)
-    assert res.artifact("brisc").from_cache
-    assert tc.stats()["stages"]["brisc"]["runs"] == base_runs
+    source = suite_source("wc")
+    assert tc.stage_keys(source, "wc") == WC_DEFAULT_KEYS
+    assert tc.stage_keys(source, "wc",
+                         config=tc.config.with_journal()) == WC_JOURNAL_KEYS
 
 
 def test_wire_codec_knob_changes_key_and_roundtrips():
@@ -128,17 +141,16 @@ def test_wire_codec_knob_changes_key_and_roundtrips():
 
 def test_with_brisc_keeps_unrelated_knobs():
     tc = Toolchain()
-    config = tc.config.with_brisc(k=7).with_brisc(workers=3)
-    assert config.brisc_k == 7 and config.brisc_workers == 3
-    # Omitting workers leaves the current value in place.
-    assert config.with_brisc(k=9).brisc_workers == 3
+    config = tc.config.with_brisc(k=7).with_brisc(max_passes=3)
+    assert config.brisc_k == 7 and config.brisc_max_passes == 3
+    # Omitting max_passes leaves the current value in place.
+    assert config.with_brisc(k=9).brisc_max_passes == 3
 
 
 def test_brisc_meta_records_builder_pass_stats():
     tc = Toolchain()
     res = tc.compile(SMALL, name="u", stages=("brisc",))
     meta = res.artifact("brisc").meta
-    assert meta["builder_workers"] == 1
     assert meta["builder_seconds"] >= 0
     passes = meta["builder_passes"]
     assert len(passes) == res.brisc.build.passes
@@ -330,6 +342,47 @@ def test_vm_code_bytes_is_the_pipeline_artifact():
 def test_compile_error_propagates_from_compile():
     with pytest.raises(CompileError):
         Toolchain().compile(BAD, name="bad")
+
+
+def test_cold_compile_reports_nonzero_runs_for_every_stage():
+    """Regression: a cold full compile must never report a stage it
+    executed as ``0 runs, 0.000s``."""
+    tc = Toolchain()
+    tc.compile(SMALL, name="u")  # every stage
+    stages = tc.stats()["stages"]
+    for name in STAGE_NAMES:
+        assert stages[name]["runs"] == 1, name
+        assert stages[name]["seconds"] > 0, name
+
+
+def test_brisc_cache_hit_not_charged_build_seconds():
+    """A brisc cache hit adds one cache hit and nothing else: no run, no
+    seconds."""
+    tc = Toolchain()
+    tc.compile(SMALL, name="u", stages=("brisc",))
+    before = tc.stats()["stages"]["brisc"]
+    tc.compile(SMALL, name="u", stages=("brisc",))
+    after = tc.stats()["stages"]["brisc"]
+    assert after["runs"] == before["runs"]
+    assert after["seconds"] == before["seconds"]
+    assert after["cache_hits"] == before["cache_hits"] + 1
+    assert after["hit_rate"] > before["hit_rate"]
+
+
+def test_fold_outcome_keeps_worker_cache_hits():
+    """Worker stats folded into the parent toolchain must preserve
+    cache hits, not just runs/seconds/bytes."""
+    worker = Toolchain()
+    worker.compile(SMALL, name="u", stages=("wire",))
+    result = worker.compile(SMALL, name="u", stages=("wire",))
+    parent = Toolchain()
+    items = [None]
+    parent._fold_outcome(
+        0, "u", ("ok", result, worker.stats()["stages"], 0.01), items)
+    stages = parent.stats()["stages"]
+    assert stages["parse"]["runs"] == 1
+    assert stages["parse"]["cache_hits"] == 1
+    assert items[0].result is result
 
 
 def test_stats_dict_shape():

@@ -777,13 +777,15 @@ class TestFetchOps:
 # ---------------------------------------------------------------------------
 
 
-def test_transport_failures_consume_the_retry_budget():
-    """A peer that accepts and immediately hangs up must burn one retry
-    per attempt: the budget bounds total connection attempts, so a hard
-    transport failure cannot retry forever."""
+def _assert_transport_failures_consume_the_retry_budget(hang_up):
+    """Run a listener that accepts and immediately ``hang_up``s every
+    connection; each attempt must burn one retry and surface as a typed
+    :class:`TruncatedStreamError`, so a hard transport failure can
+    neither retry forever nor leak a raw ``OSError``."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(8)
+    listener.settimeout(0.1)  # so the thread notices ``stop`` promptly
     port = listener.getsockname()[1]
     accepts = []
     stop = threading.Event()
@@ -792,10 +794,12 @@ def test_transport_failures_consume_the_retry_budget():
         while not stop.is_set():
             try:
                 conn, _ = listener.accept()
+            except socket.timeout:
+                continue
             except OSError:
                 return
             accepts.append(1)
-            conn.close()
+            hang_up(conn)
 
     thread = threading.Thread(target=slam_door, daemon=True)
     thread.start()
@@ -817,5 +821,44 @@ def test_transport_failures_consume_the_retry_budget():
         assert len(accepts) == 1
     finally:
         stop.set()
-        listener.close()
         thread.join(timeout=2.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_transport_failures_consume_the_retry_budget():
+    """Clean hang-up: the client reads EOF where a reply should be.  The
+    listener half-closes and drains until the client hangs up, because a
+    plain ``close`` with the request still unread would send an RST."""
+    def clean_eof(conn):
+        try:
+            conn.settimeout(5.0)
+            conn.shutdown(socket.SHUT_WR)
+            while conn.recv(4096):
+                pass
+        except OSError:
+            pass
+        finally:
+            conn.close()
+
+    _assert_transport_failures_consume_the_retry_budget(clean_eof)
+
+
+def test_connection_resets_consume_the_retry_budget():
+    """Abortive hang-up: ``SO_LINGER`` (1, 0) makes ``close`` send an RST
+    in place of a reply, so the client's receive fails with
+    ``ConnectionResetError``, which must surface typed, like the EOF.
+    The listener waits for the request first, so the reset always lands
+    on the reply read and never races the client's connect."""
+    def reset(conn):
+        try:
+            conn.settimeout(5.0)
+            conn.recv(4096)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        except OSError:
+            pass
+        finally:
+            conn.close()
+
+    _assert_transport_failures_consume_the_retry_budget(reset)
