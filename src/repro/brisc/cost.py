@@ -49,30 +49,35 @@ def representative_instr(part: InsnPattern) -> Instr:
 
 
 class CostModel:
-    """Computes W (and caches it) for dictionary candidates."""
+    """Computes W for dictionary candidates, priced per part.
+
+    An entry's native sequence is its parts' templates end to end, so W
+    sums per-part sizes.  Each distinct part is measured once on both
+    targets; the table lives on the instance (one per build), so a later
+    build never starts warm.
+    """
 
     def __init__(self, abundant_memory: bool = False) -> None:
         self.abundant_memory = abundant_memory
         self._pentium = PentiumLike()
         self._ppc = PPCLike()
-        self._cache: Dict[DictPattern, int] = {}
+        self._part_bytes: Dict[InsnPattern, int] = {}
 
     def working_set_cost(self, pattern: DictPattern) -> int:
         """W: average native template bytes for this dictionary entry."""
         if self.abundant_memory:
             return 0
-        cached = self._cache.get(pattern)
-        if cached is not None:
-            return cached
-        pentium = 0
-        ppc = 0
+        table = self._part_bytes
+        total = 0
         for part in pattern.parts:
-            rep = representative_instr(part)
-            pentium += self._pentium.instr_size(rep)
-            ppc += self._ppc.instr_size(rep)
-        cost = (pentium + ppc + 1) // 2
-        self._cache[pattern] = cost
-        return cost
+            size = table.get(part)
+            if size is None:
+                rep = representative_instr(part)
+                size = (self._pentium.instr_size(rep)
+                        + self._ppc.instr_size(rep))
+                table[part] = size
+            total += size
+        return (total + 1) // 2
 
     def benefit(self, pattern: DictPattern, bytes_saved: int) -> int:
         """B = P − W, where P already includes the dictionary-entry cost."""

@@ -18,10 +18,11 @@ keeps BRISC randomly addressable and directly interpretable.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
-from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
+from ..compress.bitio import read_uvarint, take_bytes, uvarint, write_uvarint
 from ..errors import CorruptStreamError, TruncatedStreamError
 from ..vm.instr import Instr
 from ..vm.isa import MNEMONIC, Operand, SPEC
@@ -111,6 +112,21 @@ class InsnPattern:
 
     def __getstate__(self) -> dict:
         return {"name": self.name, "fields": self.fields}
+
+    def serialized_size(self) -> int:
+        """Bytes this part occupies in a serialized dictionary entry,
+        measured with :func:`serialize_pattern`'s own part writer.
+
+        Memoized per instance like the hash: the builder prices many
+        candidates that share their part objects.
+        """
+        size = self.__dict__.get("_serialized_size")
+        if size is None:
+            out = bytearray()
+            _write_part(out, self)
+            size = len(out)
+            self.__dict__["_serialized_size"] = size
+        return size
 
     def matches(self, instr: Instr) -> bool:
         """Does ``instr`` fit this pattern (burned fields equal, wildcards
@@ -278,12 +294,17 @@ class DictPattern:
     def dictionary_size(self) -> int:
         """Bytes this entry occupies in the transmitted dictionary.
 
-        Value-cached like :meth:`encoded_size` (serialization is by far
-        the most expensive per-candidate computation in the builder).
+        Value-cached like :meth:`encoded_size`.  A miss does not serialize
+        the entry: its bytes are the part count's uvarint followed by each
+        part's bytes, so the size is that uvarint's length plus the
+        parts' memoized :meth:`InsnPattern.serialized_size`.
         """
         size = _DICT_SIZE_CACHE.get(self)
         if size is None:
-            size = len(serialize_pattern(self))
+            parts = self.parts
+            size = len(uvarint(len(parts)))
+            for part in parts:
+                size += part.serialized_size()
             _DICT_SIZE_CACHE[self] = size
         return size
 
@@ -312,31 +333,34 @@ def serialize_pattern(pattern: DictPattern) -> bytes:
     out = bytearray()
     write_uvarint(out, len(pattern.parts))
     for part in pattern.parts:
-        write_uvarint(out, _MNEMONIC_ID[part.name])
-        spec = SPEC[part.name]
-        for field, kind in zip(part.fields, spec.signature):
-            if isinstance(field, Wildcard):
-                out.append(0x80 | _CLS_ID[field.cls])
-                continue
-            value = field.value
-            if kind in (Operand.REG, Operand.FREG):
-                out.append(0x00)
-                out.append(int(value) & 0xF)
-            elif kind is Operand.IMM:
-                out.append(0x01)
-                z = int(value)
-                write_uvarint(out, (z << 1) ^ (z >> 63) if z < 0 else z << 1)
-            elif kind is Operand.DIMM:
-                out.append(0x02)
-                import struct
-
-                out += struct.pack("<d", float(value))
-            else:  # LABEL / SYM burned as strings
-                out.append(0x03)
-                raw = str(value).encode("utf-8")
-                write_uvarint(out, len(raw))
-                out += raw
+        _write_part(out, part)
     return bytes(out)
+
+
+def _write_part(out: bytearray, part: InsnPattern) -> None:
+    """Append one part's serialized bytes (see :func:`serialize_pattern`)."""
+    write_uvarint(out, _MNEMONIC_ID[part.name])
+    spec = SPEC[part.name]
+    for field, kind in zip(part.fields, spec.signature):
+        if isinstance(field, Wildcard):
+            out.append(0x80 | _CLS_ID[field.cls])
+            continue
+        value = field.value
+        if kind in (Operand.REG, Operand.FREG):
+            out.append(0x00)
+            out.append(int(value) & 0xF)
+        elif kind is Operand.IMM:
+            out.append(0x01)
+            z = int(value)
+            write_uvarint(out, (z << 1) ^ (z >> 63) if z < 0 else z << 1)
+        elif kind is Operand.DIMM:
+            out.append(0x02)
+            out += struct.pack("<d", float(value))
+        else:  # LABEL / SYM burned as strings
+            out.append(0x03)
+            raw = str(value).encode("utf-8")
+            write_uvarint(out, len(raw))
+            out += raw
 
 
 def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
@@ -346,8 +370,6 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
     tag byte, or string length raises a typed :class:`DecodeError` instead
     of an ``IndexError``/``KeyError`` or a silently short slice.
     """
-    import struct
-
     nparts, pos = read_uvarint(data, pos)
     if nparts < 1 or nparts > len(data) - pos:
         raise CorruptStreamError(f"pattern with impossible part count {nparts}")

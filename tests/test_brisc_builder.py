@@ -3,10 +3,11 @@ worked cost-benefit example."""
 
 
 import repro
-from repro.brisc.builder import build_dictionary
+from repro.brisc.builder import BriscBuilder, build_dictionary
 from repro.brisc.cost import CostModel, representative_instr
 from repro.brisc.pattern import DictPattern, pattern_of_instr
 from repro.brisc.slots import build_slots
+from repro.native.targets import PPCLike, PentiumLike
 from repro.vm.asm import parse_function
 from repro.vm.instr import Instr, VMProgram
 from repro.vm.isa import REG_SP
@@ -49,6 +50,30 @@ class TestCostModel:
         p = pattern_of_instr(enter).specializations(enter)[2]  # burn imm
         rep = representative_instr(p)
         assert rep.operands[2] == 24
+
+    @staticmethod
+    def _whole_pattern_w(pattern):
+        """W as the whole entry's average: each target's template bytes
+        summed over the parts, then the two sums averaged."""
+        pentium, ppc = PentiumLike(), PPCLike()
+        reps = [representative_instr(part) for part in pattern.parts]
+        return (sum(pentium.instr_size(r) for r in reps)
+                + sum(ppc.instr_size(r) for r in reps) + 1) // 2
+
+    def test_per_part_w_equals_whole_pattern_reference(self):
+        from repro.corpus.samples import SAMPLES
+
+        for program in (repro.compile_c(SAMPLES["wc"], "wc"),
+                        repro.compile_c(TestPruningDeterminism.REPETITIVE)):
+            builder = BriscBuilder(program, k=6)
+            builder.run()
+            candidates = builder._tables.patterns
+            assert any(len(p.parts) > 1 for p in candidates)
+            model = CostModel()
+            abundant = CostModel(abundant_memory=True)
+            for p in candidates:
+                assert model.working_set_cost(p) == self._whole_pattern_w(p)
+                assert abundant.working_set_cost(p) == 0
 
 
 class TestBuildSlots:

@@ -134,6 +134,7 @@ class TestSerialization:
         back, pos = deserialize_pattern(blob, 0)
         assert pos == len(blob)
         assert back == pattern
+        assert pattern.dictionary_size() == len(blob)
         return blob
 
     def test_base_pattern(self):
@@ -159,6 +160,13 @@ class TestSerialization:
         i = Instr("call", ("pepper",))
         p = pattern_of_instr(i).specializations(i)[0]
         self.roundtrip(DictPattern((p,)))
+
+    def test_long_burned_symbol(self):
+        """A >=128-byte identifier needs a two-byte uvarint length."""
+        i = Instr("call", ("x" * 130,))
+        p = pattern_of_instr(i).specializations(i)[0]
+        blob = self.roundtrip(DictPattern((p,)))
+        assert len(blob) == 1 + 1 + 1 + 2 + 130
 
     def test_double_immediate(self):
         i = Instr("li.d", (0, 2.5))
