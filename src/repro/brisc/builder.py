@@ -23,6 +23,14 @@ running savings total fell to (or below) their admission floor
 ``dictionary_size() + W`` are dropped from the live heap-candidate set on
 the spot instead of being re-scored every round; the floor is constant
 per pattern, so liveness is an exact predicate, not a heuristic bound.
+W is priced only for a candidate whose savings pass its dictionary
+bytes: W ≥ 0, so no other candidate can clear its floor.
+
+**Interning by part ids.** Each distinct :class:`InsnPattern` gets a
+small part id, and each candidate a dense id (cid) keyed by its tuple of
+part ids, so the scan prices and interns combinations with integer
+arithmetic and int-tuple lookups; a candidate's ``DictPattern`` is built
+once, when it is first seen.
 
 The returned :class:`BuildResult` carries the final slot program, the
 dictionary in admission order, per-pass statistics, and the counters the
@@ -34,11 +42,16 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
+from ..compress.bitio import uvarint
 from ..vm.instr import Instr, VMProgram
 from .cost import CostModel
-from .pattern import DictPattern
+from .pattern import (
+    _BYTE_SIZES, _NIBBLE_CLASSES, DictPattern, InsnPattern, Wildcard,
+)
 from .slots import Slot, SlotFunction, SlotProgram, build_slots
 
 __all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary",
@@ -46,44 +59,178 @@ __all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary",
 
 _MAX_PARTS = 4
 
-#: Cache type for memoized augmented sets: (pattern, insns) -> patterns.
-_AugCache = Dict[Tuple[DictPattern, Tuple[Instr, ...]], List[DictPattern]]
+#: A part's price: wildcard nibbles, whole operand bytes, and whether
+#: the part transfers control.
+_PartPrice = Tuple[int, int, bool]
+
+
+def _part_price(part: InsnPattern) -> _PartPrice:
+    """The part's wildcard nibbles and whole operand bytes (counted as
+    :meth:`DictPattern.operand_layout` counts them) and whether it
+    transfers control."""
+    nibbles = whole = 0
+    for f in part.fields:
+        if isinstance(f, Wildcard):
+            if f.cls in _NIBBLE_CLASSES:
+                nibbles += 1
+            else:
+                whole += _BYTE_SIZES[f.cls]
+    # is_control_ok() rejects exactly the patterns with a control part
+    # before their last one.
+    control = not DictPattern((part, part)).is_control_ok()
+    return nibbles, whole, control
+
+
+class _InternState:
+    """Dense candidate ids and what is priced per id.
+
+    Parts: ``part_ids`` gives each distinct :class:`InsnPattern` a small
+    id; ``parts`` holds the part object per id and ``part_price`` its
+    :func:`_part_price`.  Candidates: ``cids`` maps a candidate's tuple
+    of part ids (its *key*) to its dense id (cid); ``patterns`` holds its
+    ``DictPattern``, built on first sight; ``dict_bytes`` its
+    dictionary-entry bytes (the part-count uvarint plus each part's
+    serialized size, as :meth:`DictPattern.dictionary_size` counts them);
+    ``floors`` the admission floors priced so far.
+
+    Everything is append-only, so a build journal shares this state with
+    every replay of it without disturbing an assigned id.
+    """
+
+    __slots__ = ("part_ids", "parts", "part_price", "cids", "patterns",
+                 "dict_bytes", "floors")
+
+    def __init__(self) -> None:
+        self.part_ids: Dict[InsnPattern, int] = {}
+        self.parts: List[InsnPattern] = []
+        self.part_price: List[_PartPrice] = []
+        self.cids: Dict[Tuple[int, ...], int] = {}
+        self.patterns: List[DictPattern] = []
+        self.dict_bytes: List[int] = []
+        self.floors: Dict[int, int] = {}
+
+    # A pickled journal carries only the patterns, the parts and the
+    # floors priced so far (the maps would grow it by over a third); the
+    # rest is rebuilt from them in the same order, so every id comes
+    # back unchanged.
+    def __getstate__(self) -> tuple:
+        return self.patterns, self.parts, self.floors
+
+    def __setstate__(self, state: tuple) -> None:
+        patterns, parts, floors = state
+        self.__init__()
+        for part in parts:
+            self.part_id(part)
+        for pattern in patterns:
+            self.intern_pattern(pattern)
+        self.floors = floors
+
+    def part_id(self, part: InsnPattern) -> int:
+        """The part's id, assigning one on first sight."""
+        pid = self.part_ids.get(part)
+        if pid is None:
+            pid = len(self.parts)
+            self.part_ids[part] = pid
+            self.parts.append(part)
+            self.part_price.append(_part_price(part))
+        return pid
+
+    def intern(self, key: Tuple[int, ...],
+               pattern: Optional[DictPattern] = None) -> int:
+        """The cid of the candidate whose part ids are ``key``, assigning
+        one on first sight (and building its pattern unless given)."""
+        cid = self.cids.get(key)
+        if cid is None:
+            parts = self.parts
+            if pattern is None:
+                pattern = DictPattern(tuple([parts[p] for p in key]))
+            size = len(uvarint(len(key)))
+            for p in key:
+                size += parts[p].serialized_size()
+            cid = len(self.patterns)
+            self.cids[key] = cid
+            self.patterns.append(pattern)
+            self.dict_bytes.append(size)
+        return cid
+
+    def intern_pattern(self, pattern: DictPattern) -> int:
+        """The cid of an existing pattern (a slot's base pattern)."""
+        part_id = self.part_id
+        return self.intern(tuple([part_id(p) for p in pattern.parts]),
+                           pattern)
+
+    def floor(self, cid: int, cost: CostModel) -> int:
+        """The admission floor: savings must exceed the candidate's
+        dictionary-entry bytes plus its working-set cost for B > 0.
+        Constant per candidate, so it is priced once."""
+        floor = self.floors.get(cid)
+        if floor is None:
+            floor = (self.dict_bytes[cid]
+                     + cost.working_set_cost(self.patterns[cid]))
+            self.floors[cid] = floor
+        return floor
+
+    def clears_floor(self, cid: int, savings: int, cost: CostModel) -> bool:
+        """Whether ``savings`` exceed the candidate's floor (B > 0).
+
+        Priced in two steps: W ≥ 0, so savings at or below the dictionary
+        bytes never clear the floor, and W is priced only for candidates
+        whose savings get past those bytes.
+        """
+        return (savings > self.dict_bytes[cid]
+                and savings > self.floor(cid, cost))
+
+
+class _Priced(NamedTuple):
+    """One augmented-set entry, priced when its set is built."""
+
+    key: Tuple[int, ...]
+    nibbles: int
+    whole: int
+    size: int
+    any_control: bool
+    control_before_last: bool
+
+
+def _priced(key: Tuple[int, ...], part_price: List[_PartPrice]) -> _Priced:
+    nibbles = whole = 0
+    controls = []
+    for pid in key:
+        n, w, control = part_price[pid]
+        nibbles += n
+        whole += w
+        controls.append(control)
+    return _Priced(key, nibbles, whole, 1 + (nibbles + 1) // 2 + whole,
+                   any(controls), any(controls[:-1]))
 
 
 class _ScanTables:
     """Memoized candidate tables driving the scan.
 
-    ``aug`` holds each (pattern, insns) key's augmented specialization
-    set; ``spec`` and ``pair`` hold precomputed ``(candidate id, bytes
-    saved per occurrence)`` rows for the specialization and combination
-    scans.  A slot's candidates and their per-occurrence savings depend
-    only on its (pattern, insns) — and, for pairs, the neighbour's — so
-    after the first pass a rescan is a table walk: no pattern objects
-    are rebuilt, re-hashed, or re-sized.
+    ``aug`` holds each (pattern, insns) key's priced augmented set;
+    ``spec`` and ``pair`` hold precomputed ``(cid, bytes saved per
+    occurrence)`` rows for the specialization and combination scans.  A
+    slot's candidates and their per-occurrence savings depend only on its
+    (pattern, insns) — and, for pairs, the neighbour's — so after the
+    first pass a rescan is a table walk.
 
-    Candidates are interned to dense integer ids (``ids``/``patterns``)
-    when a row is first built, so every hot map downstream — savings
-    totals, live set, floors — is int-keyed; the only Python-level
-    pattern hash left per occurrence is the row-key lookup.
+    The cids come from ``interned``, which a journal shares with the
+    replays of its build; the row caches belong to one build.
     """
 
-    __slots__ = ("aug", "spec", "pair", "ids", "patterns")
+    __slots__ = ("aug", "spec", "pair", "interned")
 
-    def __init__(self) -> None:
-        self.aug: _AugCache = {}
+    def __init__(self, interned: Optional[_InternState] = None) -> None:
+        self.aug: Dict[Tuple[DictPattern, Tuple[Instr, ...]],
+                       List[_Priced]] = {}
         self.spec: Dict[tuple, List[Tuple[int, int]]] = {}
         self.pair: Dict[tuple, List[Tuple[int, int]]] = {}
-        self.ids: Dict[DictPattern, int] = {}
-        self.patterns: List[DictPattern] = []
+        self.interned = interned if interned is not None else _InternState()
 
-    def intern(self, cand: DictPattern) -> int:
-        """The candidate's dense id, assigning one on first sight."""
-        cid = self.ids.get(cand)
-        if cid is None:
-            cid = len(self.patterns)
-            self.ids[cand] = cid
-            self.patterns.append(cand)
-        return cid
+    @property
+    def patterns(self) -> List[DictPattern]:
+        """Every interned candidate's pattern, indexed by cid."""
+        return self.interned.patterns
 
 
 @dataclass
@@ -120,27 +267,31 @@ class BuildResult:
         return sum(p.seconds for p in self.pass_stats)
 
 
-def _augmented_set(
-    slot: Slot, cache: _AugCache
-) -> List[DictPattern]:
+def _priced_set(slot: Slot, tables: _ScanTables) -> List[_Priced]:
     """The slot's pattern plus its one-field specializations (the paper's
-    "augmented operand-specialized set"), memoized per (pattern, insns).
+    "augmented operand-specialized set"), priced, memoized per
+    (pattern, insns).
 
     Memoization pays because a slot is rescanned on every pass (up to
     ``max_passes`` times) and because many slots share a pattern/insns
     pair after specialization converges.
     """
     key = (slot.pattern, slot.insns)
-    cached = cache.get(key)
+    cached = tables.aug.get(key)
     if cached is not None:
         return cached
-    out = [slot.pattern]
-    for pi, (part, instr) in enumerate(zip(slot.pattern.parts, slot.insns)):
+    interned = tables.interned
+    part_id = interned.part_id
+    price = interned.part_price
+    parts = slot.pattern.parts
+    base = [part_id(part) for part in parts]
+    out = [_priced(tuple(base), price)]
+    for pi, (part, instr) in enumerate(zip(parts, slot.insns)):
         for spec in part.specializations(instr):
-            parts = list(slot.pattern.parts)
-            parts[pi] = spec
-            out.append(DictPattern(tuple(parts)))
-    cache[key] = out
+            ids = list(base)
+            ids[pi] = part_id(spec)
+            out.append(_priced(tuple(ids), price))
+    tables.aug[key] = out
     return out
 
 
@@ -149,12 +300,10 @@ def _spec_row(slot: Slot, tables: _ScanTables) -> List[Tuple[int, int]]:
     key = (slot.pattern, slot.insns)
     row = tables.spec.get(key)
     if row is None:
-        cur_size = slot.pattern.encoded_size()
-        row = []
-        for cand in _augmented_set(slot, tables.aug)[1:]:
-            saved = cur_size - cand.encoded_size()
-            if saved > 0:
-                row.append((tables.intern(cand), saved))
+        current, *specs = _priced_set(slot, tables)
+        intern = tables.interned.intern
+        row = [(intern(entry.key), current.size - entry.size)
+               for entry in specs if entry.size < current.size]
         tables.spec[key] = row
     return row
 
@@ -162,20 +311,30 @@ def _spec_row(slot: Slot, tables: _ScanTables) -> List[Tuple[int, int]]:
 def _pair_row(
     slot: Slot, nxt: Slot, tables: _ScanTables
 ) -> List[Tuple[int, int]]:
-    """The adjacent pair's combination candidates and savings, memoized."""
+    """The adjacent pair's combination candidates and savings, memoized.
+
+    Priced from the two augmented sets: a combination's nibbles pack
+    across both halves, so its size is ``1 + (na + nb + 1) // 2 + wa +
+    wb``; it keeps control transfers in its last part exactly when the
+    left half has none and the right half none before its last part.
+    """
     key = (slot.pattern, slot.insns, nxt.pattern, nxt.insns)
     row = tables.pair.get(key)
     if row is None:
-        pair_size = slot.pattern.encoded_size() + nxt.pattern.encoded_size()
+        a_set = _priced_set(slot, tables)
+        b_set = _priced_set(nxt, tables)
+        pair_size = a_set[0].size + b_set[0].size
+        intern = tables.interned.intern
         row = []
-        for a in _augmented_set(slot, tables.aug):
-            for b in _augmented_set(nxt, tables.aug):
-                cand = DictPattern(a.parts + b.parts)
-                if not cand.is_control_ok():
+        for ka, na, wa, _, a_control, _ in a_set:
+            if a_control:
+                continue
+            for kb, nb, wb, _, _, b_control_before_last in b_set:
+                if b_control_before_last:
                     continue
-                saved = pair_size - cand.encoded_size()
+                saved = pair_size - (1 + (na + nb + 1) // 2 + wa + wb)
                 if saved > 0:
-                    row.append((tables.intern(cand), saved))
+                    row.append((intern(ka + kb), saved))
         tables.pair[key] = row
     return row
 
@@ -326,6 +485,7 @@ class BriscBuilder:
         prune: bool = True,
         journal: bool = False,
     ) -> None:
+        t0 = time.perf_counter()
         self.slots = build_slots(program)
         self.k = k
         self.cost = CostModel(abundant_memory)
@@ -333,7 +493,6 @@ class BriscBuilder:
         self.prune = prune
         self.seen: set = set()
         self.dictionary: List[DictPattern] = []
-        self.in_dictionary: set = set()
         self.candidates_tested = 0
         self.passes = 0
         self.pass_stats: List[PassStats] = []
@@ -342,16 +501,14 @@ class BriscBuilder:
         # ids: per-function raw contributions, their merged totals, the
         # live (positive-benefit) candidate set, which ids are already
         # dictionary members (and how many of those sit in the merged
-        # map), admission floors, and the functions the last rewrite
-        # touched.  All maintained so the merged map always equals what
-        # a full rescan would produce.
+        # map), and the functions the last rewrite touched.  All
+        # maintained so the merged map always equals what a full rescan
+        # would produce.
         self._fn_savings: Optional[List[Dict[int, int]]] = None
         self._savings: Dict[int, int] = {}
         self._live: Set[int] = set()
         self._dict_ids: Set[int] = set()
-        self._dict_checked: Set[int] = set()
         self._dict_overlap = 0
-        self._floors: Dict[int, int] = {}
         self._changed: Set[int] = set()
         # Replay journal: records each pass's savings deltas, live set,
         # and admissions so an edited program can replay this build (see
@@ -363,68 +520,41 @@ class BriscBuilder:
 
             self._journal = BuildJournal(
                 config_sig=_config_sig(k, abundant_memory, max_passes),
-                patterns=self._tables.patterns,
-                ids=self._tables.ids,
+                interned=self._tables.interned,
             )
         self._seed_base_patterns()
         self.base_patterns = len(self.dictionary)
+        # Slotting and seeding precede the first pass; run() charges
+        # them to it, so BuildResult.seconds is wall time.
+        self._setup_seconds = time.perf_counter() - t0
 
     def _seed_base_patterns(self) -> None:
         journal = self._journal
-        intern = self._tables.intern
+        intern = self._tables.interned.intern_pattern
         for fn in self.slots.functions:
+            # Every base pattern gets its cid up front, so dictionary
+            # membership is a plain cid-set lookup from the first scan on.
+            seed = [intern(slot.pattern) for slot in fn.slots]
             if journal is not None:
-                # Interning here only assigns dense ids early; admission
-                # order (and therefore the dictionary) is unchanged.
-                journal.base_seed.append(
-                    [intern(slot.pattern) for slot in fn.slots])
-            for slot in fn.slots:
-                self._admit(slot.pattern)
+                journal.base_seed.append(seed)
+            for cid in seed:
+                self._admit(cid)
 
-    def _admit(self, pattern: DictPattern) -> None:
-        if pattern not in self.in_dictionary:
-            self.in_dictionary.add(pattern)
-            self.dictionary.append(pattern)
-            cid = self._tables.ids.get(pattern)
-            if cid is not None:
-                self._dict_ids.add(cid)
-                if cid in self._savings:
-                    self._dict_overlap += 1
-                self._live.discard(cid)
-
-    def _is_dict(self, cid: int) -> bool:
-        """Whether the candidate id's pattern is a dictionary member.
-
-        Membership is cached per id: a pattern-level set lookup happens
-        at most once per id (``_admit`` keeps the cache current when a
-        known id's pattern is admitted later).
-        """
-        if cid in self._dict_ids:
-            return True
-        if cid in self._dict_checked:
-            return False
-        self._dict_checked.add(cid)
-        if self._tables.patterns[cid] in self.in_dictionary:
+    def _admit(self, cid: int) -> None:
+        if cid not in self._dict_ids:
             self._dict_ids.add(cid)
-            return True
-        return False
+            self.dictionary.append(self._tables.patterns[cid])
+            if cid in self._savings:
+                self._dict_overlap += 1
+            self._live.discard(cid)
 
     # -- candidate generation ----------------------------------------------
 
     def _augmented_set(self, slot: Slot) -> List[DictPattern]:
         """The slot's augmented operand-specialization set (memoized)."""
-        return _augmented_set(slot, self._tables.aug)
-
-    def _floor(self, cid: int) -> int:
-        """The admission floor: savings must exceed the pattern's
-        dictionary-entry bytes plus its working-set cost for B > 0.
-        Constant per pattern, so it is computed once and cached."""
-        floor = self._floors.get(cid)
-        if floor is None:
-            cand = self._tables.patterns[cid]
-            floor = cand.dictionary_size() + self.cost.working_set_cost(cand)
-            self._floors[cid] = floor
-        return floor
+        parts = self._tables.interned.parts
+        return [DictPattern(tuple([parts[p] for p in entry.key]))
+                for entry in _priced_set(slot, self._tables)]
 
     def _adjust(self, cid: int, delta: int) -> None:
         """Apply one candidate's savings delta to the merged map,
@@ -437,26 +567,26 @@ class BriscBuilder:
             if delta <= 0:
                 return
             savings[cid] = delta
-            if self._is_dict(cid):
+            if cid in self._dict_ids:
                 self._dict_overlap += 1
             else:
                 if cid not in self.seen:
                     self.seen.add(cid)
                     self.candidates_tested += 1
-                if delta > self._floor(cid):
+                if self._tables.interned.clears_floor(cid, delta, self.cost):
                     self._live.add(cid)
             return
         value = current + delta
         if value <= 0:
             del savings[cid]
-            if self._is_dict(cid):
+            if cid in self._dict_ids:
                 self._dict_overlap -= 1
             else:
                 self._live.discard(cid)
             return
         savings[cid] = value
-        if not self._is_dict(cid):
-            if value > self._floor(cid):
+        if cid not in self._dict_ids:
+            if self._tables.interned.clears_floor(cid, value, self.cost):
                 self._live.add(cid)
             else:
                 self._live.discard(cid)
@@ -540,6 +670,9 @@ class BriscBuilder:
 
     def run(self) -> BuildResult:
         journal = self._journal
+        interned = self._tables.interned
+        patterns = interned.patterns
+        setup = self._setup_seconds
         while self.passes < self.max_passes:
             self.passes += 1
             t0 = time.perf_counter()
@@ -561,30 +694,32 @@ class BriscBuilder:
             # The live set is exactly {cand : benefit(cand) > 0} and
             # benefit == savings - floor, so the heap (and therefore
             # the admission order) matches a full benefit sweep.  The
-            # tie-break keys come from the pattern objects, so the
-            # order is invariant under id assignment.
-            patterns = self._tables.patterns
+            # tie-break keys come from the pattern objects, and distinct
+            # patterns print differently, so the trailing cid never
+            # orders two entries: the order is invariant under id
+            # assignment.
             heap = []
             for cid in self._live:
                 cand = patterns[cid]
-                heap.append((self._floor(cid) - savings[cid],
-                             cand.dictionary_size(), str(cand), cand))
+                heap.append((interned.floor(cid, self.cost) - savings[cid],
+                             cand.dictionary_size(), str(cand), cid))
             heapq.heapify(heap)
-            admitted: List[DictPattern] = []
+            admitted: List[int] = []
             while heap and len(admitted) < self.k:
-                _, _, _, cand = heapq.heappop(heap)
-                admitted.append(cand)
-                self._admit(cand)
+                cid = heapq.heappop(heap)[-1]
+                admitted.append(cid)
+                self._admit(cid)
             if journal_pass is not None:
-                ids = self._tables.ids
-                journal_pass.admitted = [ids[p] for p in admitted]
+                journal_pass.admitted = list(admitted)
             if admitted:
-                self._changed = self._apply_patterns(admitted)
+                self._changed = self._apply_patterns(
+                    [patterns[cid] for cid in admitted])
             self.pass_stats.append(PassStats(
                 candidates=candidates,
                 admitted=len(admitted),
-                seconds=time.perf_counter() - t0,
+                seconds=setup + time.perf_counter() - t0,
             ))
+            setup = 0.0
             if len(admitted) < self.k:
                 break
         if journal is not None:

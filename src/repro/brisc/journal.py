@@ -25,12 +25,15 @@ and every changed function rewritten under the identical admission
 sequence — i.e. the same slot program a cold build of the edited source
 would produce, and therefore a byte-identical image.
 
-Candidate ids are shared with the recorded build's interning tables
-(the journal aliases them), so replay deltas, fresh scans, and recorded
-deltas all speak the same id space; new patterns introduced by the edit
-are interned append-only, which keeps every previously assigned id
-stable.  The journal's per-pass delta order is canonicalized to
-ascending function index on replay, matching a cold build's scan order.
+Candidate ids are shared with the recorded build's intern state (the
+journal holds it: part ids, the part-key → cid map, patterns,
+dictionary bytes and admission floors), so replay deltas, fresh scans,
+and recorded deltas all speak the same id space; new patterns introduced
+by the edit are interned append-only, which keeps every previously
+assigned id stable.  The scan's row caches are not shared: they belong
+to one build, and would grow the pickled journal by more than half.
+The journal's per-pass delta order is canonicalized to ascending
+function index on replay, matching a cold build's scan order.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .builder import (
     BuildResult,
     PassStats,
     _config_sig,
+    _InternState,
     _scan_slots,
     _ScanTables,
     prepare_rewrite,
@@ -80,7 +84,7 @@ class PassJournal:
 @dataclass
 class BuildJournal:
     """A whole build's trajectory, keyed in the build's candidate-id
-    space (``patterns``/``ids`` alias the builder's interning tables).
+    space (``interned`` is the builder's intern state).
 
     ``base_seed`` records each function's initial slot-pattern ids in
     slot order, so replay can reconstruct the seeded dictionary — and
@@ -89,8 +93,7 @@ class BuildJournal:
     """
 
     config_sig: str
-    patterns: List[DictPattern]
-    ids: Dict[DictPattern, int]
+    interned: _InternState
     base_seed: List[List[int]] = field(default_factory=list)
     passes: List[PassJournal] = field(default_factory=list)
     seen: List[int] = field(default_factory=list)
@@ -144,6 +147,8 @@ def replay_build(
     if j is None or j.config_sig != _config_sig(k, abundant_memory,
                                                 max_passes):
         return None
+    if not hasattr(j, "interned"):
+        return None  # unpickled from before the intern state existed
     functions = program.functions
     if (len(functions) != len(prev.slots.functions)
             or len(j.base_seed) != len(functions)):
@@ -152,17 +157,15 @@ def replay_build(
         return prev
     t0 = time.perf_counter()
 
-    patterns = j.patterns
-    ids = j.ids
+    interned = j.interned
+    patterns = interned.patterns
     cost = CostModel(abundant_memory)
 
     # Fresh scans intern straight into the journal's id space: shared
-    # tables mean recorded deltas and replayed deltas agree on every id,
-    # and appends never disturb an existing id.
-    tables = _ScanTables()
-    tables.ids = ids
-    tables.patterns = patterns
-    intern = tables.intern
+    # intern state means recorded deltas and replayed deltas agree on
+    # every id, and appends never disturb an existing id.
+    tables = _ScanTables(interned)
+    intern = interned.intern_pattern
 
     # -- dictionary seeding (mirrors BriscBuilder._seed_base_patterns) --
     new_fns: Dict[int, SlotFunction] = {
@@ -212,19 +215,10 @@ def replay_build(
     OC: Dict[int, int] = {}
     fn_sav: Dict[int, Dict[int, int]] = {i: {} for i in changed}
     seen: Set[int] = set()
-    floors: Dict[int, int] = {}
-    heap_keys: Dict[int, Tuple[int, str, DictPattern]] = {}
+    heap_keys: Dict[int, Tuple[int, str, int]] = {}
     new_passes: List[PassJournal] = []
     pass_stats: List[PassStats] = []
     touch = touched.add
-
-    def floor(cid: int) -> int:
-        f = floors.get(cid)
-        if f is None:
-            pat = patterns[cid]
-            f = pat.dictionary_size() + cost.working_set_cost(pat)
-            floors[cid] = f
-        return f
 
     rescan: Set[int] = set(changed)  # pass 1 scans every function
     last = len(j.passes) - 1
@@ -289,7 +283,8 @@ def replay_build(
         # builder's liveness is exactly that predicate).
         live = [cid for cid in jp.live if cid not in touched]
         for cid in touched:
-            if cid not in dict_cids and M.get(cid, 0) > floor(cid):
+            if (cid not in dict_cids
+                    and interned.clears_floor(cid, M.get(cid, 0), cost)):
                 live.append(cid)
 
         # Admission heap, identical tuples to the cold builder's (the
@@ -300,14 +295,13 @@ def replay_build(
             hk = heap_keys.get(cid)
             if hk is None:
                 pat = patterns[cid]
-                hk = (pat.dictionary_size(), str(pat), pat)
+                hk = (pat.dictionary_size(), str(pat), cid)
                 heap_keys[cid] = hk
-            heap.append((floor(cid) - M[cid],) + hk)
+            heap.append((interned.floor(cid, cost) - M[cid],) + hk)
         heapq.heapify(heap)
         admitted_cids: List[int] = []
         while heap and len(admitted_cids) < k:
-            _, _, _, cand = heapq.heappop(heap)
-            admitted_cids.append(ids[cand])
+            admitted_cids.append(heapq.heappop(heap)[-1])
         # The pass must admit exactly the recorded sequence: rewriting
         # tries candidates in admission order, so even a reorder within
         # a pass can change a tie-break — and with it the slots the
@@ -372,8 +366,7 @@ def replay_build(
     if journal:
         new_journal = BuildJournal(
             config_sig=j.config_sig,
-            patterns=patterns,
-            ids=ids,
+            interned=interned,
             base_seed=base_seed,
             passes=new_passes,
             seen=sorted(seen),

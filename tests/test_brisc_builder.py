@@ -1,8 +1,12 @@
 """Greedy BRISC dictionary construction tests, including the paper's
 worked cost-benefit example."""
 
+import time
+
+import pytest
 
 import repro
+from repro.brisc import builder as builder_module
 from repro.brisc.builder import BriscBuilder, build_dictionary
 from repro.brisc.cost import CostModel, representative_instr
 from repro.brisc.pattern import DictPattern, pattern_of_instr
@@ -223,3 +227,139 @@ class TestPruningDeterminism:
         admitted = sum(p.admitted for p in result.pass_stats)
         assert admitted == result.dictionary_size - result.base_patterns
         assert result.seconds == sum(p.seconds for p in result.pass_stats)
+
+    def test_cold_build_seconds_include_setup(self, monkeypatch):
+        """Slotting and base seeding run before the first pass; the cold
+        builder charges them to it, as the journal replay does, so
+        ``BuildResult.seconds`` is wall time."""
+        real = builder_module.build_slots
+
+        def slow_build_slots(program):
+            time.sleep(0.05)
+            return real(program)
+
+        monkeypatch.setattr(builder_module, "build_slots", slow_build_slots)
+        result = build_dictionary(
+            repro.compile_c("int main(void) { return 3; }"))
+        assert result.pass_stats[0].seconds >= 0.05
+        assert result.seconds >= 0.05
+
+
+def _scan_programs():
+    from repro.corpus import generate_program_source
+    from repro.corpus.samples import SAMPLES
+
+    return {
+        "wc": SAMPLES["wc"],
+        "repetitive": TestPruningDeterminism.REPETITIVE,
+        "generated": generate_program_source(functions=24, seed=3),
+    }
+
+
+class TestScanReference:
+    """The scan prices and interns candidates by part ids.  ``prune=False``
+    shares that scan, so the reference here rebuilds each function's raw
+    savings the way the scan once did: a fresh ``DictPattern`` per
+    candidate, priced by ``is_control_ok()`` and ``encoded_size()``."""
+
+    @staticmethod
+    def _augmented_set(slot):
+        out = [slot.pattern]
+        parts = slot.pattern.parts
+        for pi, (part, instr) in enumerate(zip(parts, slot.insns)):
+            for spec in part.specializations(instr):
+                new_parts = list(parts)
+                new_parts[pi] = spec
+                out.append(DictPattern(tuple(new_parts)))
+        return out
+
+    @classmethod
+    def _raw_savings(cls, slots):
+        savings = {}
+        for i, slot in enumerate(slots):
+            aug = cls._augmented_set(slot)
+            for cand in aug[1:]:
+                saved = slot.pattern.encoded_size() - cand.encoded_size()
+                if saved > 0:
+                    savings[cand] = savings.get(cand, 0) + saved
+            if i + 1 >= len(slots):
+                continue
+            nxt = slots[i + 1]
+            if nxt.is_block_start or len(slot.insns) + len(nxt.insns) > 4:
+                continue
+            pair_size = slot.pattern.encoded_size() + nxt.pattern.encoded_size()
+            for a in aug:
+                for b in cls._augmented_set(nxt):
+                    cand = DictPattern(a.parts + b.parts)
+                    if not cand.is_control_ok():
+                        continue
+                    saved = pair_size - cand.encoded_size()
+                    if saved > 0:
+                        savings[cand] = savings.get(cand, 0) + saved
+        return savings
+
+    @staticmethod
+    def _by_pattern(builder, fn_savings):
+        patterns = builder._tables.patterns
+        out = {patterns[cid]: value for cid, value in fn_savings.items()}
+        assert len(out) == len(fn_savings)  # one cid per pattern
+        return out
+
+    @pytest.mark.parametrize("name", ["wc", "repetitive", "generated"])
+    def test_first_pass_matches_pattern_pricing(self, name):
+        program = repro.compile_c(_scan_programs()[name])
+        builder = BriscBuilder(program, max_passes=1)
+        builder.run()
+        reference = build_slots(program).functions
+        assert len(builder._fn_savings) == len(reference)
+        for fn_savings, fn in zip(builder._fn_savings, reference):
+            assert (self._by_pattern(builder, fn_savings)
+                    == self._raw_savings(fn.slots))
+
+    def test_rescan_of_combined_slots_matches_pattern_pricing(self):
+        """The last pass of this build admits nothing, so its scan saw the
+        final slots — multi-part slots included."""
+        builder = BriscBuilder(
+            repro.compile_c(_scan_programs()["generated"]))
+        result = builder.run()
+        assert result.passes > 1 and result.pass_stats[-1].admitted == 0
+        assert any(len(s.insns) > 1
+                   for fn in result.slots.functions for s in fn.slots)
+        for fn_savings, fn in zip(builder._fn_savings,
+                                  result.slots.functions):
+            assert (self._by_pattern(builder, fn_savings)
+                    == self._raw_savings(fn.slots))
+
+    @pytest.mark.parametrize("abundant", [False, True])
+    @pytest.mark.parametrize("name", ["wc", "repetitive", "generated"])
+    def test_floors_and_liveness_are_exact(self, name, abundant):
+        """Checked after every pass's merge, before admission: each cid's
+        dictionary bytes, and liveness against a fresh ``CostModel``."""
+        builder = BriscBuilder(repro.compile_c(_scan_programs()[name]),
+                               k=6, abundant_memory=abundant)
+        interned = builder._tables.interned
+        cost = CostModel(abundant_memory=abundant)
+        refresh = builder._refresh_savings
+        checked = []
+
+        def refresh_and_check():
+            refresh()
+            for cid, pattern in enumerate(interned.patterns):
+                assert interned.dict_bytes[cid] == pattern.dictionary_size()
+                if cid in builder._dict_ids:
+                    assert cid not in builder._live
+                    continue
+                floor = (pattern.dictionary_size()
+                         + cost.working_set_cost(pattern))
+                savings = builder._savings.get(cid, 0)
+                assert (cid in builder._live) == (savings > floor)
+                if cid in interned.floors:
+                    assert interned.floors[cid] == floor
+            checked.append(len(builder._live))
+
+        builder._refresh_savings = refresh_and_check
+        builder.run()
+        assert len(checked) == builder.passes
+        # W is priced only for candidates whose savings got past their
+        # dictionary bytes, not for every candidate.
+        assert len(interned.floors) < len(interned.patterns)

@@ -21,6 +21,9 @@ from repro.wire.format import decode_module, encode_module
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+#: Units with pinned WIR2/BRI2 containers (see TestContainerGoldens).
+UNITS = ["wc", "fib", "gen24"]
+
 
 @pytest.fixture(scope="module")
 def kernel_input():
@@ -63,10 +66,17 @@ class TestKernelGoldens:
 
 
 class TestContainerGoldens:
-    """WIR2/BRI2 images of seeded corpus units must never drift."""
+    """WIR2/BRI2 images of seeded corpus units must never drift.
+
+    ``wc`` and ``fib`` each build their BRISC dictionary in one pass with
+    at most four admissions; ``gen24`` (a generated unit, pinned at
+    commit bbc6d9c) runs five passes and admits 80 patterns, so it pins
+    the builder's incremental rescans as well.
+    """
 
     @pytest.fixture(scope="class")
     def results(self):
+        from repro.corpus import generate_program_source
         from repro.corpus.suite import suite_source
         from repro.pipeline import Toolchain
 
@@ -74,19 +84,26 @@ class TestContainerGoldens:
         return {
             "wc": tc.compile(suite_source("wc"), name="wc"),
             "fib": tc.compile((GOLDEN / "fib.c").read_text(), name="fib"),
+            "gen24": tc.compile(
+                generate_program_source(functions=24, seed=3), name="gen24"),
         }
 
-    @pytest.mark.parametrize("unit", ["wc", "fib"])
+    @pytest.mark.parametrize("unit", UNITS)
     def test_wire_container_unchanged(self, results, unit):
         golden = (GOLDEN / f"{unit}.wir2").read_bytes()
         assert results[unit].wire_blob == golden
 
-    @pytest.mark.parametrize("unit", ["wc", "fib"])
+    @pytest.mark.parametrize("unit", UNITS)
     def test_brisc_container_unchanged(self, results, unit):
         golden = (GOLDEN / f"{unit}.bri2").read_bytes()
         assert results[unit].brisc.image.blob == golden
 
-    @pytest.mark.parametrize("unit", ["wc", "fib"])
+    def test_generated_unit_is_a_multi_pass_build(self, results):
+        build = results["gen24"].brisc.build
+        assert build.passes == 5
+        assert build.dictionary_size - build.base_patterns == 80
+
+    @pytest.mark.parametrize("unit", UNITS)
     def test_golden_containers_decode(self, unit):
         module = decode_module((GOLDEN / f"{unit}.wir2").read_bytes())
         assert module.functions

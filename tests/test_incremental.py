@@ -253,6 +253,37 @@ class TestJournal:
         assert journaled.brisc.build.journal is not None
         assert journaled.brisc.build.journal.passes
 
+    def test_unpickled_journal_replays_byte_identically(self):
+        """A journal pickled with its build (as the disk cache stores
+        it) keeps every candidate id, so it still replays an edit."""
+        import pickle
+
+        from repro import compile_c
+        from repro.brisc import compress
+        from repro.brisc.journal import incremental_compress
+
+        old, new = compile_c(BIG), compile_c(BIG_EDIT)
+        build = compress(old, k=6, journal=True).build
+        restored = pickle.loads(pickle.dumps(build))
+        before, after = build.journal.interned, restored.journal.interned
+        for name in type(before).__slots__:
+            assert getattr(after, name) == getattr(before, name), name
+        replayed = incremental_compress(new, old, restored, k=6)
+        assert replayed is not None
+        assert replayed.image.blob == compress(new, k=6).image.blob
+
+    def test_journal_without_intern_state_builds_cold(self):
+        """A journal unpickled from before the intern state existed
+        carries no ``interned``: replay declines it."""
+        from repro import compile_c
+        from repro.brisc import compress
+        from repro.brisc.journal import incremental_compress
+
+        old, new = compile_c(BIG), compile_c(BIG_EDIT)
+        build = compress(old, k=6, journal=True).build
+        del build.journal.interned
+        assert incremental_compress(new, old, build, k=6) is None
+
 
 # ---------------------------------------------------------------------------
 # DeltaCompiler internals
