@@ -13,15 +13,12 @@ Usage::
     python -m repro exec-brisc prog.brisc      # interpret an image in place
     python -m repro verify prog.wire           # integrity-check a container
     python -m repro fuzz --seed 1 --mutations 500   # fault-injection sweep
-    python -m repro serve --port 7117 --disk-cache  # long-lived service
+    python -m repro --disk-cache serve --port 7117  # long-lived service
     python -m repro client --port 7117 compile prog.c   # talk to it
     python -m repro fetch --port 7117 --function f prog.c -o f.wir
                                                # demand-page one function
     python -m repro verify f.wir --function f  # check a sparse container
     python -m repro chaos --port 7117          # fault-inject a live server
-    python -m repro cluster --nodes 3          # local sharded compile farm
-    python -m repro cluster --nodes 3 --chaos --kills 1
-                                               # SIGKILL a node mid-batch
     python -m repro cache --prune --max-bytes 100000000  # bound the store
 
 Every command compiles through :mod:`repro.pipeline`, so artifacts shared
@@ -318,12 +315,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the resilient service front end until SIGTERM/SIGINT, then
-    drain gracefully and exit 0.
-
-    With ``--peers host:port,...`` the node joins a cache federation:
-    warm-store misses probe the listed cluster siblings over the
-    ``cache_peek``/``cache_pull`` ops before falling back to a compile.
-    """
+    drain gracefully and exit 0."""
     import asyncio
     import signal
 
@@ -341,15 +333,7 @@ def cmd_serve(args) -> int:
         drain_timeout=args.drain_timeout,
         cache_max_bytes=args.cache_max_bytes,
     )
-    toolchain = _toolchain(args)
-    if args.peers:
-        from .cluster import FederatedCache, make_peers
-
-        addresses = [a.strip() for a in args.peers.split(",") if a.strip()]
-        toolchain.cache = FederatedCache(
-            toolchain.cache, make_peers(addresses,
-                                        timeout=args.peer_timeout))
-    service = CompressionService(toolchain=toolchain, config=config)
+    service = CompressionService(toolchain=_toolchain(args), config=config)
 
     async def amain() -> None:
         await service.start()
@@ -508,42 +492,6 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_cluster(args) -> int:
-    """Spawn a local compile farm, run a corpus batch through the
-    router, and report per-node cache/federation/failover accounting.
-
-    ``--chaos`` additionally executes a seeded SIGKILL/restart schedule
-    mid-batch; the run passes only if every request still completes
-    byte-identical to a single-node compile and every restarted node
-    (empty store) refills at least one artifact from a peer.
-    """
-    from .cluster import format_report, run_cluster
-
-    units = [u.strip() for u in args.units.split(",") if u.strip()]
-    from .corpus import sample_names, suite_names
-
-    known = set(sample_names()) | set(suite_names())
-    unknown = [u for u in units if u not in known]
-    if unknown:
-        print(f"error: unknown corpus units {unknown}", file=sys.stderr)
-        return 2
-    report = run_cluster(
-        units,
-        nodes=args.nodes,
-        rounds=args.rounds,
-        concurrency=args.concurrency,
-        chaos=args.chaos,
-        kills=args.kills,
-        seed=args.seed,
-        restart_after=args.restart_delay,
-        deadline=args.deadline,
-        retries=args.retries,
-        node_concurrency=args.node_concurrency,
-    )
-    print(format_report(report))
-    return 0 if report.ok else 1
-
-
 def cmd_cache(args) -> int:
     """Inspect — and with ``--prune`` bound — the on-disk artifact cache."""
     from .pipeline.cache import DiskCache
@@ -692,12 +640,6 @@ def main(argv=None) -> int:
                    help="grace for in-flight work at shutdown (default 10)")
     p.add_argument("--cache-max-bytes", type=int, default=None,
                    help="prune the disk cache to this bound at drain")
-    p.add_argument("--peers", default=None,
-                   help="comma-separated host:port cluster siblings; warm-"
-                        "store misses probe them before recompiling")
-    p.add_argument("--peer-timeout", type=float, default=2.0,
-                   help="per-peer socket timeout for federation probes "
-                        "(default 2)")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("client",
@@ -753,34 +695,6 @@ def main(argv=None) -> int:
     p.add_argument("--timeout", type=float, default=5.0)
     p.add_argument("--stall-seconds", type=float, default=0.2)
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("cluster",
-                       help="spawn a local compile farm (router + N nodes) "
-                            "and run a corpus batch through it")
-    p.add_argument("--nodes", type=int, default=3,
-                   help="service nodes to spawn (default 3)")
-    p.add_argument("--units", default="wc,sort,calc,lzss,hashtab,crc32",
-                   help="comma-separated corpus units for the batch")
-    p.add_argument("--rounds", type=int, default=2,
-                   help="sweeps of the unit list (default 2: cold + warm)")
-    p.add_argument("--concurrency", type=int, default=4,
-                   help="concurrent client threads (default 4)")
-    p.add_argument("--node-concurrency", type=int, default=2,
-                   help="worker threads per node (default 2)")
-    p.add_argument("--chaos", action="store_true",
-                   help="SIGKILL and restart nodes mid-batch on a seeded "
-                        "schedule; assert completion + federation refill")
-    p.add_argument("--kills", type=int, default=1,
-                   help="node kills in chaos mode (default 1)")
-    p.add_argument("--seed", type=int, default=1997,
-                   help="chaos schedule seed (default 1997)")
-    p.add_argument("--restart-delay", type=float, default=1.5,
-                   help="seconds a killed node stays down (default 1.5)")
-    p.add_argument("--deadline", type=float, default=30.0,
-                   help="per-request deadline (default 30)")
-    p.add_argument("--retries", type=int, default=4,
-                   help="client retry budget per request (default 4)")
-    p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("cache",
                        help="inspect or prune the on-disk artifact cache")

@@ -58,7 +58,6 @@ __all__ = [
     "MUTATION_KINDS",
     "ChaosFailure",
     "ChaosReport",
-    "NodeKill",
     "apply_mutation",
     "chaos_probe",
     "FuzzFailure",
@@ -66,7 +65,6 @@ __all__ = [
     "corrupt_chunk",
     "fuzz_chunked_container",
     "fuzz_decoder",
-    "node_kill_schedule",
 ]
 
 MUTATION_KINDS = ("bit_flip", "truncate", "delete", "duplicate", "swap")
@@ -349,59 +347,6 @@ def fuzz_chunked_container(
                         target, "chunk_corrupt", index_, "wrong_answer",
                         f"{label}: decode succeeded with different bytes"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Cluster chaos: seeded node-kill schedules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NodeKill:
-    """One scheduled SIGKILL in a cluster chaos run.
-
-    ``at`` is seconds into the batch window; ``restart_at`` is when the
-    supervisor brings the node back.  Times are offsets, not wall-clock,
-    so a schedule is a pure function of ``(nodes, kills, seed)`` and a
-    failing run reproduces exactly.
-    """
-
-    node: int          # index into the cluster's node list
-    at: float          # seconds into the batch when SIGKILL lands
-    restart_at: float  # seconds into the batch when the node restarts
-
-
-def node_kill_schedule(
-    nodes: int,
-    kills: int,
-    *,
-    seed: int = 0,
-    window: float = 10.0,
-    restart_after: float = 1.0,
-) -> List[NodeKill]:
-    """A deterministic kill/restart schedule for a chaos batch.
-
-    Kill times are drawn from a seeded :class:`random.Random` across the
-    middle 80% of ``window`` (so a kill never races the batch's very
-    first or very last request), sorted by time.  Victims cycle over a
-    seeded shuffle of the node list, so with ``kills <= nodes`` no node
-    dies twice and at least one node is always untouched per cycle.
-    """
-    if nodes < 1:
-        raise ValueError("nodes must be positive")
-    if kills < 0:
-        raise ValueError("kills must be >= 0")
-    if window <= 0 or restart_after <= 0:
-        raise ValueError("window and restart_after must be positive")
-    rng = Random(seed)
-    victims = list(range(nodes))
-    rng.shuffle(victims)
-    times = sorted(rng.uniform(0.1 * window, 0.9 * window)
-                   for _ in range(kills))
-    return [
-        NodeKill(node=victims[i % nodes], at=t, restart_at=t + restart_after)
-        for i, t in enumerate(times)
-    ]
 
 
 # ---------------------------------------------------------------------------

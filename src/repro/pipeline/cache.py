@@ -72,42 +72,6 @@ class ArtifactCache:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses}
 
-    # -- federation hooks --------------------------------------------------
-    #
-    # Cache federation (:mod:`repro.cluster.federation`) moves artifacts
-    # between nodes as raw pickle bytes: ``peek_bytes`` exports an entry
-    # without deserializing it (a byte copy for the disk backend), and
-    # ``absorb_bytes`` imports peer bytes after validating they unpickle
-    # to an :class:`Artifact`.  Neither touches the hit/miss counters —
-    # federation traffic is accounted separately by the federated cache.
-
-    def peek_bytes(self, key: str) -> Optional[bytes]:
-        """Serialized artifact bytes for ``key``, or ``None`` if absent."""
-        return None
-
-    def absorb_bytes(self, key: str, blob: bytes) -> Optional[Artifact]:
-        """Validate and store peer-supplied artifact bytes.
-
-        Returns the artifact on success, ``None`` when the bytes do not
-        unpickle to an :class:`Artifact` (a corrupt or foreign payload
-        must never poison the store).
-        """
-        artifact = _load_artifact(blob)
-        if artifact is not None:
-            self.put(key, artifact)
-        return artifact
-
-
-def _load_artifact(blob: bytes) -> Optional[Artifact]:
-    """Unpickle peer/disk bytes, returning ``None`` unless the payload is
-    a well-formed :class:`Artifact` (unpickling corrupt bytes can raise
-    nearly anything, so the net is deliberately wide)."""
-    try:
-        artifact = pickle.loads(blob)
-    except Exception:
-        return None
-    return artifact if isinstance(artifact, Artifact) else None
-
 
 class MemoryCache(ArtifactCache):
     """Bounded in-process LRU over artifacts."""
@@ -139,13 +103,6 @@ class MemoryCache(ArtifactCache):
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def peek_bytes(self, key: str) -> Optional[bytes]:
-        with self._lock:
-            artifact = self._entries.get(key)
-        if artifact is None:
-            return None
-        return pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class DiskCache(ArtifactCache):
@@ -221,37 +178,6 @@ class DiskCache(ArtifactCache):
                 raise
         except OSError:
             pass  # a read-only or full cache dir must never fail a compile
-
-    def peek_bytes(self, key: str) -> Optional[bytes]:
-        try:
-            with open(self._path(key), "rb") as f:
-                return f.read()
-        except OSError:
-            return None
-
-    def absorb_bytes(self, key: str, blob: bytes) -> Optional[Artifact]:
-        """Byte-copy import: validate, then write the peer's bytes as-is
-        (same atomic temp-file + replace dance as :meth:`put`)."""
-        artifact = _load_artifact(blob)
-        if artifact is None:
-            return None
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass  # an unwritable store degrades to memory-only federation
-        return artifact
 
     # -- size accounting and bounded growth --------------------------------
 
@@ -333,15 +259,3 @@ class TieredCache(ArtifactCache):
     def flush(self) -> None:
         self.memory.flush()
         self.disk.flush()
-
-    def peek_bytes(self, key: str) -> Optional[bytes]:
-        blob = self.memory.peek_bytes(key)
-        return blob if blob is not None else self.disk.peek_bytes(key)
-
-    def absorb_bytes(self, key: str, blob: bytes) -> Optional[Artifact]:
-        artifact = _load_artifact(blob)
-        if artifact is None:
-            return None
-        self.memory.put(key, artifact)
-        self.disk.absorb_bytes(key, blob)  # byte copy straight to disk
-        return artifact

@@ -171,7 +171,8 @@ class Toolchain:
 
         Upstream dependencies of a requested stage run (or hit cache)
         automatically.  Raises :class:`repro.cfront.CompileError` on
-        front-end errors.
+        front-end errors, and on a source nested too deeply for a stage's
+        recursion.
 
         ``cancel``, when given, is polled before each stage; once it
         returns true the compile raises
@@ -214,12 +215,17 @@ class Toolchain:
             upstream = (source if stage.requires is None
                         else artifacts[stage.requires].payload)
             t0 = time.perf_counter()
-            derived = (delta.derive(stage, upstream, name, config)
-                       if delta is not None else None)
-            if derived is not None:
-                payload, size, meta = derived
-            else:
-                payload, size, meta = stage.run(upstream, name, config)
+            try:
+                derived = (delta.derive(stage, upstream, name, config)
+                           if delta is not None else None)
+                if derived is not None:
+                    payload, size, meta = derived
+                else:
+                    payload, size, meta = stage.run(upstream, name, config)
+            except RecursionError:
+                # The recursive stages walk one frame per nesting level.
+                raise CompileError(f"{name}: source nests too deeply for "
+                                   f"the {stage.name} stage") from None
             dt = time.perf_counter() - t0
             artifact = Artifact(stage=stage.name, unit=name, key=key,
                                 payload=payload, size=size, seconds=dt,

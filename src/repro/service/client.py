@@ -20,8 +20,8 @@ Two robustness layers live here rather than in every caller:
   retries retryable structured errors and transport errors with
   jittered exponential backoff, honoring the server's ``retry_after``
   hint as a floor.  The budget exhausted, the last error propagates
-  unchanged, so callers (the CLI's exit 75, the cluster router) still
-  see the structured failure.
+  unchanged, so callers (the CLI's exit 75) still see the structured
+  failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import base64
 import socket
 import time
-import zlib
 from random import Random
 from typing import Any, Dict, List, Optional
 
@@ -237,31 +236,6 @@ class ServiceClient:
         return self.request(
             "verify", blob_b64=base64.b64encode(blob).decode("ascii"),
             deadline=deadline, function=function)
-
-    # -- cache federation --------------------------------------------------
-
-    def cache_peek(self, key: str) -> Optional[int]:
-        """Size of the peer's warm-store entry for ``key``, or ``None``."""
-        result = self.request("cache_peek", key=key)
-        return int(result["bytes"]) if result.get("present") else None
-
-    def cache_pull(self, key: str) -> Optional[bytes]:
-        """The peer's serialized artifact for ``key``, CRC-verified on
-        arrival; ``None`` when absent.  A CRC mismatch (bytes damaged in
-        flight) raises :class:`~repro.errors.CorruptStreamError`."""
-        result = self.request("cache_pull", key=key)
-        if not result.get("present"):
-            return None
-        blob = base64.b64decode(result["blob_b64"])
-        want = int(result.get("crc32", -1))
-        got = zlib.crc32(blob)
-        if got != want:
-            from ..errors import CorruptStreamError
-
-            raise CorruptStreamError(
-                f"cache_pull of {key[:12]}… failed its CRC: stored "
-                f"{want:#010x}, computed {got:#010x}")
-        return blob
 
     # -- demand paging -----------------------------------------------------
 

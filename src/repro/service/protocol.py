@@ -161,7 +161,7 @@ def read_frame_sync(
 
 
 # ---------------------------------------------------------------------------
-# Async reader (server connection loop and cluster router)
+# Async reader (server connection loop)
 # ---------------------------------------------------------------------------
 
 

@@ -50,7 +50,7 @@ from . import protocol
 
 __all__ = [
     "BackgroundService", "CircuitBreaker", "CompressionService",
-    "ServiceConfig", "WORK_OPS", "CONTROL_OPS", "CACHE_OPS",
+    "ServiceConfig", "WORK_OPS", "CONTROL_OPS",
 ]
 
 #: Ops that run pipeline work and pass through the full robustness layer.
@@ -64,14 +64,6 @@ _FETCH_OPS = frozenset({"fetch_range", "fetch_function"})
 #: Ops answered inline on the event loop, bypassing admission — probes
 #: and control must work even when the worker pool is saturated.
 CONTROL_OPS = frozenset({"ping", "ready", "stats", "shutdown"})
-
-#: Cache-federation ops: serve a *local* warm-store entry to a peer node
-#: by content-addressed key.  Answered inline like control ops — a
-#: federation read must never wait on a worker slot, or two saturated
-#: nodes probing each other's caches would deadlock their pools.  The
-#: lookups consult only the local store (never the federated peer-fill
-#: path), so peer probes cannot recurse across the cluster.
-CACHE_OPS = frozenset({"cache_peek", "cache_pull"})
 
 
 @dataclass(frozen=True)
@@ -173,8 +165,6 @@ class _Metrics:
         self.connections_closed = 0
         self.bytes_served = 0
         self.range_ops: Dict[str, Dict[str, int]] = {}
-        self.federation_pulls = 0
-        self.federation_bytes_out = 0
 
     def note(self, op: str, outcome: str, seconds: float) -> None:
         self.requests += 1
@@ -189,11 +179,6 @@ class _Metrics:
         counters = self.range_ops.setdefault(op, {"hits": 0, "misses": 0})
         counters["hits" if hit else "misses"] += 1
         self.bytes_served += transferred
-
-    def note_federation(self, transferred: int) -> None:
-        """Account one artifact served to a cache-federation peer."""
-        self.federation_pulls += 1
-        self.federation_bytes_out += transferred
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -212,10 +197,6 @@ class _Metrics:
             },
             "bytes_served": self.bytes_served,
             "range_ops": {op: dict(c) for op, c in self.range_ops.items()},
-            "federation_out": {
-                "pulls": self.federation_pulls,
-                "bytes": self.federation_bytes_out,
-            },
         }
 
 
@@ -421,15 +402,12 @@ class CompressionService:
         try:
             if op in CONTROL_OPS:
                 result = self._control(op)
-            elif op in CACHE_OPS:
-                result = self._cache_op(op, message)
             elif op in WORK_OPS:
                 result = await self._run_work(op, message)
             else:
                 raise CorruptStreamError(
                     f"unknown op {op!r} (work: {sorted(WORK_OPS)}, "
-                    f"control: {sorted(CONTROL_OPS)}, "
-                    f"cache: {sorted(CACHE_OPS)})")
+                    f"control: {sorted(CONTROL_OPS)})")
         except Exception as exc:  # every failure becomes a typed reply
             error = exc
             reply = {"id": req_id, "ok": False,
@@ -463,33 +441,6 @@ class CompressionService:
         # reply is on the wire.
         self._request_shutdown()
         return {"draining": True}
-
-    def _cache_op(self, op: str, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Serve a warm-store entry to a cluster peer by artifact key.
-
-        ``cache_peek`` answers presence + size; ``cache_pull`` ships the
-        serialized artifact with a CRC32 the peer verifies on arrival.
-        Reads go through :meth:`ArtifactCache.peek_bytes`, which is
-        local-only by contract and skips hit/miss accounting, so
-        federation probes never distort the node's own cache stats.
-        """
-        key = message.get("key")
-        if (not isinstance(key, str) or not (8 <= len(key) <= 128)
-                or any(c not in "0123456789abcdef" for c in key)):
-            raise CorruptStreamError(
-                f"{op} key must be a lowercase hex artifact digest, "
-                f"got {key!r}")
-        blob = self.toolchain.cache.peek_bytes(key)
-        if blob is None:
-            return {"key": key, "present": False}
-        reply = {"key": key, "present": True, "bytes": len(blob)}
-        if op == "cache_pull":
-            import zlib
-
-            reply["crc32"] = zlib.crc32(blob)
-            reply["blob_b64"] = base64.b64encode(blob).decode("ascii")
-            self.metrics.note_federation(len(blob))
-        return reply
 
     def _breaker_for(self, unit: str) -> CircuitBreaker:
         breaker = self._breakers.get(unit)

@@ -1,9 +1,14 @@
 """CLI (`python -m repro`) tests."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import repro.__main__
 from repro.__main__ import main
 
 HELLO = """
@@ -264,3 +269,89 @@ def test_cache_inspect_and_prune(hello_c, tmp_path, capsys):
 def test_cache_prune_requires_max_bytes(tmp_path, capsys):
     assert main(["--cache-dir", str(tmp_path), "cache", "--prune"]) == 2
     assert "--max-bytes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# documented invocations
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Documents whose ``python -m repro`` examples must parse.
+DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+
+#: ``python -m repro`` and its words, up to the end of the line or code
+#: span, a shell comment, or a shell operator.
+INVOCATION = re.compile(r"python3? -m repro\b([^\n`#&|;]*)")
+
+
+def code_snippets(markdown):
+    """Lines of fenced code blocks (backslash continuations joined) and
+    inline code spans (which may wrap across lines) of a document."""
+    fenced, prose = [], []
+    in_fence = False
+    for line in markdown.splitlines():
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+        else:
+            (fenced if in_fence else prose).append(line)
+    yield from "\n".join(fenced).replace("\\\n", " ").splitlines()
+    for span in re.findall(r"`([^`]+)`", "\n".join(prose)):
+        yield span.replace("\n", " ")
+
+
+def documented_invocations():
+    """``(document, words after "python -m repro")`` for every example."""
+    sources = [(doc, list(code_snippets((REPO / doc).read_text())))
+               for doc in DOCS]
+    sources.append(("repro.__main__", repro.__main__.__doc__.splitlines()))
+    return [(doc, match.group(1).split())
+            for doc, snippets in sources
+            for snippet in snippets
+            for match in INVOCATION.finditer(snippet)]
+
+
+def help_text(argv):
+    """``main(argv + ["--help"])``'s output, or ``None`` unless it exits 0."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--help"])
+    return out.getvalue() if exc_info.value.code == 0 else None
+
+
+def has_flag(text, flag):
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+
+
+def test_every_documented_invocation_parses():
+    invocations = documented_invocations()
+    assert {doc for doc, _ in invocations} == {*DOCS, "repro.__main__"}
+    top = help_text([])
+    # Top-level options that take a value, e.g. "[--cache-dir CACHE_DIR]".
+    valued = set(re.findall(r"\[(--[\w-]+) [A-Z_]+\]", top))
+    problems = []
+    for doc, words in invocations:
+        if not words:
+            continue  # the CLI named in prose, not an invocation
+        example = f"{doc}: python -m repro {' '.join(words)}"
+        i = 0
+        while i < len(words) and words[i].startswith("-"):
+            if not has_flag(top, words[i].split("=")[0]):
+                problems.append(f"{example}: no top-level {words[i]}")
+            i += 2 if words[i] in valued else 1
+        if i == len(words):
+            problems.append(f"{example}: names no subcommand")
+            continue
+        if words[i].startswith("<"):
+            continue  # a placeholder such as <cmd>
+        for command in words[i].split("/"):  # "sizes/stats" lists two
+            text = help_text([command])
+            if text is None:
+                problems.append(f"{example}: no subcommand {command!r}")
+                continue
+            problems += [f"{example}: {command} has no {word}"
+                         for word in words[i + 1:] if word.startswith("-")
+                         and not has_flag(text, word.split("=")[0])]
+    assert not problems, "\n".join(problems)
+

@@ -38,6 +38,24 @@ int main(void) { print_int(cube(3)); return 0; }
 
 BAD = "int main(void) { return undeclared; }"
 
+
+def nested_parens(depth):
+    return f"int main(void) {{ return {'(' * depth}1{')' * depth}; }}"
+
+
+def summed_ones(terms):
+    return f"int main(void) {{ return {'+'.join(['1'] * terms)}; }}"
+
+
+#: Sources whose nesting outruns Python's recursion limit in a stage.
+TOO_DEEP = {
+    "parens-54": nested_parens(54),
+    "blocks-600": f"int main(void) {{ {'{' * 600}{'}' * 600} return 0; }}",
+    "ifs-600": "int main(void) { int x; x = 0; " + " else ".join(
+        f"if (x == {i}) x = {i + 1};" for i in range(600)) + " return x; }",
+    "terms-340": summed_ones(340),
+}
+
 CHEAP_STAGES = ("codegen", "wire", "deflate")
 
 
@@ -239,21 +257,28 @@ def test_partial_compile_has_only_requested_closure():
 def test_batch_serial_error_isolation():
     tc = Toolchain()
     items = tc.compile_many(
-        [("a", SMALL), ("bad", BAD), ("b", OTHER)], stages=CHEAP_STAGES)
-    assert [it.unit for it in items] == ["a", "bad", "b"]
+        [("a", SMALL), ("bad", BAD), ("b", OTHER),
+         ("deep", TOO_DEEP["parens-54"])],
+        stages=CHEAP_STAGES)
+    assert [it.unit for it in items] == ["a", "bad", "b", "deep"]
     assert items[0].ok and items[2].ok
     assert not items[1].ok
     assert items[1].error_type == "CompileError"
     assert "undeclared" in items[1].error
+    assert items[3].error_type == "CompileError"
+    assert "nests too deeply" in items[3].error
 
 
 def test_batch_parallel_error_isolation_and_order():
     tc = Toolchain()
     items = tc.compile_many(
-        [("a", SMALL), ("bad", BAD), ("b", OTHER)], workers=2)
-    assert [it.index for it in items] == [0, 1, 2]
+        [("a", SMALL), ("bad", BAD), ("b", OTHER),
+         ("deep", TOO_DEEP["parens-54"])],
+        workers=2)
+    assert [it.index for it in items] == [0, 1, 2, 3]
     assert items[0].ok and items[2].ok and not items[1].ok
     assert items[1].error_type == "CompileError"
+    assert items[3].error_type == "CompileError"
 
 
 def test_batch_parallel_matches_serial_bytes():
@@ -342,6 +367,28 @@ def test_vm_code_bytes_is_the_pipeline_artifact():
 def test_compile_error_propagates_from_compile():
     with pytest.raises(CompileError):
         Toolchain().compile(BAD, name="bad")
+
+
+@pytest.mark.parametrize("label", sorted(TOO_DEEP))
+def test_over_deep_source_raises_compile_error(label):
+    with pytest.raises(CompileError, match="nests too deeply") as exc_info:
+        Toolchain().compile(TOO_DEEP[label], name=label)
+    assert exc_info.value.__cause__ is None
+    assert str(exc_info.value).startswith(f"{label}: ")
+
+
+@pytest.mark.parametrize("source", [nested_parens(53), summed_ones(320)],
+                         ids=["parens-53", "terms-320"])
+def test_deep_sources_below_the_limit_still_compile(source):
+    # A fresh thread starts from an empty stack, as a service worker
+    # does, so the test runner's own frames do not eat into the limit.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        res = pool.submit(Toolchain().compile, source, name="deep",
+                          stages=("codegen",)).result()
+    assert res.program.functions
+
 
 
 def test_cold_compile_reports_nonzero_runs_for_every_stage():

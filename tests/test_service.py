@@ -11,7 +11,9 @@ Covers the acceptance criteria of the resilient-service change:
   ``retry_after`` hint;
 * SIGTERM drains in-flight requests and the server process exits 0;
 * the per-unit circuit breaker trips after repeated failures and
-  half-opens on a timer.
+  half-opens on a timer;
+* the client retries retryable and transport failures with jittered
+  backoff, and an exhausted budget propagates the error unchanged.
 """
 
 import json
@@ -46,6 +48,8 @@ int main(void) { print_int(sq(7)); putchar('\\n'); return 0; }
 """
 
 BAD = "int main(void) { return undeclared; }"
+
+TOO_DEEP = "int main(void) { return " + "(" * 54 + "1" + ")" * 54 + "; }"
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -217,18 +221,24 @@ def test_wire_blob_round_trips_through_verify():
 def test_compile_error_is_structured_compile_taxonomy():
     with make_service() as bg:
         with ServiceClient(port=bg.port, timeout=10.0) as client:
-            with pytest.raises(RemoteServiceError) as exc_info:
-                client.compile(BAD, name="bad.c")
-            assert exc_info.value.taxonomy == "compile"
-            assert not exc_info.value.retryable
-            assert client.ping() == {"pong": True}  # connection survives
+            # An undeclared name, and nesting past the parser's recursion.
+            for name, source in (("bad.c", BAD), ("deep.c", TOO_DEEP)):
+                with pytest.raises(RemoteServiceError) as exc_info:
+                    client.compile(source, name=name)
+                assert exc_info.value.error_type == "CompileError"
+                assert exc_info.value.taxonomy == "compile"
+                assert not exc_info.value.retryable
+                assert client.ping() == {"pong": True}  # connection survives
 
 
-def test_unknown_op_is_structured_not_fatal():
+@pytest.mark.parametrize("op", ["frobnicate", "cache_peek", "cache_pull"])
+def test_unknown_op_is_structured_not_fatal(op):
+    """Unknown ops, including the removed cache ops a stale peer might
+    still send, get a structured reply on a live connection."""
     with make_service() as bg:
         with ServiceClient(port=bg.port, timeout=10.0) as client:
             with pytest.raises(RemoteServiceError) as exc_info:
-                client.request("frobnicate")
+                client.request(op, key="00" * 32)
             assert exc_info.value.error_type == "CorruptStreamError"
             assert client.ping() == {"pong": True}
 
@@ -770,6 +780,76 @@ class TestFetchOps:
         assert main(["fetch", "--port", "1", "--function", "sq",
                      "--start", "0", "--length", "4", str(source)]) == 2
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# client auto-retry
+# ---------------------------------------------------------------------------
+
+
+def test_client_retries_shed_requests_until_capacity_frees():
+    with make_service(max_concurrency=1, max_queue=0,
+                      shed_retry_after=0.05) as bg:
+        def occupy():
+            with ServiceClient(port=bg.port, timeout=20.0) as holder:
+                holder.sleep(0.6, deadline=15.0, name="hold")
+
+        worker = threading.Thread(target=occupy)
+        worker.start()
+        with ServiceClient(port=bg.port, timeout=10.0) as probe:
+            assert wait_until(
+                lambda: probe.stats()["service"]["inflight"] == 1)
+        with ServiceClient(port=bg.port, timeout=15.0, retries=20,
+                           rng=Random(7)) as client:
+            # Budget large enough to outlast the occupier: succeeds.
+            assert client.compile(HELLO, name="patient.c")["sizes"]["vm"] > 0
+        worker.join(10.0)
+
+
+def test_client_retry_budget_exhaustion_propagates_the_error():
+    with make_service(max_concurrency=1, max_queue=0,
+                      shed_retry_after=0.02) as bg:
+        def occupy():
+            with ServiceClient(port=bg.port, timeout=20.0) as holder:
+                holder.sleep(1.0, deadline=15.0, name="hold")
+
+        worker = threading.Thread(target=occupy)
+        worker.start()
+        with ServiceClient(port=bg.port, timeout=10.0) as probe:
+            assert wait_until(
+                lambda: probe.stats()["service"]["inflight"] == 1)
+        with ServiceClient(port=bg.port, timeout=10.0, rng=Random(7)) as c:
+            with pytest.raises(RemoteServiceError) as exc_info:
+                c.request("compile", retries=2, source=HELLO,
+                          name="impatient.c")
+            assert exc_info.value.error_type == "OverloadedError"
+            assert exc_info.value.retryable  # exit-75 contract intact
+        worker.join(10.0)
+
+
+def test_client_backoff_honors_retry_after_floor_and_cap():
+    client = ServiceClient(backoff_base=0.01, backoff_max=0.5,
+                           rng=Random(0))
+    for attempt in range(8):
+        delay = client._backoff(attempt, None)  # noqa: SLF001
+        assert 0.0 <= delay <= 0.5
+    assert client._backoff(0, 0.2) >= 0.2  # noqa: SLF001
+    assert client._backoff(9, 99.0) == 0.5  # noqa: SLF001 - capped
+    with pytest.raises(ValueError):
+        ServiceClient(retries=-1)
+    with pytest.raises(ValueError):
+        ServiceClient(backoff_base=0.0)
+
+
+def test_client_reconnects_through_an_idle_reaped_connection():
+    with make_service(idle_timeout=0.3) as bg:
+        with ServiceClient(port=bg.port, timeout=10.0,
+                           rng=Random(3)) as client:
+            assert client.ping()["pong"]
+            time.sleep(0.8)  # server reaps the idle connection
+            # Without a budget the dead socket is a hard transport error;
+            # with one, the client reconnects and the request succeeds.
+            assert client.request("ping", retries=1)["pong"]
 
 
 # ---------------------------------------------------------------------------
