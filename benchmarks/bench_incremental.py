@@ -4,9 +4,11 @@ The acceptance metric of the incremental-compilation change: editing one
 constant in one lcc function and recompiling with ``compile(prev=...)``
 must be at least 5x faster than a cold build of the edited source, while
 producing **byte-identical** artifacts at every binary stage (wire,
-deflate, BRISC image, VM encoding).  The speedup comes from splicing the
-unchanged functions through lower/codegen and replaying the recorded
-BRISC builder journal instead of re-running the greedy pattern search.
+deflate, BRISC image, VM encoding).  The speedup comes from sharing
+every function whose lowered IR is unchanged, so its VM code is reused,
+and replaying the recorded BRISC builder journal instead of re-running
+the greedy pattern search.  Parse, sema and lower still run over the
+whole unit, once each.
 """
 
 import time

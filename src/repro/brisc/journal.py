@@ -119,7 +119,9 @@ def changed_functions(
             return None
         if (a.code != b.code or a.labels != b.labels
                 or a.frame_size != b.frame_size
-                or a.param_bytes != b.param_bytes):
+                or a.param_bytes != b.param_bytes
+                # == equates a -0.0 operand with 0.0; printed forms differ.
+                or list(map(str, a.code)) != list(map(str, b.code))):
             changed.add(i)
     return changed
 

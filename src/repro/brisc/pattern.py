@@ -18,6 +18,7 @@ keeps BRISC randomly addressable and directly interpretable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
@@ -63,11 +64,29 @@ class Wildcard:
         return "*" if self.cls in ("r", "f") else f"*{self.cls}"
 
 
+def _same_value(a: FieldValue, b: FieldValue) -> bool:
+    """Whether two field values encode to the same bytes (``==`` alone
+    equates ``-0.0`` with ``0.0``)."""
+    if isinstance(a, float) or isinstance(b, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
 @dataclass(frozen=True)
 class Burned:
-    """A specialized field: its value lives in the dictionary entry."""
+    """A specialized field: its value lives in the dictionary entry.
+
+    Equality is sign-exact (see :func:`_same_value`); the generated hash
+    stays ``hash((value,))``, which is equal for values that compare
+    equal.
+    """
 
     value: FieldValue
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Burned:
+            return NotImplemented
+        return _same_value(self.value, other.value)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -136,7 +155,7 @@ class InsnPattern:
         spec = SPEC[self.name]
         for field, kind, value in zip(self.fields, spec.signature, instr.operands):
             if isinstance(field, Burned):
-                if field.value != value:
+                if not _same_value(field.value, value):
                     return False
             else:
                 if kind is Operand.IMM:

@@ -960,21 +960,11 @@ def _to_word(tree: Tree, src: IntType) -> Tuple[Tree, IntType]:
 
 
 class ModuleLowerer:
-    """Lowers a checked translation unit to an :class:`IRModule`.
+    """Lowers a checked translation unit to an :class:`IRModule`."""
 
-    ``reuse`` maps function names to already-lowered :class:`IRFunction`
-    bodies from a previous build of the same unit; a listed function is
-    spliced in as-is instead of re-lowered.  The incremental layer
-    (:mod:`repro.pipeline.incremental`) only offers a function for reuse
-    after proving its tokens and string-literal bindings are unchanged,
-    which makes the splice output-identical to a full lowering.
-    """
-
-    def __init__(self, unit: TranslationUnit, name: str = "module",
-                 reuse: Optional[Dict[str, IRFunction]] = None) -> None:
+    def __init__(self, unit: TranslationUnit, name: str = "module") -> None:
         self.unit = unit
         self.module = IRModule(name)
-        self.reuse = reuse or {}
 
     def run(self) -> IRModule:
         for label, text in self.unit.strings:
@@ -990,10 +980,6 @@ class ModuleLowerer:
             self.module.globals.append(self._lower_global(decl))
         for fn in self.unit.functions:
             if fn.body is None:
-                continue
-            reused = self.reuse.get(fn.name)
-            if reused is not None:
-                self.module.functions.append(reused)
                 continue
             self.module.functions.append(FunctionLowerer(fn, self).run())
         return self.module
@@ -1085,11 +1071,6 @@ def _const_value(expr: Expr) -> Union[int, float, str, None]:
     return None
 
 
-def lower_unit(unit: TranslationUnit, name: str = "module",
-               reuse: Optional[Dict[str, IRFunction]] = None) -> IRModule:
-    """Lower a checked translation unit to tree IR.
-
-    ``reuse`` splices previously lowered functions in by name instead of
-    re-lowering them (see :class:`ModuleLowerer`).
-    """
-    return ModuleLowerer(unit, name, reuse=reuse).run()
+def lower_unit(unit: TranslationUnit, name: str = "module") -> IRModule:
+    """Lower a checked translation unit to tree IR."""
+    return ModuleLowerer(unit, name).run()

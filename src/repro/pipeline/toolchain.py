@@ -184,11 +184,11 @@ class Toolchain:
 
         ``prev`` — a previous :class:`CompilationResult` for the same
         unit — switches cache misses to **delta mode**: per-function
-        stage outputs are derived from the previous build where the
-        incremental layer can prove byte-identity, and fall back to the
-        cold stage where it cannot (see
-        :mod:`repro.pipeline.incremental`).  Cache keys are unchanged,
-        so delta-derived artifacts are interchangeable with cold ones.
+        stage outputs are derived from the previous build wherever the
+        function's lowered code is unchanged, and fall back to the cold
+        stage elsewhere (see :mod:`repro.pipeline.incremental`).  Cache
+        keys are unchanged, so delta-derived artifacts are
+        interchangeable with cold ones.
         """
         config = config or self.config
         selected = resolve_stages(stages)
@@ -197,7 +197,7 @@ class Toolchain:
         if prev is not None:
             from .incremental import DeltaCompiler
 
-            delta = DeltaCompiler(prev, source, config)
+            delta = DeltaCompiler(prev, config)
         artifacts: Dict[str, Artifact] = {}
         for stage in selected:
             if cancel is not None and cancel():
@@ -263,7 +263,6 @@ class Toolchain:
         stages: Optional[Sequence[str]] = None,
         config: Optional[PipelineConfig] = None,
         timeout: Optional[float] = None,
-        prev: Optional[Dict[str, CompilationResult]] = None,
     ) -> List[BatchItem]:
         """Compile ``(name, source)`` units, optionally in parallel.
 
@@ -281,37 +280,22 @@ class Toolchain:
         underneath the batch (a worker killed by the OS), the unfinished
         units get one fresh pool; after a second death they finish on the
         serial path, which cannot enforce ``timeout``.
-
-        ``prev`` maps unit names to their previous
-        :class:`CompilationResult`; units with an entry compile in delta
-        mode (see :meth:`compile`).  Delta batches always run serially —
-        previous builds carry live journals and shared IR objects that
-        are expensive to pickle into a pool, and a one-function edit
-        rarely leaves enough cold work to amortize workers.
         """
         unit_list = [(str(name), source) for name, source in units]
-        if prev is None and workers is not None and workers > 1 and unit_list:
+        if workers is not None and workers > 1 and unit_list:
             try:
                 return self._compile_parallel(unit_list, workers, stages,
                                               config, timeout)
             except _POOL_UNAVAILABLE:
                 pass  # no process support (sandbox, missing semaphores)
-        return self._compile_serial(unit_list, stages, config, prev=prev)
+        return [self._serial_item(i, name, source, stages, config)
+                for i, (name, source) in enumerate(unit_list)]
 
-    def _compile_serial(self, unit_list, stages, config, start: int = 0,
-                        prev=None) -> List[BatchItem]:
-        return [
-            self._serial_item(start + i, name, source, stages, config,
-                              prev=None if prev is None else prev.get(name))
-            for i, (name, source) in enumerate(unit_list)
-        ]
-
-    def _serial_item(self, index, name, source, stages, config,
-                     prev=None) -> BatchItem:
+    def _serial_item(self, index, name, source, stages, config) -> BatchItem:
         t0 = time.perf_counter()
         try:
             result = self.compile(source, name=name, stages=stages,
-                                  config=config, prev=prev)
+                                  config=config)
             return BatchItem(index=index, unit=name, result=result,
                              seconds=time.perf_counter() - t0)
         except CompileError as exc:

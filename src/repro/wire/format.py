@@ -17,6 +17,7 @@ the only — purely internal — renaming).
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -414,6 +415,9 @@ def _pack_code_streams(
                 indexed.append(idx)
             values = indexed
             kind = "int"
+        elif kind == "float":
+            # Keyed by sign too: a bare value key aliases -0.0 with 0.0.
+            values = [(v, math.copysign(1.0, v)) for v in values]
         idx_bytes, novels = _encode_mtf_stream(values)
         streams[f"lit.{key}.idx"] = idx_bytes
         blob = bytearray()
@@ -421,7 +425,7 @@ def _pack_code_streams(
         if kind == "int":
             blob.extend(_pack_int_novels(novels))
         else:  # float
-            blob.extend(_pack_float_novels(novels))
+            blob.extend(_pack_float_novels([v for v, _ in novels]))
         streams[f"lit.{key}.new"] = bytes(blob)
 
     blob = bytearray()

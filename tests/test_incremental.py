@@ -2,15 +2,13 @@
 
 Covers the acceptance criteria of the incremental-compilation change:
 
-* ``split_unit`` carves a translation unit into an environment digest
-  plus per-function digests, bailing (``None``) on anything it cannot
-  prove it understood;
-* ``reusable_functions`` admits exactly the functions whose tokens,
-  environment, and string-literal label bindings are unchanged;
 * ``Toolchain.compile(prev=...)`` on an edited unit is **byte-identical**
   to a cold compile of the new source across every binary artifact
-  (wire, deflate, BRISC image, VM encoding), while re-deriving the
-  unchanged functions instead of re-running the stages;
+  (wire, deflate, BRISC image, VM encoding) — for body, global,
+  signature, string-literal and rename edits — while sharing every
+  function whose lowered IR is unchanged instead of re-running the
+  stages after lower;
+* an edited compile lexes the source once;
 * the BRISC journal replay path reproduces the cold image exactly, and
   journaled builds are byte-identical to plain ones;
 * delta reuse is refused across configuration changes and missing
@@ -19,11 +17,15 @@ Covers the acceptance criteria of the incremental-compilation change:
   cache-hit compile is not charged a second build's runs or seconds.
 """
 
+import re
+
+import pytest
+
+from repro.cfront import lexer
+from repro.corpus.generator import generate_program_source
+from repro.ir.lower import ModuleLowerer
 from repro.pipeline import Toolchain
-from repro.pipeline.incremental import (
-    DeltaCompiler, function_strings, reusable_functions, split_unit,
-)
-from repro.cfront import compile_to_ast
+from repro.pipeline.incremental import DeltaCompiler
 
 BASE = """
 int add(int a, int b) { return a + b; }
@@ -43,6 +45,51 @@ BIG = "\n".join(
 BIG_EDIT = BIG.replace("int f7(int a, int b) { return a * 7 + b; }",
                        "int f7(int a, int b) { return a * 9 + b; }")
 
+#: Sema numbers ``<strN>`` labels unit-wide in first-appearance order, so
+#: the literal inserted into ``a`` renumbers the label ``main`` refers to.
+STRINGS = """
+int a(void) { print_str("x"); return 0; }
+int b(int v) { return v * 3; }
+int main(void) { print_str("y"); return a() + b(2); }
+"""
+
+#: The opening line of a generated unit's first function definition.
+_FIRST_FN = re.compile(r"^int (\w+)\(.*\) \{$", re.M)
+
+
+def _generated_edits(seed):
+    """(source, edited, re-lowered function names) cases on a seeded
+    generated unit; ``None`` where the edit does not fix the set."""
+    src = generate_program_source(functions=6, seed=seed)
+    head = _FIRST_FN.search(src)
+    first, at = head.group(1), head.end()
+
+    def into_first(stmt):
+        return src[:at] + f"\n    {stmt}" + src[at:]
+
+    edits = {
+        "literal": (src.replace("acc * 31", "acc * 37", 1), {"main"}),
+        "statement": (into_first("putchar(48);"), {first}),
+        "global": (src.replace("\nint ", "\nint edit_global;\nint ", 1),
+                   set()),
+        "string": (into_first('print_str("edit");'), {first}),
+        "rename": (src.replace(first, first + "_renamed"), None),
+    }
+    return [pytest.param(src, edited, relowered, id=f"gen{seed}-{name}")
+            for name, (edited, relowered) in edits.items()]
+
+
+EDIT_CASES = [
+    *_generated_edits(1),
+    *_generated_edits(2),
+    pytest.param(BASE, BASE.replace("int add", "long add"), set(),
+                 id="signature"),
+    pytest.param(STRINGS, STRINGS.replace('{ print_str("x");',
+                                          '{ print_str("w"); print_str("x");'),
+                 {"a", "main"}, id="string-renumbering"),
+]
+
+
 def binary_artifacts(result):
     out = {s: result.artifacts[s].payload for s in ("wire", "deflate")}
     out["brisc"] = result.brisc.image.blob
@@ -58,87 +105,73 @@ def assert_byte_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# unit shape
-# ---------------------------------------------------------------------------
-
-
-class TestSplitUnit:
-    def test_finds_every_function(self):
-        shape = split_unit(BASE)
-        assert shape is not None
-        assert shape.order == ("add", "twice", "main")
-        assert set(shape.fn_digests) == {"add", "twice", "main"}
-
-    def test_body_edit_changes_only_that_function(self):
-        before, after = split_unit(BASE), split_unit(EDITED)
-        assert before.env_digest == after.env_digest
-        assert before.fn_digests["add"] == after.fn_digests["add"]
-        assert before.fn_digests["main"] == after.fn_digests["main"]
-        assert before.fn_digests["twice"] != after.fn_digests["twice"]
-
-    def test_globals_and_prototypes_go_to_env(self):
-        a = split_unit("int g; int f(void);\nint main(void) { return g; }")
-        b = split_unit("int g; int h(void);\nint main(void) { return g; }")
-        assert a is not None and b is not None
-        assert a.order == b.order == ("main",)
-        assert a.env_digest != b.env_digest
-
-    def test_whitespace_is_not_significant(self):
-        spaced = BASE.replace("return a + b;", "return  a  +  b ;")
-        assert split_unit(BASE).fn_digests == split_unit(spaced).fn_digests
-
-    def test_duplicate_definition_bails(self):
-        dup = BASE + "\nint add(int a, int b) { return a - b; }"
-        assert split_unit(dup) is None
-
-    def test_unparsable_source_bails(self):
-        assert split_unit("int main(void) { return 0;") is None
-        assert split_unit("@#$") is None
-
-
-class TestReusableFunctions:
-    def test_only_edited_function_dropped(self):
-        old = compile_to_ast(BASE, "u")
-        new = compile_to_ast(EDITED, "u")
-        names = reusable_functions(BASE, old, EDITED, new)
-        assert names == frozenset({"add", "main"})
-
-    def test_signature_change_invalidates_whole_unit(self):
-        changed = BASE.replace("int twice(int x)", "long twice(int x)")
-        old = compile_to_ast(BASE, "u")
-        new = compile_to_ast(changed, "u")
-        assert reusable_functions(BASE, old, changed, new) == frozenset()
-
-    def test_new_string_literal_invalidates_sharers(self):
-        """sema labels string literals unit-wide in first-appearance
-        order; an edit that shifts the numbering must drop every function
-        whose bindings moved."""
-        old_src = ('int a(void) { puts("x"); return 0; }\n'
-                   'int main(void) { puts("y"); return a(); }')
-        new_src = ('int a(void) { puts("w"); puts("x"); return 0; }\n'
-                   'int main(void) { puts("y"); return a(); }')
-        old = compile_to_ast(old_src, "u")
-        new = compile_to_ast(new_src, "u")
-        names = reusable_functions(old_src, old, new_src, new)
-        assert "a" not in names
-        assert names <= frozenset({"main"})
-        strings = function_strings(new)
-        assert set(strings["a"]) == {"w", "x"}
-
-
-# ---------------------------------------------------------------------------
 # delta compile end-to-end
 # ---------------------------------------------------------------------------
 
 
+def edit_matches_cold(source, edited, config):
+    """Compile ``source`` cold, then ``edited`` with ``prev=``; assert the
+    delta result equals a cold compile of ``edited`` byte for byte, and
+    return ``(cold, delta)``."""
+    tc = Toolchain()
+    cold = tc.compile(source, name="u", config=config)
+    delta = tc.compile(edited, name="u", config=config, prev=cold)
+    fresh = Toolchain().compile(edited, name="u", config=config)
+    assert_byte_identical(delta, fresh)
+    return cold, delta
+
+
+def assert_relowered(cold, delta, relowered):
+    """Exactly the functions named in ``relowered`` were lowered afresh;
+    every other one is the previous build's object."""
+    before = {fn.name: fn for fn in cold.module.functions}
+    functions = delta.module.functions
+    assert {fn.name for fn in functions
+            if before.get(fn.name) is not fn} == relowered
+    assert (delta.artifacts["lower"].meta.get("reused_functions", 0)
+            == len(functions) - len(relowered))
+
+
 class TestDeltaCompile:
     def test_byte_identical_to_cold_compile(self):
+        config = Toolchain().config.with_journal().with_brisc(k=6)
+        edit_matches_cold(BIG, BIG_EDIT, config)
+
+    @pytest.mark.parametrize("source, edited, relowered", EDIT_CASES)
+    def test_edit_matches_cold_compile(self, source, edited, relowered):
+        assert edited != source
+        cold, delta = edit_matches_cold(source, edited,
+                                        Toolchain().config.with_journal())
+        if relowered is not None:
+            assert_relowered(cold, delta, relowered)
+
+    def test_negative_zero_edit_is_a_changed_function(self):
+        """``==`` equates ``-0.0`` with ``0.0``; the replay must not."""
+        source = ("double g; int f(void) { g = 0.0; return 1; } "
+                  "int main(void) { f(); print_double(g); putchar('\\n'); "
+                  "return 0; }")
+        edited = source.replace("g = 0.0;", "g = -0.0;")
+        _, delta = edit_matches_cold(source, edited,
+                                     Toolchain().config.with_journal())
+        brisc = delta.artifacts["brisc"].meta
+        assert brisc.get("replayed") is True
+        assert brisc["changed_functions"] == 1
+
+    def test_edited_compile_lexes_once(self, monkeypatch):
         tc = Toolchain()
-        config = tc.config.with_journal().with_brisc(k=6)
-        cold = tc.compile(BIG, name="u", config=config)
-        delta = tc.compile(BIG_EDIT, name="u", config=config, prev=cold)
-        fresh = Toolchain().compile(BIG_EDIT, name="u", config=config)
-        assert_byte_identical(delta, fresh)
+        config = tc.config.with_journal()
+        cold = tc.compile(BASE, name="u", config=config)
+        calls = []
+        tokens = lexer.Lexer.tokens
+
+        def counting(self):
+            calls.append(self)
+            return tokens(self)
+
+        monkeypatch.setattr(lexer.Lexer, "tokens", counting)
+        delta = tc.compile(EDITED, name="u", config=config, prev=cold)
+        assert delta.artifacts["lower"].meta.get("derived") is True
+        assert len(calls) == 1
 
     def test_unchanged_functions_are_spliced_not_rebuilt(self):
         tc = Toolchain()
@@ -215,21 +248,6 @@ class TestDeltaCompile:
         fresh = Toolchain().compile(third_src, name="u", config=config)
         assert_byte_identical(third, fresh)
 
-    def test_compile_many_prev_map(self):
-        tc = Toolchain()
-        config = tc.config.with_journal().with_brisc(k=6)
-        units = [("a", BIG), ("b", BASE)]
-        prev = {item.unit: item.result
-                for item in tc.compile_many(units, config=config)}
-        edited = [("a", BIG_EDIT), ("b", BASE)]
-        items = tc.compile_many(edited, config=config, prev=prev)
-        assert all(item.ok for item in items)
-        by_name = {item.unit: item.result for item in items}
-        assert by_name["a"].artifacts["brisc"].meta.get("replayed") is True
-        assert all(a.from_cache for a in by_name["b"].artifacts.values())
-        fresh = Toolchain().compile(BIG_EDIT, name="a", config=config)
-        assert_byte_identical(by_name["a"], fresh)
-
 
 # ---------------------------------------------------------------------------
 # journal record/replay
@@ -295,16 +313,30 @@ class TestDeltaCompiler:
         tc = Toolchain()
         config = tc.config.with_brisc(k=6)
         prev = tc.compile(BASE, name="u", config=config)
-        delta = DeltaCompiler(prev, EDITED, config)
+        delta = DeltaCompiler(prev, config)
         assert delta._compatible("brisc")
         assert not DeltaCompiler(
-            prev, EDITED, config.with_brisc(k=9))._compatible("brisc")
+            prev, config.with_brisc(k=9))._compatible("brisc")
 
-    def test_lower_not_derived_when_nothing_reusable(self):
+    def test_lower_not_derived_when_nothing_reusable(self, monkeypatch):
+        """Every function's IR changes: nothing is shared, and the module
+        delta mode lowered is the artifact (no second, cold lowering)."""
         tc = Toolchain()
-        rewrite = BASE.replace("int add", "long add")
+        rewrite = (BASE.replace("a + b", "a - b")
+                   .replace("add(x, x)", "add(x, 1)")
+                   .replace("twice(21)", "twice(22)"))
         prev = tc.compile(BASE, name="u")
+        lowerings = []
+        run = ModuleLowerer.run
+
+        def counting(self):
+            lowerings.append(self)
+            return run(self)
+
+        monkeypatch.setattr(ModuleLowerer, "run", counting)
         delta = tc.compile(rewrite, name="u", prev=prev)
+        assert len(lowerings) == 1
         assert delta.artifacts["lower"].meta.get("derived") is not True
+        assert delta.artifacts["codegen"].meta.get("derived") is not True
         fresh = Toolchain().compile(rewrite, name="u")
         assert_byte_identical(delta, fresh)
