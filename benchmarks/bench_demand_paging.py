@@ -16,7 +16,7 @@ import statistics
 
 from conftest import save_table
 from repro.bench import render_table
-from repro.container import GreedyPlacement, container_index
+from repro.container import container_index
 from repro.system import (
     LAN_10M, MODEM_28_8, PagingConfig, Representation, delivery_time,
     paging_run,
@@ -46,9 +46,8 @@ def test_seekability_tax_and_fetch_sizes(benchmark, results_dir, toolchain):
         rows = []
         for unit, module, bri2 in _modules(toolchain, UNITS):
             v2 = encode_module(module)
-            v3 = encode_module_v3(module,
-                                  placement=GreedyPlacement(CHUNK_BYTES))
-            bri3 = repack_v3(bri2, GreedyPlacement(BRISC_CHUNK_BYTES))
+            v3 = encode_module_v3(module, chunk_bytes=CHUNK_BYTES)
+            bri3 = repack_v3(bri2, BRISC_CHUNK_BYTES)
             rows.append((unit, "wire", v2, v3))
             rows.append((unit, "brisc", bri2, bri3))
         return rows
@@ -129,8 +128,7 @@ def test_models_on_measured_chunks(benchmark, results_dir, toolchain):
 
         res = toolchain.compile(get_sample("wc"), name="wc",
                                 stages=("codegen", "brisc"))
-        bri3 = repack_v3(res.brisc.image.blob,
-                         GreedyPlacement(BRISC_CHUNK_BYTES))
+        bri3 = repack_v3(res.brisc.image.blob, BRISC_CHUNK_BYTES)
         native = PentiumLike().program_size(res.program)
         return native, bri3
 

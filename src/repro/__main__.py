@@ -199,35 +199,13 @@ def cmd_verify(args) -> int:
     With ``--function NAME`` only the chunks covering that function are
     decoded, so sparse containers produced by ``fetch`` verify cleanly.
     """
-    from .brisc import decode_image
+    from .container import verify
     from .errors import DecodeError, UnsupportedFormatError
-    from .wire import decode_module
 
     with open(args.file, "rb") as f:
         blob = f.read()
-    function = getattr(args, "function", None)
     try:
-        if blob[:3] == b"WIR":
-            if function:
-                from .wire import decode_function
-
-                fn = decode_function(blob, function)
-                detail = f"wire function {fn.name!r}"
-            else:
-                module = decode_module(blob)
-                detail = f"wire module {module.name!r}"
-        elif blob[:3] == b"BRI":
-            if function:
-                from .brisc.encode import decode_function
-
-                fn = decode_function(blob, function)
-                detail = f"BRISC function {fn.name!r}"
-            else:
-                program = decode_image(blob)
-                detail = f"BRISC image, {len(program.functions)} functions"
-        else:
-            raise UnsupportedFormatError(
-                f"unrecognized container magic {blob[:4]!r}")
+        detail = verify(blob, getattr(args, "function", None) or None)
     except UnsupportedFormatError as exc:
         print(f"{args.file}: unsupported: {exc}", file=sys.stderr)
         return 2

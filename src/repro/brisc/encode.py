@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
 from ..container.chunking import (
-    ChunkPlacement, ChunkRecord, ContainerIndex, FunctionExtent,
-    FunctionRecord, GreedyPlacement, validate_placement,
+    DEFAULT_CHUNK_BYTES, ChunkRecord, ContainerIndex, chunk_payload,
+    pack_chunks, read_header, read_index, read_span, write_container,
 )
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits,
@@ -451,9 +451,13 @@ def parse_image(
 ) -> DecodedImage:
     """Parse an image's container structure (no slot decoding yet)."""
     limits = limits or DEFAULT_LIMITS
-    if _brisc_version(blob) == 3:
-        return _parse_image_v3(blob, limits)
+    version = _brisc_version(blob)
     with decode_guard("BRISC image"):
+        if version == 3:
+            image, index = _open_v3(blob, limits)
+            for chunk in index.chunks:
+                _split_chunk(blob, image, index, chunk)
+            return image
         data = _image_payload(blob)
         out, nfuncs, pos = _parse_preamble(data, 0, limits)
         for _ in range(nfuncs):
@@ -465,24 +469,31 @@ def parse_image(
                          limits.max_decoded_bytes)
             code, pos = take_bytes(data, pos, code_len,
                                    f"code for function {name!r}")
-            nbb, pos = read_uvarint(data, pos)
-            if nbb > len(data) - pos:
-                raise TruncatedStreamError(
-                    f"function {name!r} promises {nbb} block offsets, "
-                    f"image too short")
-            offsets: Set[int] = set()
-            last = 0
-            for _ in range(nbb):
-                delta, pos = read_uvarint(data, pos)
-                last += delta
-                if last > len(code):
-                    raise CorruptStreamError(
-                        f"block offset {last} beyond code of {len(code)} "
-                        f"bytes in {name!r}")
-                offsets.add(last)
+            offsets, pos = _read_block_offsets(data, pos, name, code_len)
             out.functions.append(
                 DecodedFunction(name, frame, params, code, offsets))
         return out
+
+
+def _read_block_offsets(data: bytes, pos: int, name: str,
+                        code_len: int) -> Tuple[Set[int], int]:
+    """A function's delta-coded block-start offsets (v2 and v3 alike)."""
+    nbb, pos = read_uvarint(data, pos)
+    if nbb > len(data) - pos:
+        raise TruncatedStreamError(
+            f"function {name!r} promises {nbb} block offsets, "
+            f"image too short")
+    offsets: Set[int] = set()
+    last = 0
+    for _ in range(nbb):
+        delta, pos = read_uvarint(data, pos)
+        last += delta
+        if last > code_len:
+            raise CorruptStreamError(
+                f"block offset {last} beyond code of {code_len} "
+                f"bytes in {name!r}")
+        offsets.add(last)
+    return offsets, pos
 
 
 def symbol_names(image: DecodedImage) -> List[str]:
@@ -631,18 +642,14 @@ def decode_image(
 # BRI3: the seekable chunked container
 # ---------------------------------------------------------------------------
 #
-# Layout:
-#
-#   "BRI3" | crc32(header) u32 LE | uvarint header_len | header | chunks
-#
-# The header is the v2 preamble (dictionary, Markov tables, globals,
-# entry) followed by the function metadata — name, frame, params, code
-# length, block-start offsets, chunk id — and the chunk table (offset
-# relative to the chunk area, stored length, CRC32).  A chunk is simply
-# the concatenated code bytes of its member functions (ascending original
-# index): BRISC code is already compressed and interpreted in place, so
-# chunking moves bytes without re-encoding them, and ``decode_range`` is
-# an exact byte slice of what a full ``parse_image`` would see.
+# The framing, chunk table and block index are :mod:`repro.container`'s.
+# What is BRI3's own: the header (stored raw) is the v2 preamble
+# (dictionary, Markov tables, globals, entry) followed by the function
+# table — name, frame, params, code length, block-start offsets, chunk
+# id.  A chunk is simply the concatenated code bytes of its member
+# functions: BRISC code is already compressed and interpreted in place,
+# so chunking moves bytes without re-encoding them, and ``decode_range``
+# is an exact byte slice of what a full ``parse_image`` would see.
 
 
 def _pack_preamble(out: bytearray, image: DecodedImage) -> None:
@@ -666,25 +673,20 @@ def _pack_preamble(out: bytearray, image: DecodedImage) -> None:
 
 def repack_v3(
     blob: bytes,
-    placement: Optional[ChunkPlacement] = None,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     limits: Optional[ResourceLimits] = None,
 ) -> bytes:
     """Transcode any BRISC image (v1/v2/v3) into a seekable BRI3 one.
 
     The function code bytes are moved, never re-encoded, so the chunked
-    image decodes to exactly the same program.  ``placement`` groups
-    functions into chunks (default greedy, sized in code bytes).
+    image decodes to exactly the same program.  Functions are grouped by
+    :func:`~repro.container.pack_chunks` under the ``chunk_bytes`` cap,
+    sized in code bytes.
     """
     image = parse_image(blob, limits=limits)
-    extents = [FunctionExtent(fn.name, len(fn.code))
-               for fn in image.functions]
-    placement = placement or GreedyPlacement()
-    groups = validate_placement(placement.place(extents), len(extents))
-    chunk_of: Dict[int, int] = {}
-    for cid, members in enumerate(groups):
-        for index in members:
-            chunk_of[index] = cid
-
+    groups = pack_chunks([len(fn.code) for fn in image.functions],
+                         chunk_bytes)
+    chunk_of = {i: cid for cid, members in enumerate(groups) for i in members}
     header = bytearray()
     _pack_preamble(header, image)
     write_uvarint(header, len(image.functions))
@@ -701,52 +703,19 @@ def repack_v3(
             write_uvarint(header, off - last)
             last = off
         write_uvarint(header, chunk_of[index])
-    chunk_blobs = [
-        b"".join(image.functions[i].code for i in members)
-        for members in groups
-    ]
-    write_uvarint(header, len(chunk_blobs))
-    offset = 0
-    for chunk_blob in chunk_blobs:
-        write_uvarint(header, offset)
-        write_uvarint(header, len(chunk_blob))
-        header.extend(zlib.crc32(chunk_blob).to_bytes(4, "little"))
-        offset += len(chunk_blob)
-
-    prefix = bytearray(_MAGIC_V3)
-    prefix.extend(zlib.crc32(bytes(header)).to_bytes(4, "little"))
-    write_uvarint(prefix, len(header))
-    return bytes(prefix) + bytes(header) + b"".join(chunk_blobs)
+    chunks = [b"".join(image.functions[i].code for i in members)
+              for members in groups]
+    return write_container(_MAGIC_V3, header, chunks)
 
 
-def _parse_v3_header(blob: bytes, limits: ResourceLimits) -> Tuple[bytes, int]:
-    """Verify the BRI3 prefix framing; returns (header, header_bytes)."""
-    stored, pos = take_bytes(blob, 4, 4, "BRISC header CRC")
-    hlen, pos = read_uvarint(blob, pos)
-    limits.check("BRISC header size", hlen, limits.max_decoded_bytes)
-    header, pos = take_bytes(blob, pos, hlen, "BRISC container header")
-    if zlib.crc32(header) != int.from_bytes(stored, "little"):
-        raise CorruptStreamError("BRISC container header CRC mismatch")
-    return header, pos
-
-
-@dataclass(frozen=True)
-class _FnMeta:
-    name: str
-    frame_size: int
-    param_bytes: int
-    code_len: int
-    bb_offsets: Tuple[int, ...]
-    chunk: int
-
-
-def _unpack_v3_header(
-    header: bytes, limits: ResourceLimits
-) -> Tuple[DecodedImage, List[_FnMeta], List[Tuple[int, int, int]]]:
-    """Parse a BRI3 header into (image shell without functions, function
-    metadata, per-chunk (offset, length, crc32))."""
+def _open_v3(blob: bytes,
+             limits: ResourceLimits) -> Tuple[DecodedImage, ContainerIndex]:
+    """Parse a BRI3 header once: the image skeleton (every function with
+    empty code) and the block index, whose span lengths are the code
+    lengths."""
+    header, base = read_header(blob, limits, "BRISC")
     image, nfuncs, pos = _parse_preamble(header, 0, limits)
-    fn_meta: List[_FnMeta] = []
+    table: List[Tuple[str, int, int]] = []
     for _ in range(nfuncs):
         name, pos = _take_name(header, pos, "function name")
         frame, pos = read_uvarint(header, pos)
@@ -754,41 +723,12 @@ def _unpack_v3_header(
         code_len, pos = read_uvarint(header, pos)
         limits.check("function code size", code_len,
                      limits.max_decoded_bytes)
-        nbb, pos = read_uvarint(header, pos)
-        if nbb > len(header) - pos:
-            raise TruncatedStreamError(
-                f"function {name!r} promises {nbb} block offsets, "
-                f"header too short")
-        offsets: List[int] = []
-        last = 0
-        for _ in range(nbb):
-            delta, pos = read_uvarint(header, pos)
-            last += delta
-            if last > code_len:
-                raise CorruptStreamError(
-                    f"block offset {last} beyond code of {code_len} "
-                    f"bytes in {name!r}")
-            offsets.append(last)
+        offsets, pos = _read_block_offsets(header, pos, name, code_len)
         chunk_id, pos = read_uvarint(header, pos)
-        fn_meta.append(_FnMeta(name, frame, params, code_len,
-                               tuple(offsets), chunk_id))
-    nchunks, pos = read_uvarint(header, pos)
-    limits.check("chunk count", nchunks, limits.max_streams)
-    if nchunks * 6 > len(header) - pos:  # each chunk costs >= 6 bytes
-        raise TruncatedStreamError(
-            f"header promises {nchunks} chunks, header too short")
-    chunk_meta: List[Tuple[int, int, int]] = []
-    for _ in range(nchunks):
-        offset, pos = read_uvarint(header, pos)
-        length, pos = read_uvarint(header, pos)
-        raw, pos = take_bytes(header, pos, 4, "chunk CRC")
-        chunk_meta.append((offset, length, int.from_bytes(raw, "little")))
-    for meta in fn_meta:
-        if meta.chunk >= nchunks:
-            raise CorruptStreamError(
-                f"function {meta.name!r} references chunk {meta.chunk} "
-                f"of {nchunks}")
-    return image, fn_meta, chunk_meta
+        image.functions.append(
+            DecodedFunction(name, frame, params, b"", offsets))
+        table.append((name, chunk_id, code_len))
+    return image, read_index("brisc", header, pos, base, limits, table)
 
 
 def container_index(
@@ -800,71 +740,26 @@ def container_index(
         raise UnsupportedFormatError(
             f"{blob[:4]!r} is not a seekable (BRI3) image")
     with decode_guard("BRISC container index"):
-        header, base = _parse_v3_header(blob, limits)
-        _, fn_meta, chunk_meta = _unpack_v3_header(header, limits)
-        index = ContainerIndex(
-            kind="brisc", version=3,
-            total_bytes=base + sum(length for _, length, _ in chunk_meta),
-            header_bytes=base)
-        members: Dict[int, List[int]] = {}
-        span = 0
-        for i, meta in enumerate(fn_meta):
-            index.functions.append(
-                FunctionRecord(i, meta.name, meta.chunk, span, meta.code_len))
-            members.setdefault(meta.chunk, []).append(i)
-            span += meta.code_len
-        for cid, (offset, length, crc) in enumerate(chunk_meta):
-            index.chunks.append(
-                ChunkRecord(cid, base + offset, length, crc,
-                            tuple(members.get(cid, ()))))
-        return index
+        return _open_v3(blob, limits)[1]
 
 
-def _chunk_code(
-    blob: bytes,
-    chunk: ChunkRecord,
-    fn_meta: List[_FnMeta],
-) -> Dict[int, bytes]:
-    """CRC-check one chunk and split it into per-member code bytes."""
-    if chunk.offset + chunk.length > len(blob):
-        raise TruncatedStreamError(
-            f"chunk {chunk.index} extent [{chunk.offset}, "
-            f"{chunk.offset + chunk.length}) beyond the {len(blob)}-byte "
-            f"image")
-    payload = blob[chunk.offset:chunk.offset + chunk.length]
-    if zlib.crc32(payload) != chunk.crc32:
-        raise CorruptStreamError(f"chunk {chunk.index} CRC mismatch")
-    expected = sum(fn_meta[i].code_len for i in chunk.members)
+def _split_chunk(blob: bytes, image: DecodedImage, index: ContainerIndex,
+                 chunk: ChunkRecord) -> List[DecodedFunction]:
+    """CRC-check one chunk and hand its code bytes to its member
+    functions in place; returns the members."""
+    payload = chunk_payload(blob, chunk)
+    members = [index.functions[i] for i in chunk.members]
+    expected = sum(record.span_length for record in members)
     if expected != chunk.length:
         raise CorruptStreamError(
             f"chunk {chunk.index} holds {chunk.length} bytes, its members "
             f"need {expected}")
-    code: Dict[int, bytes] = {}
     cursor = 0
-    for member in chunk.members:
-        code[member] = payload[cursor:cursor + fn_meta[member].code_len]
-        cursor += fn_meta[member].code_len
-    return code
-
-
-def _v3_function(meta: _FnMeta, code: bytes) -> DecodedFunction:
-    return DecodedFunction(meta.name, meta.frame_size, meta.param_bytes,
-                           code, set(meta.bb_offsets))
-
-
-def _parse_image_v3(blob: bytes, limits: ResourceLimits) -> DecodedImage:
-    """Full parse of a seekable image: every chunk is CRC-verified."""
-    with decode_guard("BRISC image"):
-        header, _ = _parse_v3_header(blob, limits)
-        image, fn_meta, _ = _unpack_v3_header(header, limits)
-    index = container_index(blob, limits)
-    with decode_guard("BRISC image"):
-        code: Dict[int, bytes] = {}
-        for chunk in index.chunks:
-            code.update(_chunk_code(blob, chunk, fn_meta))
-        image.functions = [_v3_function(meta, code[i])
-                           for i, meta in enumerate(fn_meta)]
-        return image
+    for record in members:
+        image.functions[record.index].code = \
+            payload[cursor:cursor + record.span_length]
+        cursor += record.span_length
+    return [image.functions[i] for i in chunk.members]
 
 
 def decode_function(
@@ -886,13 +781,11 @@ def decode_function(
         raise CorruptStreamError(
             f"image has no function {name!r} "
             f"(have: {[f.name for f in image.functions]})")
-    index = container_index(blob, limits)
-    record = index.function(name)
     with decode_guard("BRISC image"):
-        header, _ = _parse_v3_header(blob, limits)
-        _, fn_meta, _ = _unpack_v3_header(header, limits)
-        code = _chunk_code(blob, index.chunks[record.chunk], fn_meta)
-        return _v3_function(fn_meta[record.index], code[record.index])
+        image, index = _open_v3(blob, limits)
+        record = index.function(name)
+        _split_chunk(blob, image, index, index.chunks[record.chunk])
+        return image.functions[record.index]
 
 
 def decode_range(
@@ -912,23 +805,11 @@ def decode_range(
     if start < 0 or length < 0:
         raise CorruptStreamError(
             f"invalid range request start={start} length={length}")
-    end = start + length
     if _brisc_version(blob) != 3:
         whole = b"".join(fn.code
                          for fn in parse_image(blob, limits=limits).functions)
-        return whole[start:end]
-    index = container_index(blob, limits)
-    records = index.functions_in_span(start, length)
+        return whole[start:start + length]
     with decode_guard("BRISC image"):
-        header, _ = _parse_v3_header(blob, limits)
-        _, fn_meta, _ = _unpack_v3_header(header, limits)
-        code: Dict[int, bytes] = {}
-        for cid in sorted({record.chunk for record in records}):
-            code.update(_chunk_code(blob, index.chunks[cid], fn_meta))
-        out = bytearray()
-        for record in sorted(records, key=lambda r: r.span_start):
-            lo = max(start, record.span_start)
-            hi = min(end, record.span_start + record.span_length)
-            piece = code[record.index]
-            out.extend(piece[lo - record.span_start:hi - record.span_start])
-        return bytes(out)
+        image, index = _open_v3(blob, limits)
+        return read_span(index, start, length, lambda chunk: [
+            fn.code for fn in _split_chunk(blob, image, index, chunk)])

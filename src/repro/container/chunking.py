@@ -1,4 +1,4 @@
-"""Chunk placement and block-index types shared by WIR3 and BRI3.
+"""The seekable (v3) container layer shared by WIR3 and BRI3.
 
 The paper's motivating scenario is demand-paging compressed code: a
 client should be able to page in *one function* without downloading (or
@@ -7,46 +7,56 @@ functions into *chunks* — independently decodable, CRC-framed byte
 extents — behind a block index that maps every function to the chunk
 holding it and every chunk to its (offset, length, CRC32) in the blob.
 
-This module holds the pieces the two formats share:
+Layout, for either magic::
 
-* :class:`ChunkPlacement` — the policy hook deciding which functions
-  share a chunk.  :class:`GreedyPlacement` packs functions in module
-  order under a size cap (locality of definition order);
-  :class:`HotColdPlacement` additionally clusters the hottest functions
-  into the same leading chunks, the access-pattern-based placement of
-  Ozturk et al.: a demand-paged working set that touches only hot code
-  then faults in a minimal set of chunks.
-* :class:`ContainerIndex` — the parsed block index: per-function spans
-  in the *decoded* address space, per-chunk extents in the *stored*
-  blob, and the range arithmetic (`ranges_for_function`,
-  `ranges_for_span`) a byte-range server needs.
+    magic | crc32(header) u32 LE | uvarint len | stored header | chunks
+
+The header is the format's function table followed by the chunk table
+(per chunk: offset relative to the chunk area, stored length, CRC32).
+The CRC covers the raw header; WIR3 stores it deflated, BRI3 raw.
+
+Every decision the two formats share lives here:
+
+* :func:`pack_chunks` — which functions share a chunk;
+* :func:`write_container` and :func:`read_header` — the framing above;
+* :func:`read_index` — the chunk table parsed into a
+  :class:`ContainerIndex`: per-function spans in the *decoded* address
+  space, per-chunk extents in the *stored* blob, and the range
+  arithmetic a byte-range server needs;
+* :func:`chunk_payload` — one chunk's bytes, extent- and CRC-checked;
+* :func:`read_span` — decoded-address-space bytes from the covering
+  chunks only;
 * :func:`assemble_sparse` — rebuild a decodable sparse blob from fetched
   (offset, bytes) segments; untouched regions stay zeroed and are never
   read by ``decode_function``/``decode_range``.
 
-Placements return a *partition*: every function index appears in exactly
-one chunk.  Within a chunk, members are stored in ascending original
-index, so any placement decodes back to the original function order.
+The formats (:mod:`repro.wire.format`, :mod:`repro.brisc.encode`) keep
+only their function tables and chunk payloads.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from ..errors import CorruptStreamError
+from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
+from ..errors import CorruptStreamError, ResourceLimits, TruncatedStreamError
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
-    "ChunkPlacement",
     "ChunkRecord",
     "ContainerIndex",
-    "FunctionExtent",
     "FunctionRecord",
-    "GreedyPlacement",
-    "HotColdPlacement",
     "assemble_sparse",
-    "validate_placement",
+    "chunk_payload",
+    "pack_chunks",
+    "read_header",
+    "read_index",
+    "read_span",
+    "write_container",
 ]
 
 #: Default chunk-size cap.  Half a (4 KB) page: small enough that a
@@ -55,130 +65,32 @@ __all__ = [
 DEFAULT_CHUNK_BYTES = 2048
 
 
-@dataclass(frozen=True)
-class FunctionExtent:
-    """What a placement policy knows about one function.
+def pack_chunks(sizes: Sequence[int],
+                target_bytes: int = DEFAULT_CHUNK_BYTES) -> List[List[int]]:
+    """Group functions ``0 .. len(sizes) - 1`` into size-capped chunks.
 
-    ``size`` is the function's (estimated) encoded byte size — the
-    packing weight; ``weight`` is its hotness (profile samples, call
-    counts — any monotone heat metric; 0.0 means cold/unknown).
+    Greedy in module order: functions defined together tend to be called
+    together, so module order is a serviceable locality heuristic.  A
+    function larger than the cap gets a chunk of its own; the cap is a
+    target, not a hard bound, because functions are atomic.
+
+    Every function lands in exactly one chunk, and the members of each
+    chunk ascend in module order by construction.  The encoders rely on
+    that order: they write a chunk's payload member by member, and the
+    decoders hand the payload back to the members the index lists, in
+    index order.
     """
-
-    name: str
-    size: int
-    weight: float = 0.0
-
-
-class ChunkPlacement:
-    """Policy hook: partition functions into chunks.
-
-    Subclasses implement :meth:`place`, returning a list of chunks, each
-    a list of function indices into ``extents``.  The partition contract
-    (every index exactly once) is enforced by the encoders via
-    :func:`validate_placement`; member order within a chunk is
-    normalized to ascending index by the encoders, so policies only
-    decide *grouping*.
-    """
-
-    def place(self, extents: Sequence[FunctionExtent]) -> List[List[int]]:
-        raise NotImplementedError
-
-    @staticmethod
-    def _pack_by_size(order: Iterable[int],
-                      extents: Sequence[FunctionExtent],
-                      target_bytes: int) -> List[List[int]]:
-        """Greedy size-capped packing of ``order`` into chunks.
-
-        A function larger than the cap gets a chunk of its own; the cap
-        is a target, not a hard bound, because functions are atomic.
-        """
-        chunks: List[List[int]] = []
-        current: List[int] = []
-        used = 0
-        for index in order:
-            size = max(0, extents[index].size)
-            if current and used + size > target_bytes:
-                chunks.append(current)
-                current, used = [], 0
-            current.append(index)
-            used += size
-        if current:
-            chunks.append(current)
-        return chunks
-
-
-@dataclass(frozen=True)
-class GreedyPlacement(ChunkPlacement):
-    """Size-capped greedy placement in module order (the default).
-
-    Functions defined together tend to be called together, so module
-    order is a serviceable locality heuristic when no profile exists.
-    """
-
-    target_bytes: int = DEFAULT_CHUNK_BYTES
-
-    def __post_init__(self) -> None:
-        if self.target_bytes < 1:
-            raise ValueError(
-                f"target_bytes must be >= 1, got {self.target_bytes}")
-
-    def place(self, extents: Sequence[FunctionExtent]) -> List[List[int]]:
-        return self._pack_by_size(range(len(extents)), extents,
-                                  self.target_bytes)
-
-
-class HotColdPlacement(ChunkPlacement):
-    """Profile-guided placement: hottest functions share leading chunks.
-
-    ``profile`` maps function names to heat (higher = hotter); unnamed
-    functions fall back to their :attr:`FunctionExtent.weight`, default
-    cold.  Functions are packed in descending heat (ties broken by
-    original index, so the placement is deterministic), which clusters
-    the working set of a hot path into the minimal set of chunks — the
-    Ozturk-style access-pattern layout.
-    """
-
-    def __init__(self, profile: Optional[Mapping[str, float]] = None,
-                 target_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
-        if target_bytes < 1:
-            raise ValueError(f"target_bytes must be >= 1, got {target_bytes}")
-        self.profile: Dict[str, float] = dict(profile or {})
-        self.target_bytes = target_bytes
-
-    def heat(self, extent: FunctionExtent) -> float:
-        return self.profile.get(extent.name, extent.weight)
-
-    def place(self, extents: Sequence[FunctionExtent]) -> List[List[int]]:
-        order = sorted(range(len(extents)),
-                       key=lambda i: (-self.heat(extents[i]), i))
-        return self._pack_by_size(order, extents, self.target_bytes)
-
-
-def validate_placement(placement: Sequence[Sequence[int]],
-                       count: int) -> List[List[int]]:
-    """Check a placement partitions ``range(count)``; normalize members
-    to ascending index and drop empty chunks.  Raises ``ValueError`` on
-    a policy that loses, duplicates, or invents functions."""
-    seen: set = set()
+    if target_bytes < 1:
+        raise ValueError(f"target_bytes must be >= 1, got {target_bytes}")
     chunks: List[List[int]] = []
-    for members in placement:
-        members = sorted(members)
-        if not members:
-            continue
-        for index in members:
-            if not 0 <= index < count:
-                raise ValueError(f"placement references function {index} "
-                                 f"of {count}")
-            if index in seen:
-                raise ValueError(f"placement assigns function {index} to "
-                                 f"two chunks")
-            seen.add(index)
-        chunks.append(members)
-    if len(seen) != count:
-        missing = sorted(set(range(count)) - seen)
-        raise ValueError(f"placement leaves functions {missing} unplaced")
-    if not chunks and count == 0:
-        return [[]] if False else []
+    used = 0
+    for index, size in enumerate(sizes):
+        if chunks and used + size <= target_bytes:
+            chunks[-1].append(index)
+            used += size
+        else:
+            chunks.append([index])
+            used = size
     return chunks
 
 
@@ -282,6 +194,129 @@ def _coalesce(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return merged
 
 
+# ---------------------------------------------------------------------------
+# Framing: writing and reading the header, the chunk table and the chunks
+# ---------------------------------------------------------------------------
+
+
+def write_container(magic: bytes, header: bytes, chunks: Sequence[bytes],
+                    pack: Optional[Callable[[bytes], bytes]] = None) -> bytes:
+    """Frame a v3 container around the format's ``header`` (its function
+    table) and its chunk payloads.  The chunk table is appended to the
+    header here; ``pack`` transforms the header for storage (default:
+    stored raw), and the CRC covers the raw header either way."""
+    table = bytearray(header)
+    write_uvarint(table, len(chunks))
+    offset = 0
+    for chunk in chunks:
+        write_uvarint(table, offset)
+        write_uvarint(table, len(chunk))
+        table.extend(zlib.crc32(chunk).to_bytes(4, "little"))
+        offset += len(chunk)
+    raw = bytes(table)
+    stored = pack(raw) if pack else raw
+    prefix = bytearray(magic)
+    prefix.extend(zlib.crc32(raw).to_bytes(4, "little"))
+    write_uvarint(prefix, len(stored))
+    return bytes(prefix) + stored + b"".join(chunks)
+
+
+def read_header(
+    blob: bytes, limits: ResourceLimits, what: str,
+    unpack: Optional[Callable[[bytes, ResourceLimits], bytes]] = None,
+) -> Tuple[bytes, int]:
+    """Verify the framing after the 4-byte magic; returns (raw header,
+    header_bytes).  ``header_bytes`` is the chunk area's base offset —
+    the prefix every partial read must hold.  ``unpack`` inverts the
+    writer's ``pack``; ``what`` names the format in error messages."""
+    stored_crc, pos = take_bytes(blob, 4, 4, f"{what} header CRC")
+    hlen, pos = read_uvarint(blob, pos)
+    limits.check(f"{what} header size", hlen, limits.max_decoded_bytes)
+    stored, pos = take_bytes(blob, pos, hlen, f"{what} container header")
+    header = unpack(stored, limits) if unpack else stored
+    if zlib.crc32(header) != int.from_bytes(stored_crc, "little"):
+        raise CorruptStreamError(f"{what} container header CRC mismatch")
+    return header, pos
+
+
+def read_index(kind: str, header: bytes, pos: int, base: int,
+               limits: ResourceLimits,
+               functions: Sequence[Tuple[str, int, int]]) -> ContainerIndex:
+    """Parse the chunk table that closes ``header`` at ``pos`` into the
+    block index.  ``functions`` lists each function's (name, chunk id,
+    span length) in module order, as the format's function table holds
+    them; ``base`` is the chunk area's offset in the blob."""
+    nchunks, pos = read_uvarint(header, pos)
+    limits.check("chunk count", nchunks, limits.max_streams)
+    if nchunks * 6 > len(header) - pos:  # each chunk costs >= 6 bytes
+        raise TruncatedStreamError(
+            f"header promises {nchunks} chunks, header too short")
+    extents: List[Tuple[int, int, int]] = []
+    for _ in range(nchunks):
+        offset, pos = read_uvarint(header, pos)
+        length, pos = read_uvarint(header, pos)
+        raw, pos = take_bytes(header, pos, 4, "chunk CRC")
+        extents.append((offset, length, int.from_bytes(raw, "little")))
+    index = ContainerIndex(
+        kind=kind, version=3,
+        total_bytes=base + sum(length for _, length, _ in extents),
+        header_bytes=base)
+    members: List[List[int]] = [[] for _ in extents]
+    span = 0
+    for i, (name, chunk_id, span_length) in enumerate(functions):
+        if chunk_id >= nchunks:
+            raise CorruptStreamError(
+                f"function {name!r} references chunk {chunk_id} "
+                f"of {nchunks}")
+        index.functions.append(
+            FunctionRecord(i, name, chunk_id, span, span_length))
+        members[chunk_id].append(i)
+        span += span_length
+    for cid, (offset, length, crc) in enumerate(extents):
+        index.chunks.append(ChunkRecord(cid, base + offset, length, crc,
+                                        tuple(members[cid])))
+    return index
+
+
+def chunk_payload(blob: bytes, chunk: ChunkRecord) -> bytes:
+    """One chunk's stored bytes, after checking its extent and CRC32."""
+    end = chunk.offset + chunk.length
+    if end > len(blob):
+        raise TruncatedStreamError(
+            f"chunk {chunk.index} extent [{chunk.offset}, {end}) beyond "
+            f"the {len(blob)}-byte container")
+    payload = blob[chunk.offset:end]
+    if zlib.crc32(payload) != chunk.crc32:
+        raise CorruptStreamError(f"chunk {chunk.index} CRC mismatch")
+    return payload
+
+
+def read_span(index: ContainerIndex, start: int, length: int,
+              images: Callable[[ChunkRecord], Sequence[bytes]]) -> bytes:
+    """Decoded-address-space bytes ``[start, start+length)``.
+
+    ``images(chunk)`` decodes one chunk and returns its members' images
+    in member order; only the chunks covering the span are decoded.
+    Out-of-range spans clamp like a Python slice.
+    """
+    records = index.functions_in_span(start, length)
+    decoded: Dict[int, bytes] = {}
+    for cid in sorted({record.chunk for record in records}):
+        chunk = index.chunks[cid]
+        decoded.update(zip(chunk.members, images(chunk)))
+    end = start + length
+    out = bytearray()
+    for record in records:
+        image = decoded[record.index]
+        if len(image) != record.span_length:
+            raise CorruptStreamError(
+                f"function {record.name!r} decodes to {len(image)} span "
+                f"bytes, the index promises {record.span_length}")
+        first = record.span_start
+        out.extend(image[max(start - first, 0):end - first])
+    return bytes(out)
+
+
 def assemble_sparse(total_bytes: int,
                     segments: Iterable[Tuple[int, bytes]]) -> bytes:
     """Rebuild a sparse container from fetched ``(offset, bytes)`` pieces.
@@ -289,14 +324,17 @@ def assemble_sparse(total_bytes: int,
     Unfetched regions stay zero.  The result is decodable by
     ``decode_function``/``decode_range`` for any function whose header
     and chunk ranges were fetched — those are the only bytes the partial
-    decoders touch, so the zero filler is never read.
+    decoders touch, so the zero filler is never read.  A negative size
+    or a segment outside the container raises
+    :class:`~repro.errors.CorruptStreamError`.
     """
     if total_bytes < 0:
-        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
+        raise CorruptStreamError(
+            f"total_bytes must be >= 0, got {total_bytes}")
     blob = bytearray(total_bytes)
     for offset, data in segments:
         if offset < 0 or offset + len(data) > total_bytes:
-            raise ValueError(
+            raise CorruptStreamError(
                 f"segment [{offset}, {offset + len(data)}) outside the "
                 f"{total_bytes}-byte container")
         blob[offset:offset + len(data)] = data

@@ -133,12 +133,10 @@ class WireStage(Stage):
 
     def run(self, value, unit, config):
         if config.wire_container == 3:
-            from ..container import GreedyPlacement
             from ..wire import container_index, encode_module_v3
 
-            blob = encode_module_v3(
-                value, compress=config.wire_compress,
-                placement=GreedyPlacement(config.chunk_target_bytes))
+            blob = encode_module_v3(value, compress=config.wire_compress,
+                                    chunk_bytes=config.chunk_target_bytes)
             index = container_index(blob)
             return blob, len(blob), {
                 "code_size": len(blob) - index.header_bytes,
@@ -194,11 +192,8 @@ def finish_brisc(cp, config: PipelineConfig) -> Tuple[Any, int, Dict[str, Any]]:
     chunk_meta = {}
     if config.brisc_container == 3:
         from ..brisc.encode import container_index, repack_v3
-        from ..container import GreedyPlacement
 
-        blob = repack_v3(
-            cp.image.blob,
-            GreedyPlacement(config.chunk_target_bytes))
+        blob = repack_v3(cp.image.blob, config.chunk_target_bytes)
         index = container_index(blob)
         cp.image.blob = blob
         # The v3 header re-homes the function/chunk metadata that v2

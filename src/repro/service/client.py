@@ -32,7 +32,10 @@ import time
 from random import Random
 from typing import Any, Dict, List, Optional
 
-from ..errors import DecodeError, ServiceError, TruncatedStreamError
+from ..errors import (
+    DEFAULT_LIMITS, CorruptStreamError, DecodeError, ServiceError,
+    TruncatedStreamError,
+)
 from . import protocol
 
 __all__ = ["RemoteServiceError", "ServiceClient"]
@@ -222,13 +225,13 @@ class ServiceClient:
              deadline: Optional[float] = None) -> bytes:
         result = self.request("wire", source=source, name=name,
                               deadline=deadline)
-        return base64.b64decode(result["blob_b64"])
+        return protocol.decode_b64(result.get("blob_b64"), "wire reply blob")
 
     def brisc(self, source: str, name: str = "<client>",
               deadline: Optional[float] = None) -> bytes:
         result = self.request("brisc", source=source, name=name,
                               deadline=deadline)
-        return base64.b64decode(result["blob_b64"])
+        return protocol.decode_b64(result.get("blob_b64"), "brisc reply blob")
 
     def verify(self, blob: bytes,
                deadline: Optional[float] = None,
@@ -244,13 +247,33 @@ class ServiceClient:
 
         ``result["blob"]`` becomes a container of the advertised total
         size with only the fetched ranges filled in — decodable for the
-        requested function/span, zero everywhere else.
+        requested function/span, zero everywhere else.  A malformed reply
+        raises :class:`~repro.errors.CorruptStreamError`, and a size past
+        the decode limit :class:`~repro.errors.ResourceLimitError`, before
+        anything is allocated.
         """
         from ..container import assemble_sparse
 
-        segments = [(int(seg["offset"]), base64.b64decode(seg["b64"]))
-                    for seg in result.get("segments", [])]
-        result["blob"] = assemble_sparse(int(result["total_bytes"]), segments)
+        total = result.get("total_bytes")
+        segments = result.get("segments", [])
+        if type(total) is not int or not isinstance(segments, list):
+            raise CorruptStreamError(
+                f"fetch reply needs an integer total_bytes and a segment "
+                f"list, got {type(total).__name__} and "
+                f"{type(segments).__name__}")
+        DEFAULT_LIMITS.check("fetch reply total_bytes", total,
+                             DEFAULT_LIMITS.max_decoded_bytes)
+        pieces = []
+        for seg in segments:
+            offset = seg.get("offset") if isinstance(seg, dict) else None
+            if type(offset) is not int:
+                raise CorruptStreamError(
+                    f"fetch reply segment offset must be an integer, "
+                    f"got {offset!r}")
+            pieces.append(
+                (offset, protocol.decode_b64(seg.get("b64"),
+                                             "fetch reply segment")))
+        result["blob"] = assemble_sparse(total, pieces)
         return result
 
     def fetch_function(self, source: str, function: str,

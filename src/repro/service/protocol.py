@@ -30,6 +30,7 @@ without parsing message strings.
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
 import struct
@@ -44,6 +45,7 @@ from ..errors import (
 __all__ = [
     "MAGIC",
     "MAX_FRAME_BYTES",
+    "decode_b64",
     "decode_message",
     "encode_frame",
     "encode_message",
@@ -111,6 +113,18 @@ def decode_message(payload: bytes) -> Dict[str, Any]:
                 f"service message must be an object, got "
                 f"{type(message).__name__}")
         return message
+
+
+def decode_b64(value: Any, what: str) -> bytes:
+    """Strictly decode a message's base64 field; a missing, non-string or
+    non-base64 value raises :class:`CorruptStreamError`."""
+    if not isinstance(value, str):
+        raise CorruptStreamError(
+            f"{what} must be a base64 string, got {type(value).__name__}")
+    try:
+        return base64.b64decode(value.encode("ascii"), validate=True)
+    except ValueError as exc:  # binascii.Error, UnicodeEncodeError
+        raise CorruptStreamError(f"{what} is not base64: {exc}") from exc
 
 
 def recoverable(exc: Exception) -> bool:

@@ -43,7 +43,7 @@ from ..cfront import CompileError
 from ..errors import (
     CancelledWorkError, CircuitOpenError, CorruptStreamError,
     DeadlineExceededError, DecodeError, OverloadedError, ServiceError,
-    TruncatedStreamError, UnsupportedFormatError,
+    TruncatedStreamError,
 )
 from ..pipeline import Toolchain
 from . import protocol
@@ -558,43 +558,14 @@ class CompressionService:
         return {"slept": seconds}
 
     def _op_verify(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        from ..brisc import decode_image
-        from ..wire import decode_module
+        from ..container import verify
 
-        blob_b64 = message.get("blob_b64")
-        if not isinstance(blob_b64, str):
-            raise CorruptStreamError("verify request missing blob_b64")
-        try:
-            blob = base64.b64decode(blob_b64.encode("ascii"), validate=True)
-        except (ValueError, UnicodeEncodeError) as exc:
-            raise CorruptStreamError(
-                f"verify blob_b64 is not base64: {exc}") from exc
+        blob = protocol.decode_b64(message.get("blob_b64"), "verify blob_b64")
         function = message.get("function")
         if function is not None and not isinstance(function, str):
             raise CorruptStreamError(
                 f"verify function must be a name, got {function!r}")
-        if blob[:3] == b"WIR":
-            if function is not None:
-                from ..wire import decode_function
-
-                fn = decode_function(blob, function)
-                detail = f"wire function {fn.name!r}"
-            else:
-                module = decode_module(blob)
-                detail = f"wire module {module.name!r}"
-        elif blob[:3] == b"BRI":
-            if function is not None:
-                from ..brisc.encode import decode_function
-
-                fn = decode_function(blob, function)
-                detail = f"BRISC function {fn.name!r}"
-            else:
-                program = decode_image(blob)
-                detail = f"BRISC image, {len(program.functions)} functions"
-        else:
-            raise UnsupportedFormatError(
-                f"unrecognized container magic {blob[:4]!r}")
-        return {"detail": detail, "bytes": len(blob)}
+        return {"detail": verify(blob, function), "bytes": len(blob)}
 
     def _op_fetch(self, op: str, message: Dict[str, Any],
                   cancel: threading.Event) -> Dict[str, Any]:
@@ -625,17 +596,11 @@ class CompressionService:
                                             config=config, cancel=cancel.is_set)
         except KeyError as exc:
             raise CorruptStreamError(str(exc)) from exc
+        from ..container import container_index
+
         artifact = result.artifacts[fmt]
-        if fmt == "wire":
-            from ..wire import container_index
-
-            blob = result.wire_blob
-            index = container_index(blob)
-        else:
-            from ..brisc.encode import container_index
-
-            blob = result.brisc.image.blob
-            index = container_index(blob)
+        blob = result.wire_blob if fmt == "wire" else result.brisc.image.blob
+        index = container_index(blob)
 
         reply: Dict[str, Any] = {"unit": name, "format": fmt,
                                  "total_bytes": len(blob),

@@ -69,8 +69,8 @@ def chunk_faults(chunks: Sequence[int],
 
     Each chunk is one fault: a fixed service time (seek/interrupt) plus
     its bytes at the device's streaming rate — so many small chunks pay
-    in seeks, few large ones in transfer, exactly the placement trade-off
-    :class:`~repro.container.ChunkPlacement` policies navigate.
+    in seeks, few large ones in transfer, exactly the trade-off the chunk
+    cap of :func:`~repro.container.pack_chunks` sets.
     """
     for size in chunks:
         if size < 0:
@@ -98,8 +98,8 @@ def _split_chunks(chunks: Sequence[int],
                   hot_fraction: float) -> Tuple[list, list]:
     """(hot prefix, cold suffix) splitting at ``hot_fraction`` of bytes.
 
-    Profile-guided placement (:class:`~repro.container.HotColdPlacement`)
-    lays hot chunks first, so the prefix is the hot working set.
+    The model assumes a placement that lays hot chunks first, so the
+    prefix is the hot working set.
     """
     target = sum(chunks) * hot_fraction
     acc = 0.0

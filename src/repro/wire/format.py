@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compress import huffman
@@ -27,8 +26,8 @@ from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
 from ..compress.mtf import mtf_decode, mtf_encode
 from ..compress.streams import pack_streams, unpack_streams
 from ..container.chunking import (
-    ChunkPlacement, ChunkRecord, ContainerIndex, FunctionExtent,
-    FunctionRecord, GreedyPlacement, validate_placement,
+    DEFAULT_CHUNK_BYTES, ChunkRecord, ContainerIndex, chunk_payload,
+    pack_chunks, read_header, read_index, read_span, write_container,
 )
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits,
@@ -240,16 +239,20 @@ def _pack_fn_header(out: bytearray, fn: IRFunction) -> None:
         write_uvarint(out, size)
 
 
-def _pack_meta(module: IRModule, tree_counts: List[int]) -> bytes:
+def _pack_meta(module: IRModule, fields: Sequence[Sequence[int]]) -> bytes:
+    """Module name, globals, then every function's header followed by its
+    per-version fields: the tree count in a v2 meta stream, the chunk id
+    and span length in a v3 header."""
     out = bytearray()
     name_raw = module.name.encode("utf-8")
     write_uvarint(out, len(name_raw))
     out.extend(name_raw)
     _pack_globals_meta(out, module.globals)
     write_uvarint(out, len(module.functions))
-    for fn, count in zip(module.functions, tree_counts):
+    for fn, values in zip(module.functions, fields):
         _pack_fn_header(out, fn)
-        write_uvarint(out, count)
+        for value in values:
+            write_uvarint(out, value)
     return bytes(out)
 
 
@@ -321,9 +324,10 @@ def _read_fn_header(data: bytes, pos: int) -> Tuple[IRFunction, int]:
 
 
 def _unpack_meta(
-    data: bytes, limits: Optional[ResourceLimits] = None
-) -> Tuple[IRModule, List[int]]:
-    limits = limits or DEFAULT_LIMITS
+    data: bytes, limits: ResourceLimits, nfields: int = 1
+) -> Tuple[IRModule, List[List[int]], int]:
+    """Invert :func:`_pack_meta`: (module skeleton, each function's
+    ``nfields`` fields, end position)."""
     name, pos = _read_name(data, 0, "module name")
     module = IRModule(name)
     module.globals, pos = _unpack_globals_meta(data, pos)
@@ -332,18 +336,36 @@ def _unpack_meta(
     if nfuncs > len(data) - pos:
         raise TruncatedStreamError(
             f"meta promises {nfuncs} functions, stream too short")
-    tree_counts: List[int] = []
+    fields: List[List[int]] = []
     for _ in range(nfuncs):
         fn, pos = _read_fn_header(data, pos)
-        count, pos = read_uvarint(data, pos)
+        values = []
+        for _ in range(nfields):
+            value, pos = read_uvarint(data, pos)
+            values.append(value)
         module.functions.append(fn)
-        tree_counts.append(count)
-    return module, tree_counts
+        fields.append(values)
+    return module, fields, pos
 
 
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
+
+
+def _function_streams(
+    functions: Sequence[IRFunction],
+) -> Tuple[List[Pattern], Dict[str, List]]:
+    """Patternize already-normalized functions into one set of streams."""
+    pattern_stream: List[Pattern] = []
+    literal_streams: Dict[str, List] = {}
+    for fn in functions:
+        for tree in fn.forest:
+            pattern, literals = patternize_tree(tree)
+            pattern_stream.append(pattern)
+            for key, value in literals:
+                literal_streams.setdefault(key, []).append(value)
+    return pattern_stream, literal_streams
 
 
 def _collect_streams(module: IRModule) -> Tuple[
@@ -354,19 +376,10 @@ def _collect_streams(module: IRModule) -> Tuple[
     Returns (pattern stream, literal streams, per-function tree counts,
     label-normalized module).
     """
-    normalized = IRModule(module.name, list(module.globals), [])
-    pattern_stream: List[Pattern] = []
-    literal_streams: Dict[str, List] = {}
-    tree_counts: List[int] = []
-    for fn in module.functions:
-        fn = normalize_labels(fn)
-        normalized.functions.append(fn)
-        tree_counts.append(len(fn.forest))
-        for tree in fn.forest:
-            pattern, literals = patternize_tree(tree)
-            pattern_stream.append(pattern)
-            for key, value in literals:
-                literal_streams.setdefault(key, []).append(value)
+    normalized = IRModule(module.name, list(module.globals),
+                          [normalize_labels(fn) for fn in module.functions])
+    pattern_stream, literal_streams = _function_streams(normalized.functions)
+    tree_counts = [len(fn.forest) for fn in normalized.functions]
     return pattern_stream, literal_streams, tree_counts, normalized
 
 
@@ -447,7 +460,8 @@ def encode_module(module: IRModule, compress: bool = True,
         _collect_streams(module)
     )
     streams = _pack_code_streams(pattern_stream, literal_streams)
-    streams["meta"] = _pack_meta(normalized, tree_counts)
+    streams["meta"] = _pack_meta(normalized,
+                                 [(count,) for count in tree_counts])
     return _MAGIC + pack_streams(streams, compress=compress, checksums=True,
                                  codec=codec)
 
@@ -496,11 +510,16 @@ def decode_module(
     """
     limits = limits or DEFAULT_LIMITS
     if _wire_version(blob) == 3:
-        return _decode_module_v3(blob, limits)
+        with decode_guard("wire module"):
+            module, index = _open_v3(blob, limits)
+            for chunk in index.chunks:
+                _decode_chunk_functions(blob, module, chunk, limits)
+            return module
     streams = _container_streams(blob, limits)
     with decode_guard("wire module"):
-        module, tree_counts = _unpack_meta(
+        module, fields, _ = _unpack_meta(
             _required_stream(streams, "meta"), limits)
+        tree_counts = [values[0] for values in fields]
         trees = _decode_trees(streams, limits)
         if sum(tree_counts) != len(trees):
             raise CorruptStreamError(
@@ -591,19 +610,14 @@ def stream_breakdown(module: IRModule) -> Dict[str, int]:
 # WIR3: the seekable chunked container
 # ---------------------------------------------------------------------------
 #
-# Layout:
-#
-#   "WIR3" | crc32(header) u32 LE | uvarint header_len | header | chunks
-#
-# The header carries the module name, the globals (same packing as the v2
-# meta stream), the function headers — each with its chunk id and its span
-# length in the *decoded address space* (see :func:`function_image`) — and
-# the chunk table: per chunk, the offset (relative to the chunk area),
-# stored length, and CRC32.  Each chunk is a self-contained v2-style
-# stream container (``pack_streams``) holding the pattern/literal/symtab
-# streams of just its member functions plus a "counts" stream of their
-# per-function tree counts, so decoding any one chunk never touches
-# another chunk's bytes.
+# The framing, chunk table and block index are :mod:`repro.container`'s.
+# What is WIR3's own: the header (stored deflated) is the v2 meta stream
+# with each function's chunk id and its span length in the *decoded
+# address space* (see :func:`function_image`) in place of its tree count.
+# Each chunk is a self-contained v2-style stream container
+# (``pack_streams``) holding the pattern/literal/symtab streams of just
+# its member functions plus a "counts" stream of their per-function tree
+# counts, so decoding any one chunk never touches another chunk's bytes.
 
 
 def function_image(fn: IRFunction) -> bytes:
@@ -619,21 +633,6 @@ def function_image(fn: IRFunction) -> bytes:
     return (dump_function(fn) + "\n").encode("utf-8")
 
 
-def _function_streams(
-    functions: Sequence[IRFunction],
-) -> Tuple[List[Pattern], Dict[str, List]]:
-    """Patternize already-normalized functions into chunk-local streams."""
-    pattern_stream: List[Pattern] = []
-    literal_streams: Dict[str, List] = {}
-    for fn in functions:
-        for tree in fn.forest:
-            pattern, literals = patternize_tree(tree)
-            pattern_stream.append(pattern)
-            for key, value in literals:
-                literal_streams.setdefault(key, []).append(value)
-    return pattern_stream, literal_streams
-
-
 def _chunk_payload(members: Sequence[IRFunction], compress: bool) -> bytes:
     pattern_stream, literal_streams = _function_streams(members)
     streams = _pack_code_streams(pattern_stream, literal_streams)
@@ -647,114 +646,43 @@ def _chunk_payload(members: Sequence[IRFunction], compress: bool) -> bytes:
 def encode_module_v3(
     module: IRModule,
     compress: bool = True,
-    placement: Optional[ChunkPlacement] = None,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> bytes:
     """Encode ``module`` as a seekable WIR3 container.
 
-    ``placement`` decides which functions share a chunk (default:
-    :class:`~repro.container.chunking.GreedyPlacement`).  Placement
-    extents are sized in decoded-address-space bytes (the span lengths),
-    so the chunk cap is a bound on how much decoded code one chunk
+    Functions are grouped by :func:`~repro.container.pack_chunks` under
+    the ``chunk_bytes`` cap, sized in decoded-address-space bytes (the
+    span lengths), so the cap bounds how much decoded code one chunk
     serves, independent of deflate luck.
     """
-    normalized = [normalize_labels(fn) for fn in module.functions]
-    images = [function_image(fn) for fn in normalized]
-    extents = [FunctionExtent(fn.name, len(image))
-               for fn, image in zip(normalized, images)]
-    placement = placement or GreedyPlacement()
-    groups = validate_placement(placement.place(extents), len(normalized))
-    chunk_of: Dict[int, int] = {}
-    for cid, members in enumerate(groups):
-        for index in members:
-            chunk_of[index] = cid
-    chunk_blobs = [
-        _chunk_payload([normalized[i] for i in members], compress)
-        for members in groups
-    ]
-
-    header = bytearray()
-    name_raw = module.name.encode("utf-8")
-    write_uvarint(header, len(name_raw))
-    header.extend(name_raw)
-    _pack_globals_meta(header, module.globals)
-    write_uvarint(header, len(normalized))
-    for index, fn in enumerate(normalized):
-        _pack_fn_header(header, fn)
-        write_uvarint(header, chunk_of[index])
-        write_uvarint(header, len(images[index]))
-    write_uvarint(header, len(chunk_blobs))
-    offset = 0
-    for chunk_blob in chunk_blobs:
-        write_uvarint(header, offset)
-        write_uvarint(header, len(chunk_blob))
-        header.extend(zlib.crc32(chunk_blob).to_bytes(4, "little"))
-        offset += len(chunk_blob)
-
-    # The header deflates like the v2 meta stream did; the CRC covers the
-    # raw (decompressed) header so index corruption is caught either way.
     from ..compress import deflate
 
-    packed_header = deflate.compress(bytes(header))
-    prefix = bytearray(_MAGIC_V3)
-    prefix.extend(zlib.crc32(bytes(header)).to_bytes(4, "little"))
-    write_uvarint(prefix, len(packed_header))
-    return bytes(prefix) + packed_header + b"".join(chunk_blobs)
+    normalized = IRModule(module.name, list(module.globals),
+                          [normalize_labels(fn) for fn in module.functions])
+    spans = [len(function_image(fn)) for fn in normalized.functions]
+    groups = pack_chunks(spans, chunk_bytes)
+    chunk_of = {i: cid for cid, members in enumerate(groups) for i in members}
+    header = _pack_meta(normalized, [(chunk_of[i], span)
+                                     for i, span in enumerate(spans)])
+    chunks = [_chunk_payload([normalized.functions[i] for i in members],
+                             compress)
+              for members in groups]
+    # The header deflates like the v2 meta stream does.
+    return write_container(_MAGIC_V3, header, chunks, deflate.compress)
 
 
-def _parse_v3_header(blob: bytes, limits: ResourceLimits) -> Tuple[bytes, int]:
-    """Verify the WIR3 prefix framing; returns (header, header_bytes).
-
-    ``header_bytes`` is the chunk-area base offset — the prefix every
-    partial read must hold.
-    """
+def _open_v3(blob: bytes,
+             limits: ResourceLimits) -> Tuple[IRModule, ContainerIndex]:
+    """Parse a WIR3 header once: the module skeleton (every function
+    with an empty forest) and the block index."""
     from ..compress import deflate
 
-    stored, pos = take_bytes(blob, 4, 4, "wire header CRC")
-    hlen, pos = read_uvarint(blob, pos)
-    limits.check("wire header size", hlen, limits.max_decoded_bytes)
-    packed, pos = take_bytes(blob, pos, hlen, "wire container header")
-    header = deflate.decompress(packed, limits)
-    if zlib.crc32(header) != int.from_bytes(stored, "little"):
-        raise CorruptStreamError("wire container header CRC mismatch")
-    return header, pos
-
-
-def _unpack_v3_header(
-    header: bytes, limits: ResourceLimits
-) -> Tuple[IRModule, List[Tuple[int, int]], List[Tuple[int, int, int]]]:
-    """Parse a WIR3 header into (module skeleton, per-function
-    (chunk id, span length), per-chunk (offset, length, crc32))."""
-    name, pos = _read_name(header, 0, "module name")
-    module = IRModule(name)
-    module.globals, pos = _unpack_globals_meta(header, pos)
-    nfuncs, pos = read_uvarint(header, pos)
-    limits.check("function count", nfuncs, limits.max_functions)
-    if nfuncs > len(header) - pos:
-        raise TruncatedStreamError(
-            f"header promises {nfuncs} functions, header too short")
-    fn_meta: List[Tuple[int, int]] = []
-    for _ in range(nfuncs):
-        fn, pos = _read_fn_header(header, pos)
-        chunk_id, pos = read_uvarint(header, pos)
-        span_len, pos = read_uvarint(header, pos)
-        module.functions.append(fn)
-        fn_meta.append((chunk_id, span_len))
-    nchunks, pos = read_uvarint(header, pos)
-    limits.check("chunk count", nchunks, limits.max_streams)
-    if nchunks * 6 > len(header) - pos:  # each chunk costs >= 6 bytes
-        raise TruncatedStreamError(
-            f"header promises {nchunks} chunks, header too short")
-    chunk_meta: List[Tuple[int, int, int]] = []
-    for _ in range(nchunks):
-        offset, pos = read_uvarint(header, pos)
-        length, pos = read_uvarint(header, pos)
-        raw, pos = take_bytes(header, pos, 4, "chunk CRC")
-        chunk_meta.append((offset, length, int.from_bytes(raw, "little")))
-    for chunk_id, _ in fn_meta:
-        if chunk_id >= nchunks:
-            raise CorruptStreamError(
-                f"function references chunk {chunk_id} of {nchunks}")
-    return module, fn_meta, chunk_meta
+    header, base = read_header(blob, limits, "wire", deflate.decompress)
+    module, fields, pos = _unpack_meta(header, limits, nfields=2)
+    return module, read_index(
+        "wire", header, pos, base, limits,
+        [(fn.name, chunk, span)
+         for fn, (chunk, span) in zip(module.functions, fields)])
 
 
 def container_index(
@@ -766,40 +694,18 @@ def container_index(
         raise UnsupportedFormatError(
             f"{blob[:4]!r} is not a seekable (WIR3) container")
     with decode_guard("wire container index"):
-        header, base = _parse_v3_header(blob, limits)
-        module, fn_meta, chunk_meta = _unpack_v3_header(header, limits)
-        index = ContainerIndex(
-            kind="wire", version=3,
-            total_bytes=base + sum(length for _, length, _ in chunk_meta),
-            header_bytes=base)
-        members: Dict[int, List[int]] = {}
-        span = 0
-        for i, (fn, (chunk_id, span_len)) in enumerate(
-                zip(module.functions, fn_meta)):
-            index.functions.append(
-                FunctionRecord(i, fn.name, chunk_id, span, span_len))
-            members.setdefault(chunk_id, []).append(i)
-            span += span_len
-        for cid, (offset, length, crc) in enumerate(chunk_meta):
-            index.chunks.append(
-                ChunkRecord(cid, base + offset, length, crc,
-                            tuple(members.get(cid, ()))))
-        return index
+        return _open_v3(blob, limits)[1]
 
 
-def _decode_v3_chunk(
-    blob: bytes, chunk: ChunkRecord, limits: ResourceLimits
-) -> Tuple[List[int], List]:
-    """CRC-check and decode one chunk; returns (tree counts, trees)."""
-    if chunk.offset + chunk.length > len(blob):
-        raise TruncatedStreamError(
-            f"chunk {chunk.index} extent [{chunk.offset}, "
-            f"{chunk.offset + chunk.length}) beyond the {len(blob)}-byte "
-            f"container")
-    payload = blob[chunk.offset:chunk.offset + chunk.length]
-    if zlib.crc32(payload) != chunk.crc32:
-        raise CorruptStreamError(f"chunk {chunk.index} CRC mismatch")
-    streams = unpack_streams(payload, limits=limits)
+def _decode_chunk_functions(
+    blob: bytes,
+    module: IRModule,
+    chunk: ChunkRecord,
+    limits: ResourceLimits,
+) -> List[IRFunction]:
+    """CRC-check and decode one chunk, filling in the forests of its
+    member functions in place; returns the members."""
+    streams = unpack_streams(chunk_payload(blob, chunk), limits=limits)
     counts_data = _required_stream(streams, "counts")
     counts: List[int] = []
     pos = 0
@@ -815,32 +721,12 @@ def _decode_v3_chunk(
         raise CorruptStreamError(
             f"chunk {chunk.index} promises {sum(counts)} trees but decodes "
             f"{len(trees)}")
-    return counts, trees
-
-
-def _decode_chunk_functions(
-    blob: bytes,
-    module: IRModule,
-    chunk: ChunkRecord,
-    limits: ResourceLimits,
-) -> None:
-    """Fill in the forests of one chunk's member functions, in place."""
-    counts, trees = _decode_v3_chunk(blob, chunk, limits)
+    members = [module.functions[i] for i in chunk.members]
     cursor = 0
-    for member, count in zip(chunk.members, counts):
-        module.functions[member].forest.extend(trees[cursor:cursor + count])
+    for fn, count in zip(members, counts):
+        fn.forest.extend(trees[cursor:cursor + count])
         cursor += count
-
-
-def _decode_module_v3(blob: bytes, limits: ResourceLimits) -> IRModule:
-    with decode_guard("wire module"):
-        header, base = _parse_v3_header(blob, limits)
-        module, _, _ = _unpack_v3_header(header, limits)
-    index = container_index(blob, limits)
-    with decode_guard("wire module"):
-        for chunk in index.chunks:
-            _decode_chunk_functions(blob, module, chunk, limits)
-        return module
+    return members
 
 
 def decode_function(
@@ -863,11 +749,9 @@ def decode_function(
         raise CorruptStreamError(
             f"container has no function {name!r} "
             f"(have: {[f.name for f in module.functions]})")
-    index = container_index(blob, limits)
-    record = index.function(name)
     with decode_guard("wire module"):
-        header, _ = _parse_v3_header(blob, limits)
-        module, _, _ = _unpack_v3_header(header, limits)
+        module, index = _open_v3(blob, limits)
+        record = index.function(name)
         _decode_chunk_functions(blob, module, index.chunks[record.chunk],
                                 limits)
         return module.functions[record.index]
@@ -889,26 +773,12 @@ def decode_range(
     if start < 0 or length < 0:
         raise CorruptStreamError(
             f"invalid range request start={start} length={length}")
-    end = start + length
     if _wire_version(blob) != 3:
         whole = b"".join(function_image(fn)
                          for fn in decode_module(blob, limits).functions)
-        return whole[start:end]
-    index = container_index(blob, limits)
-    records = index.functions_in_span(start, length)
+        return whole[start:start + length]
     with decode_guard("wire module"):
-        header, _ = _parse_v3_header(blob, limits)
-        module, _, _ = _unpack_v3_header(header, limits)
-        for cid in sorted({record.chunk for record in records}):
-            _decode_chunk_functions(blob, module, index.chunks[cid], limits)
-        out = bytearray()
-        for record in sorted(records, key=lambda r: r.span_start):
-            image = function_image(module.functions[record.index])
-            if len(image) != record.span_length:
-                raise CorruptStreamError(
-                    f"function {record.name!r} decodes to {len(image)} span "
-                    f"bytes, the index promises {record.span_length}")
-            lo = max(start, record.span_start)
-            hi = min(end, record.span_start + record.span_length)
-            out.extend(image[lo - record.span_start:hi - record.span_start])
-        return bytes(out)
+        module, index = _open_v3(blob, limits)
+        return read_span(index, start, length, lambda chunk: [
+            function_image(fn)
+            for fn in _decode_chunk_functions(blob, module, chunk, limits)])

@@ -194,12 +194,11 @@ def test_fuzz_chunked_formats(capsys):
 @pytest.fixture
 def wire3_blob_path(hello_c, tmp_path, capsys):
     from repro.cfront import compile_to_ast
-    from repro.container import GreedyPlacement
     from repro.ir import lower_unit
     from repro.wire import encode_module_v3
 
     module = lower_unit(compile_to_ast(HELLO, "hello"), "hello")
-    blob = encode_module_v3(module, placement=GreedyPlacement(64))
+    blob = encode_module_v3(module, chunk_bytes=64)
     path = tmp_path / "v.wir3"
     path.write_bytes(blob)
     return str(path)

@@ -1,12 +1,13 @@
-"""Seekable v3 containers: placement, partial decode, and isolation.
+"""Seekable v3 containers: chunk packing, partial decode, and isolation.
 
-The contract under test (the tentpole's acceptance criteria):
+The contract under test:
 
 * ``decode_range(blob, start, n)`` over a chunked container is
   byte-identical to slicing the fully-decoded address space — for any
-  span, any chunk-size cap, and both placement policies;
+  span, any chunk-size cap, and chunks whose members are not adjacent;
 * ``decode_function`` touches only the chunks covering the function, so
-  it works on *sparse* containers holding just those byte ranges;
+  it works on *sparse* containers holding just those byte ranges, and a
+  partial read parses the container header once;
 * corruption in one chunk raises a typed error for reads of that chunk
   and leaves reads of every other chunk byte-identical.
 """
@@ -20,9 +21,8 @@ from repro.brisc import encode as brisc_encode
 from repro.cfront import compile_to_ast
 from repro.codegen import generate_program
 from repro.container import (
-    ChunkPlacement, FunctionExtent, GreedyPlacement, HotColdPlacement,
     assemble_sparse, container_index, container_kind, decode_range_bytes,
-    validate_placement,
+    pack_chunks,
 )
 from repro.corpus import get_sample
 from repro.errors import (
@@ -35,6 +35,7 @@ from repro.wire import (
     decode_function, decode_module, decode_range, encode_module,
     encode_module_v3, function_image,
 )
+from repro.wire import format as wire_format
 
 MULTI = """
 int a(int x) { return x + 1; }
@@ -65,64 +66,43 @@ def multi_program():
 
 
 # ---------------------------------------------------------------------------
-# placement policies
+# chunk packing
 # ---------------------------------------------------------------------------
 
 
-EXTENTS = [FunctionExtent("f0", 100), FunctionExtent("f1", 200),
-           FunctionExtent("f2", 900), FunctionExtent("f3", 50),
-           FunctionExtent("f4", 400)]
+SIZES = [100, 200, 900, 50, 400]
+
+#: A grouping whose chunks hold non-adjacent functions (members still
+#: ascend, as the encoders require).  ``pack_chunks`` never produces
+#: one; the decoders must not assume adjacency all the same.
+SCATTERED = [[0, 4], [1, 3], [2]]
 
 
 class TestPlacement:
     def test_greedy_respects_size_cap(self):
-        placement = GreedyPlacement(target_bytes=300).place(EXTENTS)
-        validate_placement(placement, len(EXTENTS))
-        for members in placement:
-            size = sum(EXTENTS[i].size for i in members)
+        chunks = pack_chunks(SIZES, 300)
+        assert sorted(i for members in chunks for i in members) == \
+            list(range(len(SIZES)))
+        for members in chunks:
+            size = sum(SIZES[i] for i in members)
             assert size <= 300 or len(members) == 1
 
     def test_oversize_function_gets_own_chunk(self):
-        placement = GreedyPlacement(target_bytes=300).place(EXTENTS)
-        assert [2] in placement  # f2 (900 B) cannot share
+        assert [2] in pack_chunks(SIZES, 300)  # f2 (900 B) cannot share
 
     def test_greedy_keeps_module_order(self):
-        placement = GreedyPlacement(target_bytes=10_000).place(EXTENTS)
-        assert placement == [[0, 1, 2, 3, 4]]
-
-    def test_hot_cold_clusters_by_heat(self):
-        hot = HotColdPlacement({"f3": 10.0, "f1": 5.0},
-                               target_bytes=10_000)
-        placement = hot.place(EXTENTS)
-        validate_placement(placement, len(EXTENTS))
-        flat = [i for members in placement for i in members]
-        # The hot functions lead; cold ties keep module order.
-        assert flat[:2] == [3, 1] or placement[0][:2] == [1, 3]
-
-    def test_validate_rejects_lost_and_duplicate(self):
-        with pytest.raises(ValueError):
-            validate_placement([[0, 1]], 3)       # lost index 2
-        with pytest.raises(ValueError):
-            validate_placement([[0, 1], [1, 2]], 3)  # duplicated index 1
-        with pytest.raises(ValueError):
-            validate_placement([[0, 3]], 2)       # invented index 3
-
-    def test_base_policy_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ChunkPlacement().place(EXTENTS)
+        assert pack_chunks(SIZES, 10_000) == [[0, 1, 2, 3, 4]]
+        for members in pack_chunks(SIZES, 300):
+            assert members == sorted(members)
 
     def test_greedy_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            GreedyPlacement(target_bytes=0)
+            pack_chunks(SIZES, 0)
 
 
 # ---------------------------------------------------------------------------
 # wire (WIR3)
 # ---------------------------------------------------------------------------
-
-
-WIRE_PLACEMENTS = [None, GreedyPlacement(256), GreedyPlacement(64),
-                   HotColdPlacement({"main": 5.0})]
 
 
 class TestWireV3:
@@ -131,9 +111,10 @@ class TestWireV3:
         v3 = decode_module(encode_module_v3(multi_module))
         assert dump_module(v3) == dump_module(v2)
 
-    @pytest.mark.parametrize("placement", WIRE_PLACEMENTS)
-    def test_decode_range_matches_full_slice(self, multi_module, placement):
-        blob = encode_module_v3(multi_module, placement=placement)
+    @pytest.mark.parametrize("chunk_bytes", [None, 256, 64, 1])
+    def test_decode_range_matches_full_slice(self, multi_module, chunk_bytes):
+        blob = (encode_module_v3(multi_module) if chunk_bytes is None
+                else encode_module_v3(multi_module, chunk_bytes=chunk_bytes))
         whole = b"".join(function_image(fn)
                          for fn in decode_module(blob).functions)
         rng = Random(3)
@@ -144,7 +125,7 @@ class TestWireV3:
                 whole[start:start + length]
 
     def test_decode_range_clamps_like_a_slice(self, wc_module):
-        blob = encode_module_v3(wc_module, placement=GreedyPlacement(256))
+        blob = encode_module_v3(wc_module, chunk_bytes=256)
         whole = b"".join(function_image(fn)
                          for fn in decode_module(blob).functions)
         assert decode_range(blob, len(whole) - 4, 100) == whole[-4:]
@@ -159,7 +140,7 @@ class TestWireV3:
             decode_range(blob, 0, -5)
 
     def test_decode_function_matches_full_decode(self, multi_module):
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         full = {fn.name: fn for fn in decode_module(blob).functions}
         for name in full:
             assert dump_function(decode_function(blob, name)) == \
@@ -172,7 +153,7 @@ class TestWireV3:
 
     def test_sparse_container_serves_one_function(self, multi_module):
         """Only the header + covering chunks suffice for one function."""
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         index = container_index(blob)
         ranges = index.ranges_for_function("b")
         fetched = sum(n for _, n in ranges)
@@ -190,9 +171,31 @@ class TestWireV3:
         assert decode_function(v2, "a").name == "a"
 
     def test_roundtrip_is_deterministic(self, wc_module):
-        one = encode_module_v3(wc_module, placement=GreedyPlacement(256))
-        two = encode_module_v3(wc_module, placement=GreedyPlacement(256))
+        one = encode_module_v3(wc_module, chunk_bytes=256)
+        two = encode_module_v3(wc_module, chunk_bytes=256)
         assert one == two
+
+    def test_scattered_chunks_decode_like_a_full_decode(self, multi_module,
+                                                        monkeypatch):
+        monkeypatch.setattr(wire_format, "pack_chunks",
+                            lambda sizes, target_bytes: SCATTERED)
+        blob = encode_module_v3(multi_module)
+        index = container_index(blob)
+        assert [chunk.members for chunk in index.chunks] == \
+            [tuple(members) for members in SCATTERED]
+        full = decode_module(blob)
+        assert dump_module(full) == \
+            dump_module(decode_module(encode_module(multi_module)))
+        whole = b"".join(function_image(fn) for fn in full.functions)
+        for record in index.functions:
+            assert dump_function(decode_function(blob, record.name)) == \
+                dump_function(full.functions[record.index])
+        rng = Random(4)
+        for _ in range(40):
+            start = rng.randrange(len(whole))
+            length = rng.randrange(1, len(whole) - start + 1)
+            assert decode_range(blob, start, length) == \
+                whole[start:start + length]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ def bri2_blob(multi_program):
 
 @pytest.fixture(scope="module")
 def bri3_blob(bri2_blob):
-    return brisc_encode.repack_v3(bri2_blob, GreedyPlacement(64))
+    return brisc_encode.repack_v3(bri2_blob, 64)
 
 
 class TestBriscV3:
@@ -222,7 +225,7 @@ class TestBriscV3:
         assert run_image(bri3_blob).output == "18\n"
 
     def test_repack_is_idempotent(self, bri3_blob):
-        again = brisc_encode.repack_v3(bri3_blob, GreedyPlacement(64))
+        again = brisc_encode.repack_v3(bri3_blob, 64)
         assert again == bri3_blob
 
     def test_decode_range_matches_code_bytes(self, bri2_blob, bri3_blob):
@@ -253,6 +256,27 @@ class TestBriscV3:
         got = brisc_encode.decode_function(sparse, "c")
         assert bytes(got.code) == bytes(want.code)
 
+    def test_scattered_chunks_decode_like_a_full_parse(self, bri2_blob,
+                                                       monkeypatch):
+        monkeypatch.setattr(brisc_encode, "pack_chunks",
+                            lambda sizes, target_bytes: SCATTERED)
+        blob = brisc_encode.repack_v3(bri2_blob)
+        index = container_index(blob)
+        assert [chunk.members for chunk in index.chunks] == \
+            [tuple(members) for members in SCATTERED]
+        full = brisc_encode.parse_image(bri2_blob)
+        assert brisc_encode.parse_image(blob).functions == full.functions
+        whole = b"".join(fn.code for fn in full.functions)
+        for record in index.functions:
+            assert brisc_encode.decode_function(blob, record.name) == \
+                full.functions[record.index]
+        rng = Random(12)
+        for _ in range(40):
+            start = rng.randrange(len(whole))
+            length = rng.randrange(1, len(whole) - start + 1)
+            assert brisc_encode.decode_range(blob, start, length) == \
+                whole[start:start + length]
+
     def test_v2_image_falls_back(self, bri2_blob):
         image = brisc_encode.parse_image(bri2_blob)
         whole = b"".join(bytes(fn.code) for fn in image.functions)
@@ -273,7 +297,7 @@ class TestContainerIndex:
             container_kind(b"ZZZZ not a container")
 
     def test_ranges_always_cover_the_header(self, multi_module):
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         index = container_index(blob)
         for fn in index.functions:
             ranges = index.ranges_for_function(fn.name)
@@ -281,7 +305,7 @@ class TestContainerIndex:
             assert ranges[0][1] >= index.header_bytes
 
     def test_functions_in_span(self, multi_module):
-        blob = encode_module_v3(multi_module, placement=GreedyPlacement(64))
+        blob = encode_module_v3(multi_module, chunk_bytes=64)
         index = container_index(blob)
         spans = sorted(index.functions, key=lambda f: f.span_start)
         first = spans[0]
@@ -298,6 +322,31 @@ class TestContainerIndex:
             brisc_encode.decode_range(bri3_blob, 0, 8)
 
 
+@pytest.mark.parametrize("fmt", ("wire", "brisc"))
+@pytest.mark.parametrize("read", ("decode_function", "decode_range"))
+def test_partial_read_parses_the_header_once(fmt, read, multi_module,
+                                             bri3_blob, monkeypatch):
+    """One partial read verifies, inflates and parses the header once."""
+    if fmt == "wire":
+        module, blob = wire_format, encode_module_v3(multi_module,
+                                                     chunk_bytes=64)
+    else:
+        module, blob = brisc_encode, bri3_blob
+    calls = []
+    real = module.read_header
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "read_header", counting)
+    if read == "decode_function":
+        assert module.decode_function(blob, "b").name == "b"
+    else:
+        assert module.decode_range(blob, 0, 16)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # corruption isolation
 # ---------------------------------------------------------------------------
@@ -307,8 +356,7 @@ class TestIsolation:
     @pytest.mark.parametrize("fmt", ("wire", "brisc"))
     def test_corrupt_chunk_is_contained(self, fmt, multi_module, bri3_blob):
         if fmt == "wire":
-            blob = encode_module_v3(multi_module,
-                                    placement=GreedyPlacement(64))
+            blob = encode_module_v3(multi_module, chunk_bytes=64)
         else:
             blob = bri3_blob
         index = container_index(blob)
@@ -327,8 +375,7 @@ class TestIsolation:
     @pytest.mark.parametrize("fmt", ("wire", "brisc"))
     def test_fuzz_harness_reports_clean(self, fmt, multi_module, bri3_blob):
         if fmt == "wire":
-            blob = encode_module_v3(multi_module,
-                                    placement=GreedyPlacement(64))
+            blob = encode_module_v3(multi_module, chunk_bytes=64)
         else:
             blob = bri3_blob
         report = fuzz_chunked_container(blob, target=f"{fmt}3", seed=2)

@@ -200,12 +200,11 @@ def test_brisc_fuzz_report_clean_on_sample():
 
 
 def _wire3_blob():
-    from repro.container import GreedyPlacement
     from repro.wire import encode_module_v3
 
     source = get_sample("wc")
     module = lower_unit(compile_to_ast(source, "wc"), "wc")
-    return encode_module_v3(module, placement=GreedyPlacement(256))
+    return encode_module_v3(module, chunk_bytes=256)
 
 
 def test_corrupt_chunk_is_deterministic():

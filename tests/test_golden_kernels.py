@@ -21,8 +21,13 @@ from repro.wire.format import decode_module, encode_module
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-#: Units with pinned WIR2/BRI2 containers (see TestContainerGoldens).
+#: Units with pinned WIR2/BRI2 and WIR3/BRI3 containers (see
+#: TestContainerGoldens).
 UNITS = ["wc", "fib", "gen24"]
+
+#: The chunk cap the seekable goldens were built with: small enough that
+#: every unit splits into at least two chunks.
+GOLDEN_CHUNK_BYTES = 64
 
 
 @pytest.fixture(scope="module")
@@ -65,28 +70,46 @@ class TestKernelGoldens:
         assert arith.decompress(blob, order=1) == data
 
 
+def _sources():
+    from repro.corpus import generate_program_source
+    from repro.corpus.suite import suite_source
+
+    return {
+        "wc": suite_source("wc"),
+        "fib": (GOLDEN / "fib.c").read_text(),
+        "gen24": generate_program_source(functions=24, seed=3),
+    }
+
+
 class TestContainerGoldens:
-    """WIR2/BRI2 images of seeded corpus units must never drift.
+    """WIR2/BRI2 and WIR3/BRI3 images of seeded corpus units must never
+    drift.
 
     ``wc`` and ``fib`` each build their BRISC dictionary in one pass with
     at most four admissions; ``gen24`` (a generated unit, pinned at
     commit bbc6d9c) runs five passes and admits 80 patterns, so it pins
-    the builder's incremental rescans as well.
+    the builder's incremental rescans as well.  The seekable goldens
+    (pinned at commit 042deef) split into 2, 2 and 25 chunks, so they pin
+    the chunk table, the header framing and the chunk payloads.
     """
 
     @pytest.fixture(scope="class")
-    def results(self):
-        from repro.corpus import generate_program_source
-        from repro.corpus.suite import suite_source
+    def toolchain(self):
         from repro.pipeline import Toolchain
 
-        tc = Toolchain()
-        return {
-            "wc": tc.compile(suite_source("wc"), name="wc"),
-            "fib": tc.compile((GOLDEN / "fib.c").read_text(), name="fib"),
-            "gen24": tc.compile(
-                generate_program_source(functions=24, seed=3), name="gen24"),
-        }
+        return Toolchain()
+
+    @pytest.fixture(scope="class")
+    def results(self, toolchain):
+        return {unit: toolchain.compile(source, name=unit)
+                for unit, source in _sources().items()}
+
+    @pytest.fixture(scope="class")
+    def seekable(self, toolchain):
+        config = toolchain.config.with_container(
+            wire=3, brisc=3, chunk_bytes=GOLDEN_CHUNK_BYTES)
+        return {unit: toolchain.compile(source, name=unit, config=config)
+                for unit, source in _sources().items()}
 
     @pytest.mark.parametrize("unit", UNITS)
     def test_wire_container_unchanged(self, results, unit):
@@ -97,6 +120,16 @@ class TestContainerGoldens:
     def test_brisc_container_unchanged(self, results, unit):
         golden = (GOLDEN / f"{unit}.bri2").read_bytes()
         assert results[unit].brisc.image.blob == golden
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_seekable_wire_container_unchanged(self, seekable, unit):
+        golden = (GOLDEN / f"{unit}.wir3").read_bytes()
+        assert seekable[unit].wire_blob == golden
+
+    @pytest.mark.parametrize("unit", UNITS)
+    def test_seekable_brisc_container_unchanged(self, seekable, unit):
+        golden = (GOLDEN / f"{unit}.bri3").read_bytes()
+        assert seekable[unit].brisc.image.blob == golden
 
     def test_generated_unit_is_a_multi_pass_build(self, results):
         build = results["gen24"].brisc.build

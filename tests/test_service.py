@@ -783,6 +783,76 @@ class TestFetchOps:
 
 
 # ---------------------------------------------------------------------------
+# malformed replies from a forged server
+# ---------------------------------------------------------------------------
+
+
+def _one_shot_server(result):
+    """A listener that answers one request with ``{"ok": true, "result":
+    result}``, whatever was asked.  Returns (port, thread, listener)."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5.0)
+
+    def answer():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.settimeout(5.0)
+            request = protocol.decode_message(protocol.read_frame_sync(conn))
+            conn.sendall(protocol.encode_message(
+                {"id": request["id"], "ok": True, "result": result}))
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread, listener
+
+
+_SEGMENT = {"offset": 0, "b64": "AAAAAA=="}  # 4 zero bytes
+
+MALFORMED_REPLIES = {
+    "segment-past-total": ("fetch", {"total_bytes": 2, "segments": [_SEGMENT]},
+                           CorruptStreamError),
+    "huge-total": ("fetch", {"total_bytes": 2 ** 40, "segments": []},
+                   ResourceLimitError),
+    "negative-total": ("fetch", {"total_bytes": -1, "segments": []},
+                       CorruptStreamError),
+    "missing-total": ("fetch", {"segments": [_SEGMENT]}, CorruptStreamError),
+    "string-offset": ("fetch", {"total_bytes": 8, "segments": [
+        {"offset": "0", "b64": "AAAAAA=="}]}, CorruptStreamError),
+    "segments-not-a-list": ("fetch", {"total_bytes": 8, "segments": "AAAA"},
+                            CorruptStreamError),
+    "segment-not-base64": ("fetch", {"total_bytes": 8, "segments": [
+        {"offset": 0, "b64": "!!"}]}, CorruptStreamError),
+    "wire-missing-blob": ("wire", {}, CorruptStreamError),
+    "wire-not-base64": ("wire", {"blob_b64": "W!I!R!2"}, CorruptStreamError),
+    "brisc-blob-not-a-string": ("brisc", {"blob_b64": 7}, CorruptStreamError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPLIES))
+def test_malformed_replies_raise_typed_errors(case):
+    """A reply the server could never have sent surfaces as a typed
+    ``repro.errors`` exception, never as a raw Python error or garbage."""
+    op, result, expected = MALFORMED_REPLIES[case]
+    port, thread, listener = _one_shot_server(result)
+    try:
+        with ServiceClient(port=port, timeout=5.0) as client:
+            with pytest.raises(expected):
+                if op == "fetch":
+                    client.fetch_function(HELLO, "sq")
+                else:
+                    getattr(client, op)(HELLO)
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
 # client auto-retry
 # ---------------------------------------------------------------------------
 

@@ -266,13 +266,13 @@ class TestChunkedPaging:
     def test_real_container_chunks_feed_the_model(self):
         """End to end: a v3 container index's chunk lengths drive it."""
         from repro.cfront import compile_to_ast
-        from repro.container import GreedyPlacement, container_index
+        from repro.container import container_index
         from repro.corpus import get_sample
         from repro.ir import lower_unit
         from repro.wire import encode_module_v3
 
         module = lower_unit(compile_to_ast(get_sample("wc"), "wc"), "wc")
-        blob = encode_module_v3(module, placement=GreedyPlacement(256))
+        blob = encode_module_v3(module, chunk_bytes=256)
         index = container_index(blob)
         chunks = [c.length for c in index.chunks]
         assert len(chunks) >= 2
