@@ -5,10 +5,24 @@ suffixes, floating literals, character and string literals with the usual
 escape sequences, both comment styles, and all multi-character operators.
 There is no preprocessor: the corpus is written without macros (enums and
 ``const`` cover the common cases).
+
+The scanner is one compiled master regular expression, in the style of
+zhouder/parser_c's ``matcher.py``.  Each match is the trivia (whitespace
+and comments) before a token plus exactly one named alternative: a token
+class, end of input, or a lexical error.  An error alternative matches
+the text up to the position the error is reported at.  Escapes are
+decoded from the matched literal's text.
+
+Every repetition in the expression is deterministic (a whitespace run,
+comment or escape can match in only one way), so a literal that fails
+to continue backtracks in linear time.  C's digits are ``0``-``9``;
+identifiers start with any letter or ``_`` and continue with any letter,
+digit or ``_`` (``str.isalpha`` and ``str.isalnum``).
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from .errors import CompileError, Location
@@ -17,9 +31,87 @@ from .tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 __all__ = ["Lexer", "tokenize"]
 
 _ESCAPES = {
-    "n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34,
+    "n": 10, "t": 9, "r": 13, "\\": 92, "'": 39, '"': 34,
     "a": 7, "b": 8, "f": 12, "v": 11,
 }
+
+_HEX = "[0-9a-fA-F]"
+# An escape after its backslash: \x with every following hex digit, one
+# to three octal digits (as many as there are), or a one-letter escape.
+_ESCAPE_BODY = (rf"(?:x{_HEX}+(?!{_HEX})|[0-7]{{3}}|[0-7]{{1,2}}(?![0-7])"
+                rf"|[{re.escape(''.join(_ESCAPES))}])")
+_ESCAPE = r"\\" + _ESCAPE_BODY
+_STRING_BODY = rf'(?:[^"\\\n]|{_ESCAPE})*'
+_CHAR_UNIT = rf"(?:[^\\\n]|{_ESCAPE})"
+_TRIVIA = (r"(?:[ \t\r\n]+(?![ \t\r\n])"       # a whole whitespace run
+           r"|//[^\n]*(?![^\n])"               # a whole line comment
+           r"|/\*(?:[^*]|\*(?!/))*\*/)*")      # a comment, to its first */
+_EXPONENT = r"[eE][+-]?[0-9]+"
+_SUFFIX = "[uUlLfF]*"
+
+# Token alternatives, in the order they are tried.  Floats precede the
+# '.' punctuator and the integers; a bad octal and a bare 0x precede the
+# integers; an unterminated comment precedes the '/' punctuator.  The
+# error alternatives for literals only run where the valid form failed.
+_ALTERNATIVES = (
+    ("ident", r"[A-Za-z_]\w*"),
+    ("float", rf"(?:[0-9]+(?:\.(?!\.)[0-9]*(?:{_EXPONENT})?|{_EXPONENT})"
+              rf"|\.[0-9]+(?:{_EXPONENT})?){_SUFFIX}"),
+    ("bad_octal", "0[0-9]*[89][0-9]*"),
+    ("hex", rf"0[xX](?P<hex_digits>{_HEX}+){_SUFFIX}"),
+    ("bare_hex", "0[xX]"),
+    ("int", f"[0-9]+{_SUFFIX}"),
+    ("open_comment", r"/\*"),
+    ("punct", "|".join(re.escape(text) for text, _ in PUNCTUATORS)),
+    ("string", rf'"(?P<first_body>{_STRING_BODY})"(?:{_TRIVIA}"{_STRING_BODY}")*'),
+    ("char", rf"'{_CHAR_UNIT}'"),
+    ("bad_hex_escape", rf"""(?:'|"{_STRING_BODY})\\x(?!{_HEX})"""),
+    ("bad_escape", rf"""(?:'|"{_STRING_BODY})\\(?!{_ESCAPE_BODY})"""),
+    ("open_string", rf'"{_STRING_BODY}'),
+    ("long_char", f"'{_CHAR_UNIT}"),
+    ("open_char", "'"),
+    ("eof", r"\Z"),
+    ("other", r"\w+|."),
+)
+
+_MASTER = re.compile(
+    _TRIVIA + "(?:" + "|".join(f"(?P<{name}>{pattern})"
+                               for name, pattern in _ALTERNATIVES) + ")",
+    re.DOTALL)
+_GROUP = _MASTER.groupindex
+(_IDENT, _PUNCT, _INT, _FLOAT, _STRING, _CHAR, _HEX_LIT, _EOF, _OTHER,
+ _OPEN_COMMENT) = (
+    _GROUP[name] for name in
+    ("ident", "punct", "int", "float", "string", "char", "hex", "eof",
+     "other", "open_comment"))
+
+#: Error alternative -> message, reported at the end of the match; ``{0}``
+#: is the matched text and ``{1}`` the character after it.
+_ERRORS = {_GROUP[name]: message for name, message in (
+    ("bad_octal", "invalid octal literal {0!r}"),
+    ("bare_hex", "hexadecimal literal needs digits"),
+    ("bad_hex_escape", "\\x needs hex digits"),
+    ("bad_escape", "unknown escape sequence \\{1}"),
+    ("open_string", "unterminated string literal"),
+    ("long_char", "character literal must hold exactly one character"),
+    ("open_char", "unterminated character literal"),
+)}
+
+_PUNCT_KIND = dict(PUNCTUATORS)
+_STRING_PIECE = re.compile(rf'{_TRIVIA}"({_STRING_BODY})"', re.DOTALL)
+_ESCAPE_PARTS = re.compile(rf"\\(?:x({_HEX}+)|([0-7]{{1,3}})|(.))", re.DOTALL)
+
+
+def _escape_char(m: "re.Match[str]") -> str:
+    hex_digits, octal, letter = m.groups()
+    if letter is not None:
+        return chr(_ESCAPES[letter])
+    return chr(int(hex_digits, 16) & 0xFF if hex_digits else int(octal, 8) & 0xFF)
+
+
+def _decode(body: str) -> str:
+    """The characters a literal's body (quotes stripped) denotes."""
+    return _ESCAPE_PARTS.sub(_escape_char, body) if "\\" in body else body
 
 
 class Lexer:
@@ -28,207 +120,96 @@ class Lexer:
     def __init__(self, text: str, filename: str = "<input>") -> None:
         self.text = text
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _loc(self) -> Location:
-        return Location(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _error(self, message: str) -> CompileError:
-        return CompileError(message, self._loc())
-
-    # -- scanning ----------------------------------------------------------
 
     def tokens(self) -> List[Token]:
         """Scan the whole input, ending with an EOF token."""
-        out: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.text):
-                out.append(Token(TokenKind.EOF, "", self._loc()))
-                return out
-            out.append(self._next_token())
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self.text[self.pos] == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise CompileError("unterminated block comment", start)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        loc = self._loc()
-        ch = self.text[self.pos]
-        if ch.isalpha() or ch == "_":
-            return self._identifier(loc)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(loc)
-        if ch == "'":
-            return self._char_literal(loc)
-        if ch == '"':
-            return self._string_literal(loc)
-        for text, kind in PUNCTUATORS:
-            if self.text.startswith(text, self.pos):
-                self._advance(len(text))
-                return Token(kind, text, loc)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _identifier(self, loc: Location) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self._advance()
-        text = self.text[start : self.pos]
-        kind = KEYWORDS.get(text)
-        if kind is not None:
-            return Token(kind, text, loc)
-        return Token(TokenKind.IDENT, text, loc, value=text)
-
-    def _number(self, loc: Location) -> Token:
-        start = self.pos
         text = self.text
-        is_float = False
-        if text.startswith(("0x", "0X"), self.pos):
-            self._advance(2)
-            ch = self._peek()
-            if not ch or ch not in "0123456789abcdefABCDEF":
-                raise self._error("hexadecimal literal needs digits")
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            spelled = text[start : self.pos]
-            value = int(spelled, 16)
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1) != ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() and self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() and self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            spelled = text[start : self.pos]
-            if is_float:
-                value = float(spelled)
-            elif spelled.startswith("0") and len(spelled) > 1:
-                try:
-                    value = int(spelled, 8)
-                except ValueError:
-                    raise self._error(f"invalid octal literal {spelled!r}") from None
-            else:
-                value = int(spelled, 10)
-        # Suffixes: U/L in any order (float: F/L).  Suffixes only affect
-        # signedness/width decisions in sema; the lexer records spelling.
-        suffix_start = self.pos
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        suffix = text[suffix_start : self.pos].lower()
-        full = text[start : self.pos]
-        if is_float or "f" in suffix and not full.lower().startswith("0x"):
-            if not is_float and "f" in suffix:
-                value = float(spelled)
-            return Token(TokenKind.FLOAT_LIT, full, loc, value=float(value))
-        return Token(TokenKind.INT_LIT, full, loc, value=int(value))
-
-    def _escape(self) -> int:
-        """Decode the body of an escape sequence (cursor past the backslash)."""
-        ch = self._peek()
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                raise self._error("\\x needs hex digits")
-            return int(digits, 16) & 0xFF
-        if ch.isdigit():
-            digits = ""
-            while self._peek().isdigit() and len(digits) < 3:
-                digits += self._peek()
-                self._advance()
-            return int(digits, 8) & 0xFF
-        if ch in _ESCAPES:
-            self._advance()
-            return _ESCAPES[ch]
-        raise self._error(f"unknown escape sequence \\{ch}")
-
-    def _char_literal(self, loc: Location) -> Token:
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            self._advance()
-            value = self._escape()
-        elif self._peek() in ("", "\n"):
-            raise self._error("unterminated character literal")
-        else:
-            value = ord(self._peek())
-            self._advance()
-        if self._peek() != "'":
-            raise self._error("character literal must hold exactly one character")
-        self._advance()
-        return Token(TokenKind.CHAR_LIT, self.text[loc.column - 1 :][:0], loc, value=value)
-
-    def _string_literal(self, loc: Location) -> Token:
-        chars: List[int] = []
-        # Adjacent string literals concatenate, as in C.
-        while self._peek() == '"':
-            self._advance()
-            while True:
-                ch = self._peek()
-                if ch in ("", "\n"):
-                    raise self._error("unterminated string literal")
-                if ch == '"':
-                    self._advance()
-                    break
-                if ch == "\\":
-                    self._advance()
-                    chars.append(self._escape())
+        filename = self.filename
+        count = text.count
+        # Token and Location are named tuples: build them without a
+        # Python-level __new__ call, one per token.
+        new = tuple.__new__
+        ident, punct, integer, eof = _IDENT, _PUNCT, _INT, _EOF
+        ident_kind, int_kind = TokenKind.IDENT, TokenKind.INT_LIT
+        keywords = KEYWORDS
+        punct_kind = _PUNCT_KIND
+        out: List[Token] = []
+        append = out.append
+        line = 1
+        line_start = 0
+        # Newlines are counted from the previous token's start, so the
+        # trivia inside a concatenated string literal is counted too.
+        prev = 0
+        # Every position matches an alternative, so the matches tile the
+        # text; the end-of-input alternative ends the loop.
+        for m in _MASTER.finditer(text):
+            group = m.lastindex
+            start, end = m.span(group)
+            newlines = count("\n", prev, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", prev, start) + 1
+            prev = start
+            loc = new(Location, (filename, line, start - line_start + 1))
+            if group == ident:
+                word = text[start:end]
+                kind = keywords.get(word)
+                if kind is None:
+                    append(new(Token, (ident_kind, word, loc, word)))
                 else:
-                    chars.append(ord(ch))
-                    self._advance()
-            self._skip_trivia()
-        value = "".join(chr(c) for c in chars)
-        return Token(TokenKind.STRING_LIT, value, loc, value=value)
+                    append(new(Token, (kind, word, loc, None)))
+            elif group == punct:
+                word = text[start:end]
+                append(new(Token, (punct_kind[word], word, loc, None)))
+            elif group == integer and text[end - 1] in "0123456789":
+                word = text[start:end]
+                value = int(word, 8) if word[0] == "0" else int(word)
+                append(new(Token, (int_kind, word, loc, value)))
+            elif group == eof:
+                append(new(Token, (TokenKind.EOF, "", loc, None)))
+                break
+            else:
+                append(self._rare(m, group, loc, line_start))
+        return out
+
+    def _rare(self, m: "re.Match[str]", group: int, loc: Location,
+              line_start: int) -> Token:
+        """The token, or the lexical error, of a less common alternative."""
+        text = self.text
+        start, end = m.start(group), m.end()
+        word = text[start:end]
+        if group == _STRING:
+            if m.end("first_body") + 1 == end:
+                value = _decode(m.group("first_body"))
+            else:
+                pieces = []
+                pos = start
+                while pos < end:
+                    piece = _STRING_PIECE.match(text, pos)
+                    pieces.append(_decode(piece.group(1)))
+                    pos = piece.end()
+                value = "".join(pieces)
+            return Token(TokenKind.STRING_LIT, value, loc, value)
+        if group == _CHAR:
+            return Token(TokenKind.CHAR_LIT, word, loc, ord(_decode(word[1:-1])))
+        if group == _HEX_LIT:
+            return Token(TokenKind.INT_LIT, word, loc,
+                         int(m.group("hex_digits"), 16))
+        if group == _INT or group == _FLOAT:
+            spelled = word.rstrip("uUlLfF")
+            if group == _FLOAT or "f" in word[len(spelled):].lower():
+                return Token(TokenKind.FLOAT_LIT, word, loc, float(spelled))
+            value = int(spelled, 8) if spelled[0] == "0" else int(spelled)
+            return Token(TokenKind.INT_LIT, word, loc, value)
+        if group == _OTHER:
+            if word[0].isalpha():
+                return Token(TokenKind.IDENT, word, loc, word)
+            raise CompileError(f"unexpected character {word[0]!r}", loc)
+        if group == _OPEN_COMMENT:
+            raise CompileError("unterminated block comment", loc)
+        raise CompileError(_ERRORS[group].format(word, text[end:end + 1]),
+                           Location(self.filename, loc.line,
+                                    end - line_start + 1))
 
 
 def tokenize(text: str, filename: str = "<input>") -> List[Token]:

@@ -12,7 +12,7 @@ typedef names and struct tags are recorded here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import ctypes as ct
 from .astnodes import (
@@ -45,19 +45,32 @@ _ASSIGN_OPS = {
     TK.LSHIFT_ASSIGN: "<<=", TK.RSHIFT_ASSIGN: ">>=",
 }
 
-# Binary operator precedence levels, lowest first.
-_BINARY_LEVELS: List[List[Tuple[TK, str]]] = [
-    [(TK.PIPEPIPE, "||")],
-    [(TK.AMPAMP, "&&")],
-    [(TK.PIPE, "|")],
-    [(TK.CARET, "^")],
-    [(TK.AMP, "&")],
-    [(TK.EQ, "=="), (TK.NE, "!=")],
-    [(TK.LT, "<"), (TK.GT, ">"), (TK.LE, "<="), (TK.GE, ">=")],
-    [(TK.LSHIFT, "<<"), (TK.RSHIFT, ">>")],
-    [(TK.PLUS, "+"), (TK.MINUS, "-")],
-    [(TK.STAR, "*"), (TK.SLASH, "/"), (TK.PERCENT, "%")],
-]
+# Binary operators -> (precedence, spelling); a higher precedence binds
+# tighter.  Every binary operator is left-associative.
+_BINARY_OPS: Dict[TK, Tuple[int, str]] = {
+    TK.PIPEPIPE: (1, "||"),
+    TK.AMPAMP: (2, "&&"),
+    TK.PIPE: (3, "|"),
+    TK.CARET: (4, "^"),
+    TK.AMP: (5, "&"),
+    TK.EQ: (6, "=="), TK.NE: (6, "!="),
+    TK.LT: (7, "<"), TK.GT: (7, ">"), TK.LE: (7, "<="), TK.GE: (7, ">="),
+    TK.LSHIFT: (8, "<<"), TK.RSHIFT: (8, ">>"),
+    TK.PLUS: (9, "+"), TK.MINUS: (9, "-"),
+    TK.STAR: (10, "*"), TK.SLASH: (10, "/"), TK.PERCENT: (10, "%"),
+}
+
+#: Nesting limits.  C99 5.2.4.1 asks for at least 63 levels of
+#: parenthesized expressions and 127 levels of blocks.  Parentheses, call
+#: argument lists and subscripts count as expression nesting; a statement
+#: inside another counts as statement nesting, so each ``else if`` arm
+#: nests one level deeper.  Each level costs the recursive-descent parser
+#: (and, for statements, the later stages) a few Python frames: the
+#: limits sit below the depths at which a compile on a fresh thread's
+#: stack runs out (about 120 parentheses, 485 statements), leaving room
+#: for the caller's own frames.
+MAX_EXPRESSION_NESTING = 63
+MAX_STATEMENT_NESTING = 400
 
 
 class Parser:
@@ -69,6 +82,8 @@ class Parser:
         self.scope = Scope()  # typedef names + struct tags + enum constants
         self.unit = TranslationUnit()
         self._anon_tag = 0
+        self._expression_depth = 0
+        self._statement_depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -100,6 +115,15 @@ class Parser:
 
     def _error(self, message: str) -> CompileError:
         return CompileError(message, self._peek().location)
+
+    def _open_bracket(self, tok: Token) -> None:
+        """Enter one level of expression nesting at ``tok``."""
+        self._expression_depth += 1
+        if self._expression_depth > MAX_EXPRESSION_NESTING:
+            raise CompileError(
+                f"expression nests too deeply (more than "
+                f"{MAX_EXPRESSION_NESTING} nested parentheses or brackets)",
+                tok.location)
 
     # -- entry point -----------------------------------------------------
 
@@ -400,56 +424,65 @@ class Parser:
         return Block(lbrace.location, body)
 
     def _statement(self) -> Stmt:
-        tok = self._peek()
-        k = tok.kind
-        if k is TK.LBRACE:
-            return self._block()
-        if k is TK.SEMI:
-            self._advance()
-            return EmptyStmt(tok.location)
-        if k is TK.KW_IF:
-            return self._if_statement()
-        if k is TK.KW_WHILE:
-            self._advance()
-            self._expect(TK.LPAREN)
-            cond = self._expression()
-            self._expect(TK.RPAREN)
-            return While(tok.location, cond, self._statement())
-        if k is TK.KW_DO:
-            self._advance()
-            body = self._statement()
-            self._expect(TK.KW_WHILE)
-            self._expect(TK.LPAREN)
-            cond = self._expression()
-            self._expect(TK.RPAREN)
+        self._statement_depth += 1
+        if self._statement_depth > MAX_STATEMENT_NESTING:
+            raise CompileError(
+                f"statement nests too deeply (more than "
+                f"{MAX_STATEMENT_NESTING} nested statements)",
+                self._peek().location)
+        try:
+            tok = self._peek()
+            k = tok.kind
+            if k is TK.LBRACE:
+                return self._block()
+            if k is TK.SEMI:
+                self._advance()
+                return EmptyStmt(tok.location)
+            if k is TK.KW_IF:
+                return self._if_statement()
+            if k is TK.KW_WHILE:
+                self._advance()
+                self._expect(TK.LPAREN)
+                cond = self._expression()
+                self._expect(TK.RPAREN)
+                return While(tok.location, cond, self._statement())
+            if k is TK.KW_DO:
+                self._advance()
+                body = self._statement()
+                self._expect(TK.KW_WHILE)
+                self._expect(TK.LPAREN)
+                cond = self._expression()
+                self._expect(TK.RPAREN)
+                self._expect(TK.SEMI)
+                return DoWhile(tok.location, body, cond)
+            if k is TK.KW_FOR:
+                return self._for_statement()
+            if k is TK.KW_RETURN:
+                self._advance()
+                value = None if self._at(TK.SEMI) else self._expression()
+                self._expect(TK.SEMI)
+                return Return(tok.location, value)
+            if k is TK.KW_BREAK:
+                self._advance()
+                self._expect(TK.SEMI)
+                return Break(tok.location)
+            if k is TK.KW_CONTINUE:
+                self._advance()
+                self._expect(TK.SEMI)
+                return Continue(tok.location)
+            if k is TK.KW_SWITCH:
+                return self._switch_statement()
+            if k is TK.KW_CASE or k is TK.KW_DEFAULT:
+                return self._case_statement()
+            if k is TK.KW_GOTO:
+                raise self._error("goto is not supported by this C subset")
+            if self._starts_type() or k is TK.KW_STATIC:
+                return self._local_declaration()
+            expr = self._expression()
             self._expect(TK.SEMI)
-            return DoWhile(tok.location, body, cond)
-        if k is TK.KW_FOR:
-            return self._for_statement()
-        if k is TK.KW_RETURN:
-            self._advance()
-            value = None if self._at(TK.SEMI) else self._expression()
-            self._expect(TK.SEMI)
-            return Return(tok.location, value)
-        if k is TK.KW_BREAK:
-            self._advance()
-            self._expect(TK.SEMI)
-            return Break(tok.location)
-        if k is TK.KW_CONTINUE:
-            self._advance()
-            self._expect(TK.SEMI)
-            return Continue(tok.location)
-        if k is TK.KW_SWITCH:
-            return self._switch_statement()
-        if k is TK.KW_CASE or k is TK.KW_DEFAULT:
-            return self._case_statement()
-        if k is TK.KW_GOTO:
-            raise self._error("goto is not supported by this C subset")
-        if self._starts_type() or k is TK.KW_STATIC:
-            return self._local_declaration()
-        expr = self._expression()
-        self._expect(TK.SEMI)
-        return ExprStmt(tok.location, expr)
+            return ExprStmt(tok.location, expr)
+        finally:
+            self._statement_depth -= 1
 
     def _if_statement(self) -> If:
         tok = self._advance()
@@ -552,7 +585,7 @@ class Parser:
         return Assign(loc, op, left, value)
 
     def _conditional(self) -> Expr:
-        cond = self._binary(0)
+        cond = self._binary()
         if not self._at(TK.QUESTION):
             return cond
         loc = self._advance().location
@@ -561,23 +594,19 @@ class Parser:
         otherwise = self._conditional()
         return Conditional(loc, cond, then, otherwise)
 
-    def _binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._cast_expr()
-        left = self._binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+    def _binary(self, min_precedence: int = 1) -> Expr:
+        """Precedence climbing: a left-associative chain of binary
+        operators binding at least as tightly as ``min_precedence``."""
+        left = self._cast_expr()
+        ops = _BINARY_OPS
         while True:
             tok = self._peek()
-            matched = None
-            for kind, name in ops:
-                if tok.kind is kind:
-                    matched = name
-                    break
-            if matched is None:
+            op = ops.get(tok.kind)
+            if op is None or op[0] < min_precedence:
                 return left
             self._advance()
-            right = self._binary(level + 1)
-            left = Binary(tok.location, matched, left, right)
+            right = self._binary(op[0] + 1)
+            left = Binary(tok.location, op[1], left, right)
 
     def _cast_expr(self) -> Expr:
         if self._at(TK.LPAREN) and self._starts_type(1):
@@ -618,6 +647,7 @@ class Parser:
             k = tok.kind
             if k is TK.LPAREN:
                 self._advance()
+                self._open_bracket(tok)
                 args: List[Expr] = []
                 if not self._at(TK.RPAREN):
                     while True:
@@ -625,11 +655,14 @@ class Parser:
                         if not self._accept(TK.COMMA):
                             break
                 self._expect(TK.RPAREN)
+                self._expression_depth -= 1
                 expr = Call(tok.location, expr, args)
             elif k is TK.LBRACKET:
                 self._advance()
+                self._open_bracket(tok)
                 index = self._expression()
                 self._expect(TK.RBRACKET)
+                self._expression_depth -= 1
                 expr = Index(tok.location, expr, index)
             elif k is TK.DOT:
                 self._advance()
@@ -672,8 +705,10 @@ class Parser:
             return NameRef(tok.location, tok.text)
         if k is TK.LPAREN:
             self._advance()
+            self._open_bracket(tok)
             expr = self._expression()
             self._expect(TK.RPAREN)
+            self._expression_depth -= 1
             return expr
         raise self._error(f"expected an expression, found {tok!r}")
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import Location
 
@@ -133,18 +132,27 @@ PUNCTUATORS = sorted(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` carries the decoded payload for literals (``int`` or ``float``
-    or ``str``) and the spelling for identifiers.
+    or ``str``) and the spelling for identifiers.  A named tuple, because
+    the lexer builds one per token.  Equality still requires both sides
+    to be tokens: one never equals a plain tuple.
     """
 
     kind: TokenKind
     text: str
     location: Location
     value: Optional[Union[int, float, str]] = None
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Token and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:  # compact, for parser error messages
         if self.kind is TokenKind.IDENT:

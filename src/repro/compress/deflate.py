@@ -40,7 +40,7 @@ from .huffman import (
 )
 from .lz77 import MAX_MATCH, WINDOW_SIZE, detokenize_packed, tokenize_packed
 
-__all__ = ["compress", "decompress", "compressed_size"]
+__all__ = ["MIN_BLOCK_BYTES", "compress", "decompress", "compressed_size"]
 
 _END_OF_BLOCK = 256
 
@@ -73,6 +73,14 @@ _DIST_CODES: List[Tuple[int, int, int]] = [
 
 _LITLEN_ALPHABET = 286
 _DIST_ALPHABET = 30
+
+#: Bytes in the smallest block :func:`compress` can write.  Every block
+#: starts with the 32-bit input length and two code-length tables, each a
+#: 32-bit count plus 4 bits per symbol of its alphabet, and holds at least
+#: the end-of-block code (one bit or more).  So a payload this long or
+#: shorter never compresses, and callers can skip the attempt.
+MIN_BLOCK_BYTES = (32 + (32 + 4 * _LITLEN_ALPHABET)
+                   + (32 + 4 * _DIST_ALPHABET) + 1 + 7) // 8
 
 # Direct-index tables.  ``_LEN_SYM_OF[length]`` is the symbol whose base is
 # the largest not exceeding ``length`` — the same answer the original

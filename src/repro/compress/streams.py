@@ -26,7 +26,7 @@ legacy (CRC-less) entries.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits, TruncatedStreamError,
@@ -35,7 +35,7 @@ from ..errors import (
 from . import deflate
 from .bitio import read_uvarint, take_bytes, write_uvarint
 
-__all__ = ["pack_streams", "unpack_streams", "stream_sizes"]
+__all__ = ["pack_streams", "unpack_streams", "stored_streams", "stream_sizes"]
 
 _FLAG_DEFLATE = 1
 _FLAG_CRC32 = 2
@@ -53,7 +53,9 @@ def pack_streams(
     When ``compress`` is true each stream is run through ``codec``
     (``"deflate"`` or the order-1 adaptive arithmetic coder, ``"arith"``)
     unless the compressed form would be larger (tiny streams), in which
-    case it is stored raw — the flag byte records which happened.
+    case it is stored raw — the flag byte records which happened.  A
+    payload no longer than :data:`deflate.MIN_BLOCK_BYTES` is stored raw
+    without trying deflate, which could not make it shorter.
     ``checksums`` appends a CRC32 per stream (4 bytes each) so the
     receiver can detect corruption before decoding.
     """
@@ -64,7 +66,8 @@ def pack_streams(
     for name in sorted(streams):
         payload = streams[name]
         flags = 0
-        if compress:
+        if compress and (codec == "arith"
+                         or len(payload) > deflate.MIN_BLOCK_BYTES):
             if codec == "arith":
                 from . import arith
 
@@ -89,6 +92,44 @@ def pack_streams(
     return bytes(out)
 
 
+def _entries(
+    blob: bytes, limits: ResourceLimits
+) -> Iterator[Tuple[str, int, bytes]]:
+    """Each entry of the container as ``(name, flags, stored payload)``,
+    in order, with its framing, counts and checksum validated as it is
+    reached; nothing is decoded."""
+    count, pos = read_uvarint(blob, 0)
+    limits.check("stream count", count, limits.max_streams)
+    for _ in range(count):
+        name_len, pos = read_uvarint(blob, pos)
+        limits.check("stream name length", name_len, limits.max_name_bytes)
+        raw_name, pos = take_bytes(blob, pos, name_len, "stream name")
+        name = raw_name.decode("utf-8")
+        if pos >= len(blob):
+            raise TruncatedStreamError("truncated stream container")
+        flags = blob[pos]
+        pos += 1
+        if flags & ~(_FLAG_DEFLATE | _FLAG_CRC32 | _FLAG_ARITH):
+            raise CorruptStreamError(
+                f"unknown stream flags {flags:#x} for {name!r}")
+        if (flags & _FLAG_DEFLATE) and (flags & _FLAG_ARITH):
+            raise CorruptStreamError(
+                f"stream {name!r} claims two codecs at once")
+        crc = None
+        if flags & _FLAG_CRC32:
+            crc_raw, pos = take_bytes(blob, pos, 4, "stream checksum")
+            crc = int.from_bytes(crc_raw, "little")
+        payload_len, pos = read_uvarint(blob, pos)
+        limits.check("stream payload", payload_len,
+                     limits.max_decoded_bytes)
+        payload, pos = take_bytes(blob, pos, payload_len,
+                                  f"stream {name!r} payload")
+        if crc is not None and zlib.crc32(payload) != crc:
+            raise CorruptStreamError(
+                f"stream {name!r} failed its CRC32 check")
+        yield name, flags, payload
+
+
 def unpack_streams(
     blob: bytes, limits: Optional[ResourceLimits] = None
 ) -> Dict[str, bytes]:
@@ -101,35 +142,7 @@ def unpack_streams(
     with decode_guard("stream container"):
         streams: Dict[str, bytes] = {}
         decoded_total = 0
-        count, pos = read_uvarint(blob, 0)
-        limits.check("stream count", count, limits.max_streams)
-        for _ in range(count):
-            name_len, pos = read_uvarint(blob, pos)
-            limits.check("stream name length", name_len, limits.max_name_bytes)
-            raw_name, pos = take_bytes(blob, pos, name_len, "stream name")
-            name = raw_name.decode("utf-8")
-            if pos >= len(blob):
-                raise TruncatedStreamError("truncated stream container")
-            flags = blob[pos]
-            pos += 1
-            if flags & ~(_FLAG_DEFLATE | _FLAG_CRC32 | _FLAG_ARITH):
-                raise CorruptStreamError(
-                    f"unknown stream flags {flags:#x} for {name!r}")
-            if (flags & _FLAG_DEFLATE) and (flags & _FLAG_ARITH):
-                raise CorruptStreamError(
-                    f"stream {name!r} claims two codecs at once")
-            crc = None
-            if flags & _FLAG_CRC32:
-                crc_raw, pos = take_bytes(blob, pos, 4, "stream checksum")
-                crc = int.from_bytes(crc_raw, "little")
-            payload_len, pos = read_uvarint(blob, pos)
-            limits.check("stream payload", payload_len,
-                         limits.max_decoded_bytes)
-            payload, pos = take_bytes(blob, pos, payload_len,
-                                      f"stream {name!r} payload")
-            if crc is not None and zlib.crc32(payload) != crc:
-                raise CorruptStreamError(
-                    f"stream {name!r} failed its CRC32 check")
+        for name, flags, payload in _entries(blob, limits):
             if flags & _FLAG_DEFLATE:
                 payload = deflate.decompress(payload, limits=limits)
             elif flags & _FLAG_ARITH:
@@ -148,6 +161,25 @@ def unpack_streams(
                 raise CorruptStreamError(f"duplicate stream {name!r}")
             streams[name] = payload
         return streams
+
+
+def stored_streams(
+    blob: bytes, limits: Optional[ResourceLimits] = None
+) -> Dict[str, bytes]:
+    """Each stream's payload as the container stores it (compressed or
+    raw), validated like :func:`unpack_streams` but not decoded.
+
+    Framing these with ``pack_streams(..., compress=False)`` and the same
+    ``checksums`` gives the container's size, compressing nothing again.
+    """
+    limits = limits or DEFAULT_LIMITS
+    with decode_guard("stream container"):
+        stored: Dict[str, bytes] = {}
+        for name, _, payload in _entries(blob, limits):
+            if name in stored:
+                raise CorruptStreamError(f"duplicate stream {name!r}")
+            stored[name] = payload
+        return stored
 
 
 def stream_sizes(streams: Mapping[str, bytes]) -> Dict[str, Tuple[int, int]]:

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..cfront import compile_to_ast
 from ..codegen import generate_program
 from ..compress import deflate
-from ..compress.streams import pack_streams, unpack_streams
+from ..compress.streams import pack_streams, stored_streams, unpack_streams
 from ..ir import lower_unit
 from ..vm.encode import encode_function
 from ..vm.instr import VMProgram
@@ -145,12 +145,14 @@ class WireStage(Stage):
             }
         blob = encode_module(value, compress=config.wire_compress,
                              codec=config.wire_codec)
-        streams = unpack_streams(blob[4:])
-        code_streams = {k: v for k, v in streams.items()
+        container = blob[4:]
+        # Read the blob back: every CRC checked, every stream decoded.
+        streams = unpack_streams(container)
+        # The code size frames the code streams' payloads as the blob
+        # stores them, without CRCs; nothing is compressed twice.
+        code_streams = {k: v for k, v in stored_streams(container).items()
                         if k not in ("meta", "symtab")}
-        code_size = 4 + len(pack_streams(code_streams,
-                                         compress=config.wire_compress,
-                                         codec=config.wire_codec))
+        code_size = 4 + len(pack_streams(code_streams, compress=False))
         return blob, len(blob), {"code_size": code_size,
                                  "streams": len(streams)}
 

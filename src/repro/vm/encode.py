@@ -31,7 +31,7 @@ from .isa import MNEMONIC, Operand, SPEC
 
 __all__ = [
     "encode_instr", "decode_instr", "encode_function", "decode_function",
-    "program_size", "encoded_opcodes",
+    "program_size", "encoded_opcodes", "instr_size",
 ]
 
 # Opcode assignment: walk the mnemonic list; immediate-carrying mnemonics
@@ -52,6 +52,22 @@ if len(_DECODE) > 256:  # pragma: no cover - static property of the ISA
 
 _IMM_SIZES = (1, 2, 4)
 
+# Encoded size of each mnemonic apart from its integer immediate (the
+# opcode byte, the register nibbles, and the fixed-width payloads), and
+# the operand index of the immediate for the mnemonics that carry one.
+_PAYLOAD_BYTES = {Operand.DIMM: 8, Operand.LABEL: 2, Operand.SYM: 2}
+_FIXED_SIZE: Dict[str, int] = {}
+_IMM_INDEX: Dict[str, int] = {}
+for _name in MNEMONIC:
+    _sig = SPEC[_name].signature
+    _regs = sum(1 for _k in _sig if _k in (Operand.REG, Operand.FREG))
+    _FIXED_SIZE[_name] = (1 + (_regs + 1) // 2
+                          + sum(_PAYLOAD_BYTES.get(_k, 0) for _k in _sig))
+    if Operand.IMM in _sig:
+        if _sig.count(Operand.IMM) != 1:  # pragma: no cover - static ISA
+            raise AssertionError(f"{_name} has more than one immediate")
+        _IMM_INDEX[_name] = _sig.index(Operand.IMM)
+
 
 def _imm_width(value: int) -> int:
     """Width code (0/1/2) of the smallest signed field holding ``value``."""
@@ -60,6 +76,14 @@ def _imm_width(value: int) -> int:
     if -32768 <= value < 32768:
         return 1
     return 2
+
+
+def instr_size(instr: Instr) -> int:
+    """``len(encode_instr(instr))``, from the size table, without encoding."""
+    at = _IMM_INDEX.get(instr.name)
+    if at is None:
+        return _FIXED_SIZE[instr.name]
+    return _FIXED_SIZE[instr.name] + _IMM_SIZES[_imm_width(instr.operands[at])]
 
 
 def encode_instr(
@@ -166,23 +190,20 @@ def encode_function(
 ) -> bytes:
     """Encode a function body, resolving its labels to byte offsets.
 
-    Label resolution iterates to a fixed point because immediate widths
-    cannot change with label values (labels are fixed 2 bytes), so a single
-    sizing pass suffices.
+    Immediate widths cannot change with label values (labels are fixed
+    2 bytes), so one sizing pass over the size table places every label,
+    and each instruction is then encoded once.
     """
     offsets: Dict[str, int] = {}
-    # Sizing pass: labels encode as 2 bytes regardless of value.
     pos = 0
     index_to_offset: List[int] = []
     for instr in fn.code:
         index_to_offset.append(pos)
-        pos += len(encode_instr(instr))
+        pos += instr_size(instr)
     for label, index in fn.labels.items():
         offsets[label] = index_to_offset[index] if index < len(index_to_offset) else pos
-    out = bytearray()
-    for instr in fn.code:
-        out += encode_instr(instr, offsets, symbol_ids)
-    return bytes(out)
+    return b"".join([encode_instr(instr, offsets, symbol_ids)
+                     for instr in fn.code])
 
 
 def decode_function(data: bytes, name: str = "fn") -> VMFunction:
@@ -217,8 +238,10 @@ def encoded_opcodes() -> int:
 
 def program_size(program: VMProgram) -> int:
     """Total encoded code size of a program in bytes (code segments only,
-    matching the paper's 'we compress only code segments')."""
-    symbol_ids = {fn.name: i for i, fn in enumerate(program.functions)}
-    for g in program.globals:
-        symbol_ids.setdefault(g.name, len(symbol_ids))
-    return sum(len(encode_function(fn, symbol_ids)) for fn in program.functions)
+    matching the paper's 'we compress only code segments').
+
+    Sizes come from the size table: label and symbol operands are a
+    fixed 2 bytes whatever they resolve to, so nothing is encoded.
+    """
+    return sum(instr_size(instr) for fn in program.functions
+               for instr in fn.code)

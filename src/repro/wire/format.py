@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..compress import huffman
 from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
 from ..compress.mtf import mtf_decode, mtf_encode
-from ..compress.streams import pack_streams, unpack_streams
+from ..compress.streams import pack_streams, stored_streams, unpack_streams
 from ..container.chunking import (
     DEFAULT_CHUNK_BYTES, ChunkRecord, ContainerIndex, chunk_payload,
     pack_chunks, read_header, read_index, read_span, write_container,
@@ -587,10 +587,10 @@ def wire_size(module: IRModule, code_only: bool = False) -> int:
     blob = encode_module(module)
     if not code_only:
         return len(blob)
-    streams = unpack_streams(blob[4:])
+    stored = stored_streams(blob[4:])
     without_meta = pack_streams(
-        {k: v for k, v in streams.items() if k not in ("meta", "symtab")},
-        checksums=True)
+        {k: v for k, v in stored.items() if k not in ("meta", "symtab")},
+        compress=False, checksums=True)
     return 4 + len(without_meta)
 
 

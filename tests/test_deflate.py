@@ -67,3 +67,13 @@ class TestErrors:
     def test_compressed_size_helper(self):
         data = b"zzzz" * 100
         assert deflate.compressed_size(data) == len(deflate.compress(data))
+
+
+def test_min_block_bytes_is_the_empty_block():
+    """The bound pack_streams skips below is tight: the empty input's
+    block is exactly that long, and no block is shorter."""
+    assert len(deflate.compress(b"")) == deflate.MIN_BLOCK_BYTES == 171
+    rng = random.Random(5)
+    for n in (1, 2, 50, 171, 172, 400):
+        data = bytes(rng.randrange(4) for _ in range(n))
+        assert len(deflate.compress(data)) >= deflate.MIN_BLOCK_BYTES

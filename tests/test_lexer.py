@@ -1,10 +1,18 @@
 """C lexer tests."""
 
+import random
+
 import pytest
 
 from repro.cfront.errors import CompileError
 from repro.cfront.lexer import tokenize
+from repro.cfront.parser import parse
 from repro.cfront.tokens import TokenKind as TK
+from repro.corpus import generate_program_source, suite_source
+from repro.corpus.samples import get_sample, sample_names
+from repro.pipeline import Toolchain
+
+from .reference_lexer import reference_tokenize
 
 
 def kinds(src):
@@ -172,3 +180,139 @@ class TestEndOfInput:
         toks = tokenize("1e")
         assert toks[0].value == 1
         assert toks[1].kind is TK.IDENT
+
+
+class TestCDigits:
+    """C's digits are 0-9 (C99 6.4.4.1); other Unicode digits are not."""
+
+    @pytest.mark.parametrize("ch", ["²", "٣"], ids=["sup2", "arabic3"])
+    def test_unicode_digit_is_an_unexpected_character(self, ch):
+        with pytest.raises(CompileError) as exc_info:
+            tokenize(f"int x = {ch};")
+        assert str(exc_info.value) == f"<input>:1:9: unexpected character {ch!r}"
+
+    def test_unicode_digit_after_a_number(self):
+        with pytest.raises(CompileError, match=r"1:2: unexpected character"):
+            tokenize("1²")
+
+    def test_unicode_digit_continues_an_identifier(self):
+        # Identifier characters are str.isalnum(), as before.
+        assert values("x²") == ["x²"]
+
+    def test_octal_escapes_take_octal_digits_only(self):
+        with pytest.raises(CompileError, match=r"1:3: unknown escape sequence \\8"):
+            tokenize(r"'\8'")
+        with pytest.raises(CompileError, match="exactly one character"):
+            tokenize(r"'\18'")
+        assert values(r'"\18"') == ["\x018"]
+
+    def test_compile_reports_a_compile_error(self):
+        with pytest.raises(CompileError, match="unexpected character"):
+            Toolchain().compile("int main(void){ int x = ²; return 0; }")
+
+
+class TestCharLiteralText:
+    def test_text_is_the_spelling(self):
+        toks = tokenize(r"'a' '\n' '\x41' '''")
+        assert [t.text for t in toks[:-1]] == ["'a'", r"'\n'", r"'\x41'", "'''"]
+
+    def test_parser_message_shows_the_literal(self):
+        with pytest.raises(CompileError) as exc_info:
+            parse("int x = 1 'a';")
+        assert str(exc_info.value) == (
+            "<input>:1:11: expected ';', found character literal \"'a'\"")
+
+
+class TestLocations:
+    def test_concatenated_string_spans_lines(self):
+        toks = tokenize('"a" /* \n */\n "b" x\ny')
+        assert [(t.location.line, t.location.column) for t in toks] == [
+            (1, 1), (3, 6), (4, 1), (4, 2)]
+
+    def test_error_columns(self):
+        cases = {
+            "  0x;": "1:5: hexadecimal literal needs digits",
+            "\n 09;": "2:4: invalid octal literal '09'",
+            'x "ab\\x"': "1:8: \\x needs hex digits",
+            'x "ab\ncd"': "1:6: unterminated string literal",
+            "'ab'": "1:3: character literal must hold exactly one character",
+            "x\n'": "2:2: unterminated character literal",
+            "a /* b": "1:3: unterminated block comment",
+            "a $": "1:3: unexpected character '$'",
+        }
+        for source, message in cases.items():
+            with pytest.raises(CompileError) as exc_info:
+                tokenize(source)
+            assert str(exc_info.value) == f"<input>:{message}", source
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the reference lexer, and a cfront mutation fuzz
+# ---------------------------------------------------------------------------
+
+#: Spliced into sources by the fuzz: quotes, escapes, comment openers and
+#: closers, number prefixes, and non-ASCII digit and letter characters.
+MUTATION_ALPHABET = ("'", '"', "\\", "/*", "*/", "//", "0x", "1e", ".",
+                     "²", "é")
+
+
+def corpus_units():
+    units = [get_sample(name) for name in sample_names()]
+    units += [suite_source(name) for name in ("wc", "lcc", "gcc")]
+    units += [generate_program_source(functions=6, seed=seed)
+              for seed in range(20)]
+    return units
+
+
+def mutations(seed, count, units, window=1500):
+    """``count`` seeded mutations of ``units`` (of a ``window``-character
+    slice of a longer unit): deletions, duplications and insertions from
+    the alphabet above."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        source = rng.choice(units)
+        lo = rng.randrange(max(1, len(source) - window))
+        source = source[lo:lo + window]
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(source) + 1)
+            roll = rng.random()
+            if roll < 0.3:
+                source = source[:at] + source[at + rng.randint(1, 4):]
+            elif roll < 0.5:
+                end = min(len(source), at + rng.randint(1, 8))
+                source = source[:end] + source[at:end] + source[end:]
+            else:
+                source = source[:at] + rng.choice(MUTATION_ALPHABET) + source[at:]
+        yield source
+
+
+def lex_outcome(lex, source):
+    try:
+        return lex(source, "unit.c")
+    except CompileError as exc:
+        return str(exc)
+
+
+class TestAgainstReference:
+    def test_corpus_tokens_equal(self):
+        for source in corpus_units():
+            assert tokenize(source) == reference_tokenize(source)
+
+    def test_mutated_sources_lex_alike(self):
+        for source in mutations(seed=19, count=300, units=corpus_units()):
+            assert lex_outcome(tokenize, source) == \
+                lex_outcome(reference_tokenize, source), repr(source)
+
+    def test_mutated_sources_compile_or_raise_compile_error(self):
+        # Whole units, so that many mutations still compile.
+        units = [source for source in corpus_units() if len(source) < 5000]
+        tc = Toolchain()
+        compiled = 0
+        for i, source in enumerate(mutations(seed=23, count=120, units=units,
+                                             window=5000)):
+            try:
+                tc.compile(source, name=f"m{i}", stages=("codegen", "wire"))
+                compiled += 1
+            except CompileError:
+                pass
+        assert compiled >= 10

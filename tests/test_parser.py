@@ -211,6 +211,64 @@ class TestExpressions:
         with pytest.raises(CompileError):
             parse_expr("1 +")
 
+    def test_binary_operators_associate_left(self):
+        e = parse_expr("a - b + c")
+        assert e.op == "+" and e.left.op == "-"
+        e = parse_expr("a * b + c * d - e || f")
+        assert e.op == "||" and e.left.op == "-"
+        assert e.left.left.op == "+"
+        assert e.left.left.left.op == "*" and e.left.left.right.op == "*"
+
+    def test_binary_node_sits_at_its_operator(self):
+        e = parse_expr("a + b * c")
+        # "int f(void) { return a + b * c; }": '+' at column 24, '*' at 28.
+        assert e.location.column == 24 and e.right.location.column == 28
+
+
+def parse_on_fresh_stack(source):
+    """``parse`` on a new thread, so the test runner's frames do not count
+    against the recursion limit."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(parse, source).result()
+
+
+class TestNestingLimits:
+    """Past C99's 63 parenthesised levels, or 400 nested statements, the
+    parser stops at the token that crosses the limit."""
+
+    @pytest.mark.parametrize("opener", ["(", "f(", "a["])
+    def test_expression_nesting(self, opener):
+        closer = {"(": ")", "f(": ")", "a[": "]"}[opener]
+
+        def source(depth):
+            return (f"int a[2]; int f(int x) {{ return {opener * depth}0"
+                    f"{closer * depth}; }}")
+
+        parse_on_fresh_stack(source(63))
+        with pytest.raises(CompileError, match="nests too deeply") as exc_info:
+            parse_on_fresh_stack(source(64))
+        text = source(64)
+        crossing = text.index(opener * 64) + len(opener) * 64 - 1
+        assert exc_info.value.location.line == 1
+        assert exc_info.value.location.column == crossing + 1
+
+    def test_statement_nesting(self):
+        def source(depth):
+            return f"void f(void) {{\n{'{' * depth}{'}' * depth}\n}}"
+
+        parse_on_fresh_stack(source(400))
+        with pytest.raises(CompileError, match="nests too deeply") as exc_info:
+            parse_on_fresh_stack(source(401))
+        assert (exc_info.value.location.line,
+                exc_info.value.location.column) == (2, 401)
+
+    def test_else_if_arms_nest(self):
+        arms = " else ".join(f"if (x == {i}) x = 0;" for i in range(400))
+        with pytest.raises(CompileError, match="nests too deeply"):
+            parse_on_fresh_stack(f"void f(int x) {{ {arms} }}")
+
 
 class TestStatements:
     def test_if_else_binds_to_nearest(self):

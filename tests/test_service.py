@@ -49,7 +49,11 @@ int main(void) { print_int(sq(7)); putchar('\\n'); return 0; }
 
 BAD = "int main(void) { return undeclared; }"
 
-TOO_DEEP = "int main(void) { return " + "(" * 54 + "1" + ")" * 54 + "; }"
+#: A superscript two is a Unicode digit but not a C one.
+NOT_A_DIGIT = "int main(void) { int x = \u00b2; return 0; }"
+
+#: Nested one level past the parser's limit on parenthesised expressions.
+TOO_DEEP = "int main(void) { return " + "(" * 64 + "1" + ")" * 64 + "; }"
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -221,7 +225,7 @@ def test_wire_blob_round_trips_through_verify():
 def test_compile_error_is_structured_compile_taxonomy():
     with make_service() as bg:
         with ServiceClient(port=bg.port, timeout=10.0) as client:
-            # An undeclared name, and nesting past the parser's recursion.
+            # An undeclared name, and nesting past the parser's limit.
             for name, source in (("bad.c", BAD), ("deep.c", TOO_DEEP)):
                 with pytest.raises(RemoteServiceError) as exc_info:
                     client.compile(source, name=name)
@@ -229,6 +233,17 @@ def test_compile_error_is_structured_compile_taxonomy():
                 assert exc_info.value.taxonomy == "compile"
                 assert not exc_info.value.retryable
                 assert client.ping() == {"pong": True}  # connection survives
+
+
+def test_non_c_digit_is_a_compile_error():
+    """A Unicode digit used to leak a raw ValueError from the lexer."""
+    with make_service() as bg:
+        with ServiceClient(port=bg.port, timeout=10.0) as client:
+            with pytest.raises(RemoteServiceError) as exc_info:
+                client.compile(NOT_A_DIGIT, name="digit.c")
+            assert exc_info.value.error_type == "CompileError"
+            assert "digit.c:1:26: unexpected character" in str(exc_info.value)
+            assert client.ping() == {"pong": True}
 
 
 @pytest.mark.parametrize("op", ["frobnicate", "cache_peek", "cache_pull"])

@@ -1,9 +1,13 @@
 """Multi-stream container tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress.streams import pack_streams, stream_sizes, unpack_streams
+from repro.compress.streams import (
+    pack_streams, stored_streams, stream_sizes, unpack_streams,
+)
 from repro.errors import (
     CorruptStreamError, DecodeError, ResourceLimitError, ResourceLimits,
 )
@@ -181,3 +185,80 @@ def test_arith_declared_length_is_bounded_before_decode():
     with pytest.raises(ResourceLimitError):
         unpack_streams(bytes(blob),
                        limits=ResourceLimits(max_decoded_bytes=100))
+
+
+# ---------------------------------------------------------------------------
+# Skipping deflate where it cannot win, and stored payloads
+# ---------------------------------------------------------------------------
+
+
+def _seeded_streams(seed):
+    """Streams of 0-400 bytes, some repetitive enough to compress."""
+    rng = random.Random(seed)
+    streams = {}
+    for i in range(12):
+        n = rng.randrange(401)
+        if rng.random() < 0.5:
+            data = bytes(rng.randrange(3) for _ in range(n))
+        else:
+            data = bytes(rng.randrange(256) for _ in range(n))
+        streams[f"s{i}"] = data
+    return streams
+
+
+@pytest.mark.parametrize("checksums", [False, True])
+def test_skip_equals_always_compress(monkeypatch, checksums):
+    from repro.compress import deflate
+
+    for seed in range(10):
+        streams = _seeded_streams(seed)
+        skipped = pack_streams(streams, checksums=checksums)
+        with monkeypatch.context() as patch:
+            # The reference: try deflate on every stream, however short.
+            patch.setattr(deflate, "MIN_BLOCK_BYTES", -1)
+            always = pack_streams(streams, checksums=checksums)
+        assert skipped == always
+    assert any(len(deflate.compress(data)) < len(data)
+               for data in _seeded_streams(0).values())
+
+
+def test_short_payloads_never_reach_deflate(monkeypatch):
+    from repro.compress import deflate
+
+    calls = []
+    real = deflate.compress
+    monkeypatch.setattr(deflate, "compress",
+                        lambda data: calls.append(len(data)) or real(data))
+    streams = _seeded_streams(3)
+    pack_streams(streams)
+    assert sorted(calls) == sorted(
+        len(data) for data in streams.values()
+        if len(data) > deflate.MIN_BLOCK_BYTES)
+
+
+def test_stored_streams_frame_to_the_container_size():
+    streams = _seeded_streams(4)
+    blob = pack_streams(streams, checksums=True)
+    stored = stored_streams(blob)
+    assert len(pack_streams(stored, compress=False, checksums=True)) == \
+        len(blob)
+    assert unpack_streams(blob) == streams
+
+
+def test_wire_compile_deflates_each_long_stream_once(monkeypatch):
+    """A wire-only compile runs deflate once per stream that is longer
+    than the smallest deflate block, and on nothing else."""
+    from repro.compress import deflate
+    from repro.corpus import suite_source
+    from repro.pipeline import Toolchain
+
+    calls = []
+    real = deflate.compress
+    monkeypatch.setattr(deflate, "compress",
+                        lambda data: calls.append(len(data)) or real(data))
+    res = Toolchain().compile(suite_source("wc"), name="wc", stages=("wire",))
+    streams = unpack_streams(res.wire_blob[4:])
+    long_streams = [len(data) for data in streams.values()
+                    if len(data) > deflate.MIN_BLOCK_BYTES]
+    assert sorted(calls) == sorted(long_streams)
+    assert len(long_streams) < len(streams)

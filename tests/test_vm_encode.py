@@ -122,3 +122,64 @@ def test_encode_deterministic():
     fn.emit(Instr("li", (2, 77)))
     fn.emit(Instr("mov.i", (0, 2)))
     assert encode_function(fn) == encode_function(fn)
+
+
+# ---------------------------------------------------------------------------
+# The size table: sizes without encoding, and one encode per instruction
+# ---------------------------------------------------------------------------
+
+#: One operand value per kind; integer immediates per width code.
+_OPERAND = {Operand.REG: 5, Operand.FREG: 3, Operand.DIMM: -0.5,
+            Operand.LABEL: "L", Operand.SYM: "f"}
+_IMM_BY_WIDTH = ((0, -128, 127), (128, -32768, 32767),
+                 (32768, -2**31, 2**31 - 1))
+
+
+def test_instr_size_matches_encoding_for_every_mnemonic_and_width():
+    from repro.vm.encode import instr_size
+
+    for name in MNEMONIC:
+        signature = SPEC[name].signature
+        widths = _IMM_BY_WIDTH if Operand.IMM in signature else ((None,),)
+        for values in widths:
+            for imm in values:
+                instr = Instr(name, tuple(
+                    imm if kind is Operand.IMM else _OPERAND[kind]
+                    for kind in signature))
+                assert instr_size(instr) == len(encode_instr(instr)), instr
+
+
+def _sample_program():
+    from repro.corpus import suite_source
+    from repro.pipeline import Toolchain
+
+    return Toolchain().compile(suite_source("wc"), name="wc",
+                               stages=("codegen",)).program
+
+
+def test_program_size_encodes_nothing(monkeypatch):
+    from repro.vm import encode, program_size
+
+    program = _sample_program()
+    calls = []
+    real = encode.encode_instr
+    monkeypatch.setattr(encode, "encode_instr",
+                        lambda *args: calls.append(1) or real(*args))
+    size = program_size(program)
+    assert calls == []
+    monkeypatch.undo()
+    assert size == sum(len(encode_function(fn)) for fn in program.functions)
+
+
+def test_encode_function_encodes_each_instruction_once(monkeypatch):
+    from repro.vm import encode
+
+    program = _sample_program()
+    calls = []
+    real = encode.encode_instr
+    monkeypatch.setattr(encode, "encode_instr",
+                        lambda *args: calls.append(1) or real(*args))
+    for fn in program.functions:
+        del calls[:]
+        encode_function(fn)
+        assert len(calls) == len(fn.code)
