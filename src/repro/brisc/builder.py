@@ -14,10 +14,9 @@ The paper's algorithm:
 5. stop after a pass yielding fewer than ``K`` candidates with positive B.
 
 **Incremental rescanning** (``prune=True``, the default) keeps the output
-byte-identical: the builder keeps each function's candidate→savings
-contribution from the previous pass and, because savings merge by
-addition, only re-scans functions whose slots the rewrite step actually
-changed — subtracting the stale contribution and adding the fresh one
+byte-identical: savings merge by addition, so the builder re-scans only
+the functions whose slots the rewrite step actually changed and applies
+the difference between their old and new contributions, which
 reproduces exactly the map a full rescan would build.  Candidates whose
 running savings total fell to (or below) their admission floor
 ``dictionary_size() + W`` are dropped from the live heap-candidate set on
@@ -26,11 +25,16 @@ per pattern, so liveness is an exact predicate, not a heuristic bound.
 W is priced only for a candidate whose savings pass its dictionary
 bytes: W ≥ 0, so no other candidate can clear its floor.
 
-**Interning by part ids.** Each distinct :class:`InsnPattern` gets a
-small part id, and each candidate a dense id (cid) keyed by its tuple of
-part ids, so the scan prices and interns combinations with integer
-arithmetic and int-tuple lookups; a candidate's ``DictPattern`` is built
-once, when it is first seen.
+**Small integers.** Each distinct :class:`InsnPattern` gets a part id,
+each candidate a dense id (cid) keyed by its tuple of part ids, each
+instruction an id from a sign-exact key, and each slot content (its
+pattern's cid plus its instruction ids) a slot id.  The scan's memo
+tables are keyed by those ids: a slot's specialization row by its slot
+id, a combination row by the pair of slot ids.  A function's savings are
+the sum of its rows, so it is kept as the list of its row keys, and a
+rescan expands only the rows that changed.  A candidate is recorded as
+its key and dictionary bytes; its ``DictPattern`` is built when W is
+priced, the heap breaks a tie, or it is admitted.
 
 The returned :class:`BuildResult` carries the final slot program, the
 dictionary in admission order, per-pass statistics, and the counters the
@@ -40,34 +44,59 @@ paper reports (candidates tested, dictionary size).
 from __future__ import annotations
 
 import heapq
+import struct
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import (
-    Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
-from ..compress.bitio import uvarint
 from ..vm.instr import Instr, VMProgram
+from ..vm.isa import SPEC, Operand
 from .cost import CostModel
 from .pattern import (
     _BYTE_SIZES, _NIBBLE_CLASSES, DictPattern, InsnPattern, Wildcard,
 )
 from .slots import Slot, SlotFunction, SlotProgram, build_slots
 
-__all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary",
-           "prepare_rewrite", "rewrite_function"]
+__all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary"]
 
 _MAX_PARTS = 4
 
-#: A part's price: wildcard nibbles, whole operand bytes, and whether
-#: the part transfers control.
-_PartPrice = Tuple[int, int, bool]
+#: A part's price: wildcard nibbles, whole operand bytes, whether the
+#: part transfers control, and its serialized size in a dictionary entry.
+_PartPrice = Tuple[int, int, bool, int]
+
+#: An augmented-set entry: the candidate's key, its nibbles and whole
+#: operand bytes, its encoded size, whether any part transfers control,
+#: and whether a part before the last one does.
+_Priced = Tuple[Tuple[int, ...], int, int, int, bool, bool]
+
+#: A function's row key: a slot id for the slot's specialization row, a
+#: pair of slot ids for the combination row of two adjacent slots.
+_RowKey = Union[int, Tuple[int, int]]
+
+#: The double-immediate operand's position, per mnemonic that has one.
+_DIMM_AT = {name: spec.signature.index(Operand.DIMM)
+            for name, spec in SPEC.items()
+            if Operand.DIMM in spec.signature}
+
+
+def _instr_key(instr: Instr) -> tuple:
+    """A key two instructions share exactly when they encode to the same
+    bytes: ``Instr`` equality equates ``-0.0`` with ``0.0``, so a double
+    immediate is keyed by its IEEE-754 bytes."""
+    operands = instr.operands
+    at = _DIMM_AT.get(instr.name)
+    if at is not None:
+        operands = (operands[:at] + (struct.pack("<d", operands[at]),)
+                    + operands[at + 1:])
+    return (instr.name,) + operands
 
 
 def _part_price(part: InsnPattern) -> _PartPrice:
     """The part's wildcard nibbles and whole operand bytes (counted as
-    :meth:`DictPattern.operand_layout` counts them) and whether it
-    transfers control."""
+    :meth:`DictPattern.operand_layout` counts them), whether it transfers
+    control, and its :meth:`InsnPattern.serialized_size`."""
     nibbles = whole = 0
     for f in part.fields:
         if isinstance(f, Wildcard):
@@ -78,7 +107,7 @@ def _part_price(part: InsnPattern) -> _PartPrice:
     # is_control_ok() rejects exactly the patterns with a control part
     # before their last one.
     control = not DictPattern((part, part)).is_control_ok()
-    return nibbles, whole, control
+    return nibbles, whole, control, part.serialized_size()
 
 
 class _InternState:
@@ -87,43 +116,46 @@ class _InternState:
     Parts: ``part_ids`` gives each distinct :class:`InsnPattern` a small
     id; ``parts`` holds the part object per id and ``part_price`` its
     :func:`_part_price`.  Candidates: ``cids`` maps a candidate's tuple
-    of part ids (its *key*) to its dense id (cid); ``patterns`` holds its
-    ``DictPattern``, built on first sight; ``dict_bytes`` its
-    dictionary-entry bytes (the part-count uvarint plus each part's
-    serialized size, as :meth:`DictPattern.dictionary_size` counts them);
-    ``floors`` the admission floors priced so far.
+    of part ids (its *key*) to its dense id (cid) and ``keys`` holds the
+    key per cid; ``dict_bytes`` its dictionary-entry bytes (the
+    part-count uvarint plus each part's serialized size, as
+    :meth:`DictPattern.dictionary_size` counts them); ``floors`` the
+    admission floors priced so far; ``patterns`` the ``DictPattern``
+    objects built so far (see :meth:`pattern`).
 
     Everything is append-only, so a build journal shares this state with
     every replay of it without disturbing an assigned id.
     """
 
-    __slots__ = ("part_ids", "parts", "part_price", "cids", "patterns",
-                 "dict_bytes", "floors")
+    __slots__ = ("part_ids", "parts", "part_price", "cids", "keys",
+                 "dict_bytes", "floors", "patterns")
 
     def __init__(self) -> None:
         self.part_ids: Dict[InsnPattern, int] = {}
         self.parts: List[InsnPattern] = []
         self.part_price: List[_PartPrice] = []
         self.cids: Dict[Tuple[int, ...], int] = {}
-        self.patterns: List[DictPattern] = []
+        self.keys: List[Tuple[int, ...]] = []
         self.dict_bytes: List[int] = []
         self.floors: Dict[int, int] = {}
+        self.patterns: Dict[int, DictPattern] = {}
 
-    # A pickled journal carries only the patterns, the parts and the
+    # A pickled journal carries the parts, the candidate keys and the
     # floors priced so far (the maps would grow it by over a third); the
     # rest is rebuilt from them in the same order, so every id comes
-    # back unchanged.
-    def __getstate__(self) -> tuple:
-        return self.patterns, self.parts, self.floors
+    # back unchanged.  Any other state layout fails to unpickle, which
+    # the disk cache treats as a miss.
+    def __getstate__(self) -> dict:
+        return {"parts": self.parts, "keys": self.keys,
+                "floors": self.floors}
 
-    def __setstate__(self, state: tuple) -> None:
-        patterns, parts, floors = state
+    def __setstate__(self, state: dict) -> None:
         self.__init__()
-        for part in parts:
+        for part in state["parts"]:
             self.part_id(part)
-        for pattern in patterns:
-            self.intern_pattern(pattern)
-        self.floors = floors
+        for key in state["keys"]:
+            self.intern(key)
+        self.floors = state["floors"]
 
     def part_id(self, part: InsnPattern) -> int:
         """The part's id, assigning one on first sight."""
@@ -135,29 +167,36 @@ class _InternState:
             self.part_price.append(_part_price(part))
         return pid
 
-    def intern(self, key: Tuple[int, ...],
-               pattern: Optional[DictPattern] = None) -> int:
+    def intern(self, key: Tuple[int, ...]) -> int:
         """The cid of the candidate whose part ids are ``key``, assigning
-        one on first sight (and building its pattern unless given)."""
+        one on first sight."""
         cid = self.cids.get(key)
         if cid is None:
-            parts = self.parts
-            if pattern is None:
-                pattern = DictPattern(tuple([parts[p] for p in key]))
-            size = len(uvarint(len(key)))
-            for p in key:
-                size += parts[p].serialized_size()
-            cid = len(self.patterns)
+            cid = len(self.keys)
             self.cids[key] = cid
-            self.patterns.append(pattern)
-            self.dict_bytes.append(size)
+            self.keys.append(key)
+            price = self.part_price
+            # The part-count uvarint is one byte below 128 parts.
+            self.dict_bytes.append(1 + sum([price[p][3] for p in key]))
         return cid
 
     def intern_pattern(self, pattern: DictPattern) -> int:
-        """The cid of an existing pattern (a slot's base pattern)."""
+        """The cid of an existing pattern (a slot's base pattern); the
+        first object seen for a cid becomes the one :meth:`pattern`
+        returns."""
         part_id = self.part_id
-        return self.intern(tuple([part_id(p) for p in pattern.parts]),
-                           pattern)
+        cid = self.intern(tuple([part_id(p) for p in pattern.parts]))
+        self.patterns.setdefault(cid, pattern)
+        return cid
+
+    def pattern(self, cid: int) -> DictPattern:
+        """The candidate's ``DictPattern``, built on first use."""
+        pattern = self.patterns.get(cid)
+        if pattern is None:
+            parts = self.parts
+            pattern = DictPattern(tuple([parts[p] for p in self.keys[cid]]))
+            self.patterns[cid] = pattern
+        return pattern
 
     def floor(self, cid: int, cost: CostModel) -> int:
         """The admission floor: savings must exceed the candidate's
@@ -166,7 +205,7 @@ class _InternState:
         floor = self.floors.get(cid)
         if floor is None:
             floor = (self.dict_bytes[cid]
-                     + cost.working_set_cost(self.patterns[cid]))
+                     + cost.working_set_cost(self.pattern(cid)))
             self.floors[cid] = floor
         return floor
 
@@ -181,56 +220,361 @@ class _InternState:
                 and savings > self.floor(cid, cost))
 
 
-class _Priced(NamedTuple):
-    """One augmented-set entry, priced when its set is built."""
-
-    key: Tuple[int, ...]
-    nibbles: int
-    whole: int
-    size: int
-    any_control: bool
-    control_before_last: bool
-
-
 def _priced(key: Tuple[int, ...], part_price: List[_PartPrice]) -> _Priced:
     nibbles = whole = 0
     controls = []
     for pid in key:
-        n, w, control = part_price[pid]
+        n, w, control, _ = part_price[pid]
         nibbles += n
         whole += w
         controls.append(control)
-    return _Priced(key, nibbles, whole, 1 + (nibbles + 1) // 2 + whole,
-                   any(controls), any(controls[:-1]))
+    return (key, nibbles, whole, 1 + (nibbles + 1) // 2 + whole,
+            any(controls), any(controls[:-1]))
+
+
+class _Rewrite(NamedTuple):
+    """One pass's admitted candidates, indexed for rewriting.
+
+    ``combos`` groups the combinations by first opcode and ``singles``
+    every candidate by instruction shape, each as ``(cid, key, encoded
+    size)`` in admission order.  ``choice`` memoizes the specialization
+    sweep: a slot's choice depends only on its slot id.
+    """
+
+    combos: Dict[str, List[Tuple[int, Tuple[int, ...], int]]]
+    singles: Dict[Tuple[str, ...], List[Tuple[int, Tuple[int, ...], int]]]
+    choice: Dict[int, int]
 
 
 class _ScanTables:
-    """Memoized candidate tables driving the scan.
+    """One build's memo tables, keyed by small integers.
 
-    ``aug`` holds each (pattern, insns) key's priced augmented set;
-    ``spec`` and ``pair`` hold precomputed ``(cid, bytes saved per
-    occurrence)`` rows for the specialization and combination scans.  A
-    slot's candidates and their per-occurrence savings depend only on its
-    (pattern, insns) — and, for pairs, the neighbour's — so after the
-    first pass a rescan is a table walk.
+    ``instr_ids`` gives each instruction an id (iid) from its sign-exact
+    :func:`_instr_key`; ``instrs`` keeps one instruction per id and
+    ``names`` its mnemonic.  ``sids`` gives each slot content, its
+    pattern's cid plus its iids, a slot id (sid); ``sid_cid``,
+    ``sid_iids`` and ``sid_size`` hold them and the slot's encoded size,
+    and ``base`` maps an iid to the sid of its base slot.  Per sid,
+    ``aug`` holds the priced augmented set; ``rows`` holds ``(cid, bytes
+    saved per occurrence)`` rows for the specialization scan (keyed by
+    sid) and the combination scan (keyed by the pair of sids).
+    ``specs`` maps (part id, iid) to the specialization part ids, and
+    ``match`` to whether the instruction fits the part.  A slot's
+    candidates depend only on its content and, for pairs, its
+    neighbour's, so after the first pass a rescan is a table walk.
 
     The cids come from ``interned``, which a journal shares with the
-    replays of its build; the row caches belong to one build.
+    replays of its build; every other table belongs to one build.
     """
 
-    __slots__ = ("aug", "spec", "pair", "interned")
+    __slots__ = ("interned", "instr_ids", "instrs", "names", "base", "sids",
+                 "sid_cid", "sid_iids", "sid_size", "aug", "rows", "specs",
+                 "match")
 
     def __init__(self, interned: Optional[_InternState] = None) -> None:
-        self.aug: Dict[Tuple[DictPattern, Tuple[Instr, ...]],
-                       List[_Priced]] = {}
-        self.spec: Dict[tuple, List[Tuple[int, int]]] = {}
-        self.pair: Dict[tuple, List[Tuple[int, int]]] = {}
         self.interned = interned if interned is not None else _InternState()
+        self.instr_ids: Dict[tuple, int] = {}
+        self.instrs: List[Instr] = []
+        self.names: List[str] = []
+        self.base: Dict[int, int] = {}
+        self.sids: Dict[Tuple[int, ...], int] = {}
+        self.sid_cid: List[int] = []
+        self.sid_iids: List[Tuple[int, ...]] = []
+        self.sid_size: List[int] = []
+        self.aug: Dict[int, List[_Priced]] = {}
+        self.rows: Dict[_RowKey, List[Tuple[int, int]]] = {}
+        self.specs: Dict[Tuple[int, int], List[int]] = {}
+        self.match: Dict[Tuple[int, int], bool] = {}
 
-    @property
-    def patterns(self) -> List[DictPattern]:
-        """Every interned candidate's pattern, indexed by cid."""
-        return self.interned.patterns
+    # -- ids -----------------------------------------------------------------
+
+    def instr_id(self, instr: Instr) -> int:
+        key = _instr_key(instr)
+        iid = self.instr_ids.get(key)
+        if iid is None:
+            iid = len(self.instrs)
+            self.instr_ids[key] = iid
+            self.instrs.append(instr)
+            self.names.append(instr.name)
+        return iid
+
+    def slot_id(self, cid: int, iids: Tuple[int, ...]) -> int:
+        """The id of a slot content.  A slot holds a base pattern or an
+        admitted candidate, so its pattern is already built."""
+        key = (cid,) + iids
+        sid = self.sids.get(key)
+        if sid is None:
+            sid = len(self.sid_cid)
+            self.sids[key] = sid
+            self.sid_cid.append(cid)
+            self.sid_iids.append(iids)
+            self.sid_size.append(self.interned.pattern(cid).encoded_size())
+        return sid
+
+    def slot_id_of(self, slot: Slot) -> int:
+        return self.slot_id(self.interned.intern_pattern(slot.pattern),
+                            tuple([self.instr_id(i) for i in slot.insns]))
+
+    def seed(self, fn: SlotFunction) -> Tuple[List[int], List[int]]:
+        """The base cids and the slot ids of a freshly slotted function.
+
+        Each slot's base pattern is replaced by its cid's object, so
+        equal patterns are one object.  A base slot's content follows
+        from its one instruction, so it is looked up by iid.
+        """
+        patterns = self.interned.patterns
+        base = self.base
+        sid_cid = self.sid_cid
+        cids: List[int] = []
+        sids: List[int] = []
+        for slot in fn.slots:
+            iid = self.instr_id(slot.insns[0])
+            sid = base.get(iid)
+            if sid is None:
+                sid = self.slot_id_of(slot)
+                base[iid] = sid
+            cid = sid_cid[sid]
+            slot.pattern = patterns[cid]
+            cids.append(cid)
+            sids.append(sid)
+        return cids, sids
+
+    # -- scan ----------------------------------------------------------------
+
+    def priced_set(self, sid: int) -> List[_Priced]:
+        """The slot's pattern plus its one-field specializations (the
+        paper's "augmented operand-specialized set"), priced, memoized
+        per slot id."""
+        out = self.aug.get(sid)
+        if out is not None:
+            return out
+        interned = self.interned
+        price = interned.part_price
+        specs = self.specs
+        base = interned.keys[self.sid_cid[sid]]
+        out = [_priced(base, price)]
+        for pi, (pid, iid) in enumerate(zip(base, self.sid_iids[sid])):
+            spec_ids = specs.get((pid, iid))
+            if spec_ids is None:
+                part_id = interned.part_id
+                spec_ids = [part_id(spec) for spec in
+                            interned.parts[pid].specializations(
+                                self.instrs[iid])]
+                specs[(pid, iid)] = spec_ids
+            for spec in spec_ids:
+                out.append(_priced(base[:pi] + (spec,) + base[pi + 1:],
+                                   price))
+        self.aug[sid] = out
+        return out
+
+    def spec_row(self, sid: int) -> List[Tuple[int, int]]:
+        """The slot's specialization candidates and their savings."""
+        current, *specs = self.priced_set(sid)
+        size = current[3]
+        intern = self.interned.intern
+        row = [(intern(entry[0]), size - entry[3])
+               for entry in specs if entry[3] < size]
+        self.rows[sid] = row
+        return row
+
+    def pair_row(self, sid: int, nxt: int) -> List[Tuple[int, int]]:
+        """The adjacent pair's combination candidates and savings.
+
+        Priced from the two augmented sets: a combination's nibbles pack
+        across both halves, so its size is ``1 + (na + nb + 1) // 2 + wa +
+        wb``; it keeps control transfers in its last part exactly when the
+        left half has none and the right half none before its last part.
+        """
+        a_set = self.priced_set(sid)
+        b_set = self.priced_set(nxt)
+        pair_size = a_set[0][3] + b_set[0][3]
+        interned = self.interned
+        lookup = interned.cids.get
+        row = []
+        for ka, na, wa, _, a_control, _ in a_set:
+            if a_control:
+                continue
+            for kb, nb, wb, _, _, b_control_before_last in b_set:
+                if b_control_before_last:
+                    continue
+                saved = pair_size - (1 + (na + nb + 1) // 2 + wa + wb)
+                if saved > 0:
+                    key = ka + kb
+                    cid = lookup(key)
+                    if cid is None:
+                        cid = interned.intern(key)
+                    row.append((cid, saved))
+        self.rows[(sid, nxt)] = row
+        return row
+
+    def row_keys(self, slots: List[Slot], sids: List[int]) -> List[_RowKey]:
+        """The keys of one function's non-empty rows.
+
+        Raw means pre-filter: the rows hold every candidate whose
+        occurrence saves bytes, including patterns already in the
+        dictionary — the caller filters those out.  Keeping the scan
+        filter-free is what makes a function's contribution subtractable
+        for the incremental rescan.
+        """
+        rows = self.rows
+        get = rows.get
+        sid_iids = self.sid_iids
+        keys: List[_RowKey] = []
+        last = len(sids) - 1
+        for i, sid in enumerate(sids):
+            # Operand specialization, one field at a time.
+            row = get(sid)
+            if row is None:
+                row = self.spec_row(sid)
+            if row:
+                keys.append(sid)
+            # Opcode combination with the right neighbour.
+            if i == last or slots[i + 1].is_block_start:
+                continue
+            nxt = sids[i + 1]
+            if len(sid_iids[sid]) + len(sid_iids[nxt]) > _MAX_PARTS:
+                continue
+            key = (sid, nxt)
+            row = get(key)
+            if row is None:
+                row = self.pair_row(sid, nxt)
+            if row:
+                keys.append(key)
+        return keys
+
+    def delta(self, old: List[_RowKey],
+              new: List[_RowKey]) -> Dict[int, int]:
+        """The net savings change (cid → nonzero delta) of a function
+        whose row keys went from ``old`` to ``new``: only rows whose
+        count changed are expanded."""
+        rows = self.rows
+        before, after = Counter(old), Counter(new)
+        net: Dict[int, int] = {}
+        get = net.get
+        for key, count in after.items():
+            count -= before.get(key, 0)
+            if count:
+                for cid, saved in rows[key]:
+                    net[cid] = get(cid, 0) + count * saved
+        for key, count in before.items():
+            if key not in after:
+                for cid, saved in rows[key]:
+                    net[cid] = get(cid, 0) - count * saved
+        return {cid: d for cid, d in net.items() if d}
+
+    # -- rewrite -------------------------------------------------------------
+
+    def prepare_rewrite(self, admitted: List[int]) -> _Rewrite:
+        """Index one pass's admitted candidates for :meth:`rewrite`."""
+        interned = self.interned
+        parts = interned.parts
+        rewrite = _Rewrite({}, {}, {})
+        for cid in admitted:
+            key = interned.keys[cid]
+            entry = (cid, key, interned.pattern(cid).encoded_size())
+            shape = tuple([parts[p].name for p in key])
+            if len(key) > 1:
+                rewrite.combos.setdefault(shape[0], []).append(entry)
+            rewrite.singles.setdefault(shape, []).append(entry)
+        return rewrite
+
+    def matches(self, pid: int, iid: int) -> bool:
+        """Whether the instruction fits the part, memoized."""
+        fits = self.match.get((pid, iid))
+        if fits is None:
+            fits = self.interned.parts[pid].matches(self.instrs[iid])
+            self.match[(pid, iid)] = fits
+        return fits
+
+    def rewrite(self, fn: SlotFunction, sids: List[int],
+                rewrite: _Rewrite) -> bool:
+        """Rewrite one function (and its slot ids, in place) with a pass's
+        admitted candidates.  Returns whether its slots changed."""
+        changed = False
+        # Combination pass: left-to-right, merge windows of slots whose
+        # concatenated instructions match a new combined pattern.
+        if rewrite.combos and self._combine(fn, sids, rewrite.combos):
+            changed = True
+        # Specialization pass: adopt any new pattern that represents a slot
+        # more compactly.  Candidates are tried in admission order, so a
+        # pass's rewrite outcome depends on the admitted *sequence* — which
+        # is why the journal replayer verifies its re-derived admissions
+        # against the recorded list, order included.
+        choice = rewrite.choice
+        for i, sid in enumerate(sids):
+            best = choice.get(sid)
+            if best is None:
+                best = choice[sid] = self._specialize(sid, rewrite.singles)
+            if best != sid:
+                sids[i] = best
+                fn.slots[i].pattern = self.interned.pattern(
+                    self.sid_cid[best])
+                changed = True
+        return changed
+
+    def _specialize(self, sid: int, singles) -> int:
+        """The slot id after the specialization sweep."""
+        iids = self.sid_iids[sid]
+        names = self.names
+        best = None
+        best_size = self.sid_size[sid]
+        for cid, key, size in singles.get(tuple([names[i] for i in iids]),
+                                          ()):
+            if size < best_size and all(map(self.matches, key, iids)):
+                best, best_size = cid, size
+        return sid if best is None else self.slot_id(best, iids)
+
+    def _window(self, slots: List[Slot], sids: List[int], i: int,
+                key: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+        """The end and the encoded size of the window of whole slots from
+        ``i`` whose instructions match ``key`` part by part, or ``None``.
+        Only the first slot of a window may start a block."""
+        sid_iids = self.sid_iids
+        k = size = 0
+        j = i
+        while k < len(key):
+            if j > i and (j == len(slots) or slots[j].is_block_start):
+                return None
+            for iid in sid_iids[sids[j]]:
+                if k == len(key) or not self.matches(key[k], iid):
+                    return None
+                k += 1
+            size += self.sid_size[sids[j]]
+            j += 1
+        return j, size
+
+    def _combine(self, fn: SlotFunction, sids: List[int], combos) -> bool:
+        slots = fn.slots
+        sid_iids = self.sid_iids
+        names = self.names
+        out_slots: List[Slot] = []
+        out_sids: List[int] = []
+        i = 0
+        while i < len(slots):
+            for cid, key, size in combos.get(names[sid_iids[sids[i]][0]], ()):
+                window = self._window(slots, sids, i, key)
+                if window is not None and size < window[1]:
+                    j = window[0]
+                    out_slots.append(Slot(
+                        insns=tuple([ins for s in slots[i:j]
+                                     for ins in s.insns]),
+                        pattern=self.interned.pattern(cid),
+                        is_block_start=slots[i].is_block_start,
+                        labels=slots[i].labels,
+                    ))
+                    out_sids.append(self.slot_id(cid, tuple(
+                        [iid for s in sids[i:j] for iid in sid_iids[s]])))
+                    i = j
+                    break
+            else:
+                out_slots.append(slots[i])
+                out_sids.append(sids[i])
+                i += 1
+        if len(out_slots) == len(slots):
+            return False
+        fn.slots = out_slots
+        sids[:] = out_sids
+        return True
 
 
 @dataclass
@@ -267,207 +611,6 @@ class BuildResult:
         return sum(p.seconds for p in self.pass_stats)
 
 
-def _priced_set(slot: Slot, tables: _ScanTables) -> List[_Priced]:
-    """The slot's pattern plus its one-field specializations (the paper's
-    "augmented operand-specialized set"), priced, memoized per
-    (pattern, insns).
-
-    Memoization pays because a slot is rescanned on every pass (up to
-    ``max_passes`` times) and because many slots share a pattern/insns
-    pair after specialization converges.
-    """
-    key = (slot.pattern, slot.insns)
-    cached = tables.aug.get(key)
-    if cached is not None:
-        return cached
-    interned = tables.interned
-    part_id = interned.part_id
-    price = interned.part_price
-    parts = slot.pattern.parts
-    base = [part_id(part) for part in parts]
-    out = [_priced(tuple(base), price)]
-    for pi, (part, instr) in enumerate(zip(parts, slot.insns)):
-        for spec in part.specializations(instr):
-            ids = list(base)
-            ids[pi] = part_id(spec)
-            out.append(_priced(tuple(ids), price))
-    tables.aug[key] = out
-    return out
-
-
-def _spec_row(slot: Slot, tables: _ScanTables) -> List[Tuple[int, int]]:
-    """The slot's specialization candidates and their savings, memoized."""
-    key = (slot.pattern, slot.insns)
-    row = tables.spec.get(key)
-    if row is None:
-        current, *specs = _priced_set(slot, tables)
-        intern = tables.interned.intern
-        row = [(intern(entry.key), current.size - entry.size)
-               for entry in specs if entry.size < current.size]
-        tables.spec[key] = row
-    return row
-
-
-def _pair_row(
-    slot: Slot, nxt: Slot, tables: _ScanTables
-) -> List[Tuple[int, int]]:
-    """The adjacent pair's combination candidates and savings, memoized.
-
-    Priced from the two augmented sets: a combination's nibbles pack
-    across both halves, so its size is ``1 + (na + nb + 1) // 2 + wa +
-    wb``; it keeps control transfers in its last part exactly when the
-    left half has none and the right half none before its last part.
-    """
-    key = (slot.pattern, slot.insns, nxt.pattern, nxt.insns)
-    row = tables.pair.get(key)
-    if row is None:
-        a_set = _priced_set(slot, tables)
-        b_set = _priced_set(nxt, tables)
-        pair_size = a_set[0].size + b_set[0].size
-        intern = tables.interned.intern
-        row = []
-        for ka, na, wa, _, a_control, _ in a_set:
-            if a_control:
-                continue
-            for kb, nb, wb, _, _, b_control_before_last in b_set:
-                if b_control_before_last:
-                    continue
-                saved = pair_size - (1 + (na + nb + 1) // 2 + wa + wb)
-                if saved > 0:
-                    row.append((intern(ka + kb), saved))
-        tables.pair[key] = row
-    return row
-
-
-def _scan_slots(
-    slots: List[Slot],
-    savings: Dict[int, int],
-    tables: _ScanTables,
-) -> None:
-    """Accumulate one function's raw candidate savings into ``savings``
-    (keyed by the tables' candidate ids).
-
-    Raw means pre-filter: every candidate whose occurrence saves bytes is
-    summed, including patterns already in the dictionary — the caller
-    filters those out.  Keeping the scan filter-free is what makes
-    per-function contributions subtractable for the incremental rescan.
-    """
-    get = savings.get
-    for i, slot in enumerate(slots):
-        # Operand specialization, one field at a time.
-        for cid, saved in _spec_row(slot, tables):
-            savings[cid] = get(cid, 0) + saved
-        # Opcode combination with the right neighbour.
-        if i + 1 >= len(slots):
-            continue
-        nxt = slots[i + 1]
-        if nxt.is_block_start:
-            continue
-        if len(slot.insns) + len(nxt.insns) > _MAX_PARTS:
-            continue
-        for cid, saved in _pair_row(slot, nxt, tables):
-            savings[cid] = get(cid, 0) + saved
-
-
-def prepare_rewrite(
-    admitted: Sequence[DictPattern],
-) -> Tuple[Dict[str, List[DictPattern]], Dict[Tuple[str, ...], List[DictPattern]]]:
-    """Index one pass's admitted patterns for rewriting: combinations
-    grouped by first opcode, and every pattern grouped by instruction
-    shape (for the specialization sweep).  Shared with the journal
-    replayer, which rewrites only the edited functions."""
-    combos_by_first: Dict[str, List[DictPattern]] = {}
-    singles_by_shape: Dict[Tuple[str, ...], List[DictPattern]] = {}
-    for p in admitted:
-        if len(p.parts) > 1:
-            combos_by_first.setdefault(p.parts[0].name, []).append(p)
-        shape = tuple(part.name for part in p.parts)
-        singles_by_shape.setdefault(shape, []).append(p)
-    return combos_by_first, singles_by_shape
-
-
-def rewrite_function(
-    fn: SlotFunction,
-    combos_by_first: Dict[str, List[DictPattern]],
-    singles_by_shape: Dict[Tuple[str, ...], List[DictPattern]],
-) -> bool:
-    """Rewrite one function with a pass's admitted patterns (indexed by
-    :func:`prepare_rewrite`).  Returns whether its slots changed."""
-    changed = False
-    # Combination pass: left-to-right, merge windows of slots whose
-    # concatenated instructions match a new combined pattern.
-    if combos_by_first:
-        merged_slots, merged_any = _combine_slots(fn.slots, combos_by_first)
-        if merged_any:
-            fn.slots = merged_slots
-            changed = True
-    # Specialization pass: adopt any new pattern that represents a slot
-    # more compactly.  Candidates are tried in admission order, so a
-    # pass's rewrite outcome depends on the admitted *sequence* — which
-    # is why the journal replayer verifies its re-derived admissions
-    # against the recorded list, order included.
-    for slot in fn.slots:
-        shape = tuple(i.name for i in slot.insns)
-        best = slot.pattern
-        best_size = slot.size
-        for cand in singles_by_shape.get(shape, ()):
-            if cand.encoded_size() < best_size and cand.matches(slot.insns):
-                best = cand
-                best_size = cand.encoded_size()
-        if best is not slot.pattern:
-            slot.pattern = best
-            changed = True
-    return changed
-
-
-def _combine_slots(
-    slots: List[Slot], by_first: Dict[str, List[DictPattern]]
-) -> Tuple[List[Slot], bool]:
-    out: List[Slot] = []
-    merged_any = False
-    i = 0
-    while i < len(slots):
-        slot = slots[i]
-        merged = None
-        for cand in by_first.get(slot.insns[0].name, ()):
-            nparts = len(cand.parts)
-            # Collect a window of whole slots covering nparts insns.
-            window = [slot]
-            total = len(slot.insns)
-            j = i + 1
-            ok = True
-            while total < nparts:
-                if j >= len(slots) or slots[j].is_block_start:
-                    ok = False
-                    break
-                window.append(slots[j])
-                total += len(slots[j].insns)
-                j += 1
-            if not ok or total != nparts:
-                continue
-            insns = tuple(ins for s in window for ins in s.insns)
-            if not cand.matches(insns):
-                continue
-            old = sum(s.size for s in window)
-            if cand.encoded_size() >= old:
-                continue
-            merged = Slot(
-                insns=insns,
-                pattern=cand,
-                is_block_start=slot.is_block_start,
-                labels=slot.labels,
-            )
-            i = j
-            break
-        if merged is not None:
-            out.append(merged)
-            merged_any = True
-        else:
-            out.append(slot)
-            i += 1
-    return out, merged_any
-
-
 class BriscBuilder:
     """Runs the greedy construction over one program.
 
@@ -498,18 +641,21 @@ class BriscBuilder:
         self.pass_stats: List[PassStats] = []
         self._tables = _ScanTables()
         # Incremental-scan state, keyed by the tables' dense candidate
-        # ids: per-function raw contributions, their merged totals, the
-        # live (positive-benefit) candidate set, which ids are already
-        # dictionary members (and how many of those sit in the merged
-        # map), and the functions the last rewrite touched.  All
-        # maintained so the merged map always equals what a full rescan
-        # would produce.
-        self._fn_savings: Optional[List[Dict[int, int]]] = None
+        # ids: each function's slot ids and row keys, the merged savings
+        # totals, the live (positive-benefit) candidate set, which ids
+        # are already dictionary members (and how many of those sit in
+        # the merged map), and the functions the last rewrite touched.
+        # All maintained so the merged map always equals what a full
+        # rescan would produce.
+        self._sids: List[List[int]] = []
+        self._row_keys: Optional[List[List[_RowKey]]] = None
         self._savings: Dict[int, int] = {}
         self._live: Set[int] = set()
         self._dict_ids: Set[int] = set()
         self._dict_overlap = 0
         self._changed: Set[int] = set()
+        # Heap tie-break keys per cid: constant, so built once.
+        self._ties: Dict[int, Tuple[int, str, int]] = {}
         # Replay journal: records each pass's savings deltas, live set,
         # and admissions so an edited program can replay this build (see
         # :mod:`repro.brisc.journal`).  ``prune=False`` never computes
@@ -530,11 +676,11 @@ class BriscBuilder:
 
     def _seed_base_patterns(self) -> None:
         journal = self._journal
-        intern = self._tables.interned.intern_pattern
         for fn in self.slots.functions:
             # Every base pattern gets its cid up front, so dictionary
             # membership is a plain cid-set lookup from the first scan on.
-            seed = [intern(slot.pattern) for slot in fn.slots]
+            seed, sids = self._tables.seed(fn)
+            self._sids.append(sids)
             if journal is not None:
                 journal.base_seed.append(seed)
             for cid in seed:
@@ -543,7 +689,7 @@ class BriscBuilder:
     def _admit(self, cid: int) -> None:
         if cid not in self._dict_ids:
             self._dict_ids.add(cid)
-            self.dictionary.append(self._tables.patterns[cid])
+            self.dictionary.append(self._tables.interned.pattern(cid))
             if cid in self._savings:
                 self._dict_overlap += 1
             self._live.discard(cid)
@@ -552,126 +698,104 @@ class BriscBuilder:
 
     def _augmented_set(self, slot: Slot) -> List[DictPattern]:
         """The slot's augmented operand-specialization set (memoized)."""
-        parts = self._tables.interned.parts
-        return [DictPattern(tuple([parts[p] for p in entry.key]))
-                for entry in _priced_set(slot, self._tables)]
+        tables = self._tables
+        parts = tables.interned.parts
+        return [DictPattern(tuple([parts[p] for p in entry[0]]))
+                for entry in tables.priced_set(tables.slot_id_of(slot))]
 
-    def _adjust(self, cid: int, delta: int) -> None:
-        """Apply one candidate's savings delta to the merged map,
+    def _merge(self, net: Dict[int, int]) -> None:
+        """Apply one function's net savings delta to the merged map,
         maintaining the live set, the dictionary-overlap count, and the
         paper's candidates-tested counter exactly as a full rescan
         would."""
         savings = self._savings
-        current = savings.get(cid)
-        if current is None:
-            if delta <= 0:
-                return
-            savings[cid] = delta
-            if cid in self._dict_ids:
-                self._dict_overlap += 1
+        live = self._live
+        members = self._dict_ids
+        seen = self.seen
+        clears_floor = self._tables.interned.clears_floor
+        cost = self.cost
+        overlap = 0
+        for cid, delta in net.items():
+            current = savings.get(cid)
+            if current is None:
+                if delta <= 0:
+                    continue
+                savings[cid] = value = delta
+                if cid in members:
+                    overlap += 1
+                    continue
+                seen.add(cid)
             else:
-                if cid not in self.seen:
-                    self.seen.add(cid)
-                    self.candidates_tested += 1
-                if self._tables.interned.clears_floor(cid, delta, self.cost):
-                    self._live.add(cid)
-            return
-        value = current + delta
-        if value <= 0:
-            del savings[cid]
-            if cid in self._dict_ids:
-                self._dict_overlap -= 1
+                value = current + delta
+                if value <= 0:
+                    del savings[cid]
+                    if cid in members:
+                        overlap -= 1
+                    else:
+                        live.discard(cid)
+                    continue
+                savings[cid] = value
+                if cid in members:
+                    continue
+            if clears_floor(cid, value, cost):
+                live.add(cid)
             else:
-                self._live.discard(cid)
-            return
-        savings[cid] = value
-        if cid not in self._dict_ids:
-            if self._tables.interned.clears_floor(cid, value, self.cost):
-                self._live.add(cid)
-            else:
-                self._live.discard(cid)
-
-    def _scan_functions(
-        self, indices: Iterable[int]
-    ) -> List[Tuple[int, Dict[int, int]]]:
-        """Raw per-function savings (id-keyed) for the given indices."""
-        functions = self.slots.functions
-        out: List[Tuple[int, Dict[int, int]]] = []
-        for index in indices:
-            savings: Dict[int, int] = {}
-            _scan_slots(functions[index].slots, savings, self._tables)
-            out.append((index, savings))
-        return out
+                live.discard(cid)
+        self._dict_overlap += overlap
+        self.candidates_tested = len(seen)
 
     def _refresh_savings(self) -> None:
         """Bring the merged savings map up to date for this pass.
 
         The first pass (and every pass when ``prune=False``) scans every
         function; later passes re-scan only the functions the previous
-        rewrite changed, subtracting each one's stale contribution and
-        adding the fresh one.  Both paths produce the same merged map.
+        rewrite changed, applying the difference between each one's old
+        and new rows.  Both paths produce the same merged map.
         """
         functions = self.slots.functions
-        if self._fn_savings is None or not self.prune:
-            self._fn_savings = [{} for _ in functions]
+        if self._row_keys is None or not self.prune:
+            self._row_keys = [[] for _ in functions]
             self._savings = {}
             self._live = set()
             self._dict_overlap = 0
-            self._apply_rescan(self._scan_functions(range(len(functions))))
-        elif self._changed:
-            self._apply_rescan(self._scan_functions(sorted(self._changed)))
+            indices = range(len(functions))
+        else:
+            indices = sorted(self._changed)
         self._changed = set()
-
-    def _apply_rescan(
-        self, scanned: List[Tuple[int, Dict[int, int]]]
-    ) -> None:
-        assert self._fn_savings is not None
+        tables = self._tables
+        row_keys = self._row_keys
         journal = self._journal
         record = journal.passes[-1].deltas if journal is not None else None
-        for index, fresh in scanned:
-            stale = self._fn_savings[index]
-            for cid, value in stale.items():
-                if cid not in fresh:
-                    self._adjust(cid, -value)
-            for cid, value in fresh.items():
-                delta = value - stale.get(cid, 0)
-                if delta:
-                    self._adjust(cid, delta)
+        for index in indices:
+            keys = tables.row_keys(functions[index].slots, self._sids[index])
+            # Net per-function delta (new − old): replaying these in
+            # sequence reproduces the merged savings map exactly, because
+            # merging is plain addition.
+            net = tables.delta(row_keys[index], keys)
+            row_keys[index] = keys
+            self._merge(net)
             if record is not None:
-                # Net per-function delta (fresh − stale): replaying these
-                # in sequence reproduces the merged savings map exactly,
-                # because merging is plain addition.
-                net = {cid: -v for cid, v in stale.items()
-                       if cid not in fresh}
-                for cid, value in fresh.items():
-                    delta = value - stale.get(cid, 0)
-                    if delta:
-                        net[cid] = delta
                 record.append((index, net))
-            self._fn_savings[index] = fresh
 
     # -- rewriting -----------------------------------------------------------
 
-    def _apply_patterns(self, admitted: List[DictPattern]) -> Set[int]:
-        """Rewrite every function with the newly admitted patterns.
+    def _apply_patterns(self, admitted: List[int]) -> Set[int]:
+        """Rewrite every function with the newly admitted candidates.
 
         Returns the indices of functions whose slots actually changed —
         the only ones whose candidate contributions the next pass must
         re-scan.
         """
-        changed: Set[int] = set()
-        combos_by_first, singles_by_shape = prepare_rewrite(admitted)
-        for index, fn in enumerate(self.slots.functions):
-            if rewrite_function(fn, combos_by_first, singles_by_shape):
-                changed.add(index)
-        return changed
+        tables = self._tables
+        rewrite = tables.prepare_rewrite(admitted)
+        return {index for index, fn in enumerate(self.slots.functions)
+                if tables.rewrite(fn, self._sids[index], rewrite)}
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> BuildResult:
         journal = self._journal
         interned = self._tables.interned
-        patterns = interned.patterns
         setup = self._setup_seconds
         while self.passes < self.max_passes:
             self.passes += 1
@@ -691,29 +815,14 @@ class BriscBuilder:
             if journal_pass is not None:
                 journal_pass.candidates = candidates
                 journal_pass.live = sorted(self._live)
-            # The live set is exactly {cand : benefit(cand) > 0} and
-            # benefit == savings - floor, so the heap (and therefore
-            # the admission order) matches a full benefit sweep.  The
-            # tie-break keys come from the pattern objects, and distinct
-            # patterns print differently, so the trailing cid never
-            # orders two entries: the order is invariant under id
-            # assignment.
-            heap = []
-            for cid in self._live:
-                cand = patterns[cid]
-                heap.append((interned.floor(cid, self.cost) - savings[cid],
-                             cand.dictionary_size(), str(cand), cid))
-            heapq.heapify(heap)
-            admitted: List[int] = []
-            while heap and len(admitted) < self.k:
-                cid = heapq.heappop(heap)[-1]
-                admitted.append(cid)
+            admitted = _admissions(self._live, savings, interned, self.cost,
+                                   self.k, self._ties)
+            for cid in admitted:
                 self._admit(cid)
             if journal_pass is not None:
                 journal_pass.admitted = list(admitted)
             if admitted:
-                self._changed = self._apply_patterns(
-                    [patterns[cid] for cid in admitted])
+                self._changed = self._apply_patterns(admitted)
             self.pass_stats.append(PassStats(
                 candidates=candidates,
                 admitted=len(admitted),
@@ -734,6 +843,32 @@ class BriscBuilder:
             pass_stats=self.pass_stats,
             journal=journal,
         )
+
+
+def _admissions(live, savings: Dict[int, int], interned: _InternState,
+                cost: CostModel, k: int,
+                ties: Dict[int, Tuple[int, str, int]]) -> List[int]:
+    """The pass's admissions: the (at most) ``k`` best live candidates.
+
+    The live set is exactly {cand : benefit(cand) > 0} and benefit ==
+    savings - floor, so the heap (and therefore the admission order)
+    matches a full benefit sweep.  The tie-break keys come from the
+    pattern objects, and distinct patterns print differently, so the
+    trailing cid never orders two entries: the order is invariant under
+    id assignment.  ``ties`` caches each cid's tie-break key.
+    """
+    heap = []
+    for cid in live:
+        tie = ties.get(cid)
+        if tie is None:
+            pattern = interned.pattern(cid)
+            tie = ties[cid] = (pattern.dictionary_size(), str(pattern), cid)
+        heap.append((interned.floor(cid, cost) - savings[cid],) + tie)
+    heapq.heapify(heap)
+    admitted: List[int] = []
+    while heap and len(admitted) < k:
+        admitted.append(heapq.heappop(heap)[-1])
+    return admitted
 
 
 def _config_sig(k: int, abundant_memory: bool, max_passes: int) -> str:

@@ -26,19 +26,20 @@ sequence — i.e. the same slot program a cold build of the edited source
 would produce, and therefore a byte-identical image.
 
 Candidate ids are shared with the recorded build's intern state (the
-journal holds it: part ids, the part-key → cid map, patterns,
-dictionary bytes and admission floors), so replay deltas, fresh scans,
-and recorded deltas all speak the same id space; new patterns introduced
-by the edit are interned append-only, which keeps every previously
-assigned id stable.  The scan's row caches are not shared: they belong
-to one build, and would grow the pickled journal by more than half.
+journal holds it: part ids, the part-key → cid map, dictionary bytes and
+admission floors), so replay deltas, fresh scans, and recorded deltas
+all speak the same id space; new patterns introduced by the edit are
+interned append-only, which keeps every previously assigned id stable.
+The scan's tables (instruction and slot ids, rows, rewrite memos) are
+not shared: they belong to one build, and would grow the pickled journal
+by more than half.  A changed function is scanned the way the builder
+scans it, as a list of row keys whose changed rows make its net delta.
 The journal's per-pass delta order is canonicalized to ascending
 function index on replay, matching a cold build's scan order.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -47,12 +48,11 @@ from ..vm.instr import VMProgram
 from .builder import (
     BuildResult,
     PassStats,
+    _admissions,
     _config_sig,
     _InternState,
-    _scan_slots,
+    _RowKey,
     _ScanTables,
-    prepare_rewrite,
-    rewrite_function,
 )
 from .cost import CostModel
 from .pattern import DictPattern
@@ -160,32 +160,32 @@ def replay_build(
     t0 = time.perf_counter()
 
     interned = j.interned
-    patterns = interned.patterns
+    pattern = interned.pattern
     cost = CostModel(abundant_memory)
 
     # Fresh scans intern straight into the journal's id space: shared
     # intern state means recorded deltas and replayed deltas agree on
     # every id, and appends never disturb an existing id.
     tables = _ScanTables(interned)
-    intern = interned.intern_pattern
 
     # -- dictionary seeding (mirrors BriscBuilder._seed_base_patterns) --
     new_fns: Dict[int, SlotFunction] = {
         i: build_slot_function(functions[i]) for i in changed
     }
+    sids: Dict[int, List[int]] = {}
     dictionary: List[DictPattern] = []
     dict_cids: Set[int] = set()
     base_seed: List[List[int]] = []
     for i in range(len(functions)):
         if i in changed:
-            seed = [intern(slot.pattern) for slot in new_fns[i].slots]
+            seed, sids[i] = tables.seed(new_fns[i])
         else:
             seed = j.base_seed[i]
         base_seed.append(seed)
         for cid in seed:
             if cid not in dict_cids:
                 dict_cids.add(cid)
-                dictionary.append(patterns[cid])
+                dictionary.append(pattern(cid))
     base_patterns = len(dictionary)
 
     # Base-membership differences introduced by the edit.  ``d_add``
@@ -215,9 +215,9 @@ def replay_build(
     touched: Set[int] = set(d_add | d_rem)
     NC: Dict[int, int] = {}
     OC: Dict[int, int] = {}
-    fn_sav: Dict[int, Dict[int, int]] = {i: {} for i in changed}
+    row_keys: Dict[int, List[_RowKey]] = {i: [] for i in changed}
     seen: Set[int] = set()
-    heap_keys: Dict[int, Tuple[int, str, int]] = {}
+    ties: Dict[int, Tuple[int, str, int]] = {}
     new_passes: List[PassJournal] = []
     pass_stats: List[PassStats] = []
     touch = touched.add
@@ -241,16 +241,9 @@ def replay_build(
                 new_deltas.append((i, delta))
                 continue
             if i in rescan:
-                fresh: Dict[int, int] = {}
-                _scan_slots(new_fns[i].slots, fresh, tables)
-                stale = fn_sav[i]
-                net = {cid: -v for cid, v in stale.items()
-                       if cid not in fresh}
-                for cid, v in fresh.items():
-                    d = v - stale.get(cid, 0)
-                    if d:
-                        net[cid] = d
-                fn_sav[i] = fresh
+                keys = tables.row_keys(new_fns[i].slots, sids[i])
+                net = tables.delta(row_keys[i], keys)
+                row_keys[i] = keys
                 for cid, d in net.items():
                     touch(cid)
                     NC[cid] = NC.get(cid, 0) + d
@@ -289,21 +282,8 @@ def replay_build(
                     and interned.clears_floor(cid, M.get(cid, 0), cost)):
                 live.append(cid)
 
-        # Admission heap, identical tuples to the cold builder's (the
-        # tie-break keys come from the pattern objects, so the order is
-        # invariant under id assignment).
-        heap = []
-        for cid in live:
-            hk = heap_keys.get(cid)
-            if hk is None:
-                pat = patterns[cid]
-                hk = (pat.dictionary_size(), str(pat), cid)
-                heap_keys[cid] = hk
-            heap.append((interned.floor(cid, cost) - M[cid],) + hk)
-        heapq.heapify(heap)
-        admitted_cids: List[int] = []
-        while heap and len(admitted_cids) < k:
-            admitted_cids.append(heapq.heappop(heap)[-1])
+        # Admissions, ranked exactly as the cold builder ranks them.
+        admitted_cids = _admissions(live, M, interned, cost, k, ties)
         # The pass must admit exactly the recorded sequence: rewriting
         # tries candidates in admission order, so even a reorder within
         # a pass can change a tie-break — and with it the slots the
@@ -314,17 +294,15 @@ def replay_build(
         for cid in admitted_cids:
             if cid not in dict_cids:
                 dict_cids.add(cid)
-                dictionary.append(patterns[cid])
+                dictionary.append(pattern(cid))
 
         # Rewrite only the changed functions; unchanged functions'
         # recorded final slots already reflect every admission.
         rescan = set()
         if admitted_cids:
-            combos_by_first, singles_by_shape = prepare_rewrite(
-                [patterns[c] for c in admitted_cids])
+            rewrite = tables.prepare_rewrite(admitted_cids)
             for i in changed:
-                if rewrite_function(new_fns[i], combos_by_first,
-                                    singles_by_shape):
+                if tables.rewrite(new_fns[i], sids[i], rewrite):
                     rescan.add(i)
 
         pass_stats.append(PassStats(

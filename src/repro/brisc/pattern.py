@@ -219,11 +219,10 @@ def pattern_of_instr(instr: Instr) -> InsnPattern:
     return InsnPattern(instr.name, fields)
 
 
-# Value-keyed caches shared by every DictPattern instance: the greedy
-# builder re-creates equal patterns constantly (one per candidate
-# occurrence), so instance-level caching alone would miss the hot loop.
-# Keys are the (frozen, hashable) patterns themselves; both caches are
-# process-lifetime, bounded by the number of distinct patterns seen.
+# Value-keyed caches shared by every DictPattern instance, so equal
+# patterns built apart share one entry.  Keys are the (frozen, hashable)
+# patterns themselves; both caches are process-lifetime, bounded by the
+# number of distinct patterns seen.
 _ENCODED_SIZE_CACHE: dict = {}
 _DICT_SIZE_CACHE: dict = {}
 
@@ -239,8 +238,9 @@ class DictPattern:
 
     parts: Tuple[InsnPattern, ...]
 
-    # Same per-instance hash memoization as InsnPattern: equal patterns
-    # are re-looked-up constantly by the builder's value-keyed caches.
+    # Same per-instance hash memoization as InsnPattern: every slot's
+    # pattern is looked up in the size caches and the Markov model's
+    # pattern ids.
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
@@ -285,9 +285,7 @@ class DictPattern:
     def encoded_size(self) -> int:
         """Size of one occurrence: opcode byte + operand bytes.
 
-        Value-cached across instances: the builder's pair loop constructs
-        a fresh ``DictPattern`` per candidate occurrence, and the same
-        candidate recurs at many sites and across passes.
+        Value-cached across instances (``_ENCODED_SIZE_CACHE``).
         """
         size = _ENCODED_SIZE_CACHE.get(self)
         if size is None:

@@ -35,6 +35,7 @@ import asyncio
 import base64
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
@@ -60,6 +61,10 @@ WORK_OPS = frozenset({"compile", "wire", "brisc", "verify", "sleep",
 #: The demand-paging ops: serve byte ranges of seekable (v3) containers
 #: out of the warm store.
 _FETCH_OPS = frozenset({"fetch_range", "fetch_function"})
+
+#: Parsed block indexes kept for fetches (the memory cache's default
+#: capacity).
+_INDEX_CAPACITY = 512
 
 #: Ops answered inline on the event loop, bypassing admission — probes
 #: and control must work even when the worker pool is saturated.
@@ -236,6 +241,12 @@ class CompressionService:
             max_workers=self.config.max_concurrency,
             thread_name_prefix="repro-service")
         self._breakers: Dict[str, CircuitBreaker] = {}
+        # Parsing a container's block index inflates its header, and a
+        # stage key fixes the blob's bytes: keep the parsed index per
+        # served artifact key, in an LRU of the memory cache's default
+        # size.  Fetches run on the worker threads, hence the lock.
+        self._indexes: "OrderedDict[str, Any]" = OrderedDict()
+        self._indexes_lock = threading.Lock()
         self._writers: set = set()
         self._cancel_events: set = set()
         self._waiting = 0
@@ -600,7 +611,16 @@ class CompressionService:
 
         artifact = result.artifacts[fmt]
         blob = result.wire_blob if fmt == "wire" else result.brisc.image.blob
-        index = container_index(blob)
+        with self._indexes_lock:
+            index = self._indexes.get(artifact.key)
+            if index is not None:
+                self._indexes.move_to_end(artifact.key)
+        if index is None:
+            index = container_index(blob)
+            with self._indexes_lock:
+                self._indexes[artifact.key] = index
+                if len(self._indexes) > _INDEX_CAPACITY:
+                    self._indexes.popitem(last=False)
 
         reply: Dict[str, Any] = {"unit": name, "format": fmt,
                                  "total_bytes": len(blob),

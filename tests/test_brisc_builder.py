@@ -11,6 +11,7 @@ from repro.brisc.builder import BriscBuilder, build_dictionary
 from repro.brisc.cost import CostModel, representative_instr
 from repro.brisc.pattern import DictPattern, pattern_of_instr
 from repro.brisc.slots import build_slots
+from repro.corpus import generate_program_source
 from repro.native.targets import PPCLike, PentiumLike
 from repro.vm.asm import parse_function
 from repro.vm.instr import Instr, VMProgram
@@ -71,7 +72,9 @@ class TestCostModel:
                         repro.compile_c(TestPruningDeterminism.REPETITIVE)):
             builder = BriscBuilder(program, k=6)
             builder.run()
-            candidates = builder._tables.patterns
+            interned = builder._tables.interned
+            candidates = [interned.pattern(cid)
+                          for cid in range(len(interned.keys))]
             assert any(len(p.parts) > 1 for p in candidates)
             model = CostModel()
             abundant = CostModel(abundant_memory=True)
@@ -194,6 +197,9 @@ class TestPruningDeterminism:
         f"int f{i}(int a, int b) {{ return a * {i} + b; }}" for i in range(40)
     ) + "\nint main(void) { return f1(1, 2); }"
 
+    #: The generated unit the ``gen24`` golden pins.
+    GENERATED = generate_program_source(functions=24, seed=3)
+
     @staticmethod
     def _fingerprint(result):
         slots = [
@@ -206,13 +212,15 @@ class TestPruningDeterminism:
                 [(p.candidates, p.admitted) for p in result.pass_stats])
 
     def test_pruned_build_matches_unpruned_reference(self):
-        pruned = build_dictionary(repro.compile_c(self.REPETITIVE), k=6)
-        reference = build_dictionary(repro.compile_c(self.REPETITIVE), k=6,
-                                     prune=False)
-        assert pruned.passes > 1  # multi-pass, or the test proves nothing
-        assert self._fingerprint(pruned) == self._fingerprint(reference)
-        for result in (pruned, reference):
-            assert result.seconds == sum(p.seconds for p in result.pass_stats)
+        for source, k in ((self.REPETITIVE, 6), (self.GENERATED, 20)):
+            pruned = build_dictionary(repro.compile_c(source), k=k)
+            reference = build_dictionary(repro.compile_c(source), k=k,
+                                         prune=False)
+            assert pruned.passes > 1  # multi-pass, or it proves nothing
+            assert self._fingerprint(pruned) == self._fingerprint(reference)
+            for result in (pruned, reference):
+                assert result.seconds == sum(p.seconds
+                                             for p in result.pass_stats)
 
     def test_pass_stats_cover_every_pass(self):
         from repro.corpus.samples import SAMPLES
@@ -245,15 +253,33 @@ class TestPruningDeterminism:
         assert result.seconds >= 0.05
 
 
+#: ``-0.0`` and ``0.0`` operands in the same instruction shape: ``==``
+#: equates them, so a table keyed by values would give ``g`` the rows of
+#: ``f``'s ``li.d f1,0.0``.
+SIGNED_ZEROS = """
+double f(double x) { return x * 0.0; }
+double g(double x) { return x * -0.0; }
+int main(void) { print_double(f(1.0)); print_double(g(1.0)); return 0; }
+"""
+
+SCAN_PROGRAMS = ["wc", "repetitive", "generated", "signed_zeros"]
+
+
 def _scan_programs():
-    from repro.corpus import generate_program_source
     from repro.corpus.samples import SAMPLES
 
     return {
         "wc": SAMPLES["wc"],
         "repetitive": TestPruningDeterminism.REPETITIVE,
-        "generated": generate_program_source(functions=24, seed=3),
+        "generated": TestPruningDeterminism.GENERATED,
+        "signed_zeros": SIGNED_ZEROS,
     }
+
+
+def _fn_savings(builder):
+    """Each function's raw savings (cid → bytes) as of the last scan:
+    the sum of the rows its row keys name."""
+    return [builder._tables.delta([], keys) for keys in builder._row_keys]
 
 
 class TestScanReference:
@@ -300,21 +326,47 @@ class TestScanReference:
 
     @staticmethod
     def _by_pattern(builder, fn_savings):
-        patterns = builder._tables.patterns
-        out = {patterns[cid]: value for cid, value in fn_savings.items()}
+        pattern = builder._tables.interned.pattern
+        out = {pattern(cid): value for cid, value in fn_savings.items()}
         assert len(out) == len(fn_savings)  # one cid per pattern
         return out
 
-    @pytest.mark.parametrize("name", ["wc", "repetitive", "generated"])
+    @pytest.mark.parametrize("name", SCAN_PROGRAMS)
     def test_first_pass_matches_pattern_pricing(self, name):
         program = repro.compile_c(_scan_programs()[name])
         builder = BriscBuilder(program, max_passes=1)
         builder.run()
         reference = build_slots(program).functions
-        assert len(builder._fn_savings) == len(reference)
-        for fn_savings, fn in zip(builder._fn_savings, reference):
+        savings = _fn_savings(builder)
+        assert len(savings) == len(reference)
+        for fn_savings, fn in zip(savings, reference):
             assert (self._by_pattern(builder, fn_savings)
                     == self._raw_savings(fn.slots))
+
+    @pytest.mark.parametrize("name", SCAN_PROGRAMS)
+    def test_every_pass_matches_pattern_pricing(self, name):
+        """Checked after every pass's merge, before admission: each
+        function's savings against the reference over the slots just
+        scanned, and the merged map against their sum."""
+        builder = BriscBuilder(repro.compile_c(_scan_programs()[name]), k=6)
+        refresh = builder._refresh_savings
+        checked = []
+
+        def refresh_and_check():
+            refresh()
+            merged = {}
+            for fn_savings, fn in zip(_fn_savings(builder),
+                                      builder.slots.functions):
+                by_pattern = self._by_pattern(builder, fn_savings)
+                assert by_pattern == self._raw_savings(fn.slots)
+                for cid, value in fn_savings.items():
+                    merged[cid] = merged.get(cid, 0) + value
+            assert builder._savings == merged
+            checked.append(builder.passes)
+
+        builder._refresh_savings = refresh_and_check
+        builder.run()
+        assert checked == list(range(1, builder.passes + 1))
 
     def test_rescan_of_combined_slots_matches_pattern_pricing(self):
         """The last pass of this build admits nothing, so its scan saw the
@@ -325,16 +377,18 @@ class TestScanReference:
         assert result.passes > 1 and result.pass_stats[-1].admitted == 0
         assert any(len(s.insns) > 1
                    for fn in result.slots.functions for s in fn.slots)
-        for fn_savings, fn in zip(builder._fn_savings,
+        for fn_savings, fn in zip(_fn_savings(builder),
                                   result.slots.functions):
             assert (self._by_pattern(builder, fn_savings)
                     == self._raw_savings(fn.slots))
 
     @pytest.mark.parametrize("abundant", [False, True])
-    @pytest.mark.parametrize("name", ["wc", "repetitive", "generated"])
+    @pytest.mark.parametrize("name", SCAN_PROGRAMS)
     def test_floors_and_liveness_are_exact(self, name, abundant):
         """Checked after every pass's merge, before admission: each cid's
-        dictionary bytes, and liveness against a fresh ``CostModel``."""
+        dictionary bytes, and liveness against a fresh ``CostModel``.  The
+        reference patterns are built here from the cids' keys, so the
+        builder's own patterns stay lazily built."""
         builder = BriscBuilder(repro.compile_c(_scan_programs()[name]),
                                k=6, abundant_memory=abundant)
         interned = builder._tables.interned
@@ -344,7 +398,8 @@ class TestScanReference:
 
         def refresh_and_check():
             refresh()
-            for cid, pattern in enumerate(interned.patterns):
+            for cid, key in enumerate(interned.keys):
+                pattern = DictPattern(tuple(interned.parts[p] for p in key))
                 assert interned.dict_bytes[cid] == pattern.dictionary_size()
                 if cid in builder._dict_ids:
                     assert cid not in builder._live
@@ -361,5 +416,7 @@ class TestScanReference:
         builder.run()
         assert len(checked) == builder.passes
         # W is priced only for candidates whose savings got past their
-        # dictionary bytes, not for every candidate.
-        assert len(interned.floors) < len(interned.patterns)
+        # dictionary bytes, not for every candidate; a candidate's
+        # pattern is built only when something uses it.
+        assert len(interned.floors) < len(interned.keys)
+        assert len(interned.patterns) < len(interned.keys)

@@ -285,10 +285,48 @@ class TestJournal:
         restored = pickle.loads(pickle.dumps(build))
         before, after = build.journal.interned, restored.journal.interned
         for name in type(before).__slots__:
+            if name == "patterns":  # built on first use, not pickled
+                assert not after.patterns
+                continue
             assert getattr(after, name) == getattr(before, name), name
+        assert all(after.pattern(cid) == before.pattern(cid)
+                   for cid in range(len(before.keys)))
         replayed = incremental_compress(new, old, restored, k=6)
         assert replayed is not None
         assert replayed.image.blob == compress(new, k=6).image.blob
+
+    def test_journal_in_the_older_pickle_layout_is_a_disk_miss(
+            self, monkeypatch, tmp_path):
+        """Older releases pickled the intern state as ``(patterns,
+        parts, floors)``.  A disk-cached BRISC artifact holding such a
+        journal fails to unpickle, so the disk cache reports a miss and
+        the stage is rebuilt cold into the same image."""
+        import pickle
+
+        from repro.brisc.builder import _InternState
+
+        config = Toolchain().config.with_brisc(k=6).with_journal()
+        first = Toolchain(cache_dir=tmp_path).compile(
+            BIG, name="u", config=config)
+        interned = first.brisc.build.journal.interned
+        assert interned.keys
+        monkeypatch.setattr(_InternState, "__getstate__", lambda self: (
+            [self.pattern(cid) for cid in range(len(self.keys))],
+            self.parts, self.floors))
+        tc = Toolchain(cache_dir=tmp_path)
+        disk = tc.cache.disk
+        key = tc.stage_keys(BIG, name="u", config=config)["brisc"]
+        disk.put(key, first.artifact("brisc"))
+        monkeypatch.undo()
+        with pytest.raises(TypeError):
+            with open(disk._path(key), "rb") as f:
+                pickle.load(f)
+        misses = disk.misses
+        second = tc.compile(BIG, name="u", config=config)
+        assert disk.misses == misses + 1
+        assert not second.artifact("brisc").from_cache
+        assert second.brisc.image.blob == first.brisc.image.blob
+        assert second.brisc.build.journal.interned.keys == interned.keys
 
     def test_journal_without_intern_state_builds_cold(self):
         """A journal unpickled from before the intern state existed

@@ -764,6 +764,29 @@ class TestFetchOps:
         counters = stats["range_ops"]["fetch_function"]
         assert counters["misses"] == 1 and counters["hits"] == 1
 
+    def test_fetch_hit_reuses_the_parsed_index(self, monkeypatch):
+        """A blob's block index is parsed once, not per request; the
+        replies stay the same."""
+        import repro.container
+
+        calls = []
+        parse = repro.container.container_index
+
+        def counting(blob, *args, **kwargs):
+            calls.append(len(blob))
+            return parse(blob, *args, **kwargs)
+
+        monkeypatch.setattr(repro.container, "container_index", counting)
+        with make_service() as bg:
+            with ServiceClient(port=bg.port, timeout=30.0) as client:
+                first, second = (client.fetch_function(
+                    MULTI, "sq", name="multi.c", chunk_bytes=64)
+                    for _ in range(2))
+        assert len(calls) == 1
+        assert second["cache_hit"]
+        del first["cache_hit"], second["cache_hit"]
+        assert first == second
+
     def test_verify_function_accepts_sparse_blob(self):
         with make_service() as bg:
             with ServiceClient(port=bg.port, timeout=30.0) as client:
