@@ -2,9 +2,12 @@
 
 An image holds the dictionary (serialized patterns), the Markov successor
 tables, global data, and per-function code bytes plus the basic-block
-start offsets that make the code randomly addressable.  The decoder
-reconstructs a runnable :class:`~repro.vm.instr.VMProgram`; semantics are
-preserved exactly (labels are regenerated as ``L<offset>``).
+start offsets that make the code randomly addressable.  The slot reader
+below (:func:`decode_slot` and its two steps, :func:`slot_context` and
+:func:`resolve_opcode`) is the one read path of the slot format: the
+decoder, the in-place interpreter and the JIT all go through it.  The
+decoder reconstructs a runnable :class:`~repro.vm.instr.VMProgram`;
+semantics are preserved exactly (labels are regenerated as ``L<offset>``).
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ from ..errors import (
 )
 from ..ir.tree import GlobalData, PtrInit, ScalarInit
 from ..vm.instr import Instr, VMFunction, VMProgram
-from ..vm.isa import Operand
-from .markov import CTX_BB, CTX_ENTRY, ESCAPE, MarkovModel, build_markov
+from ..vm.isa import NUM_FREGS, SPEC, Operand
+from .markov import (
+    CTX_BB, CTX_ENTRY, ESCAPE, MarkovModel, build_markov, context_stream,
+)
 from .pattern import (
-    Burned, DictPattern, deserialize_pattern, serialize_pattern,
+    _BYTE_SIZES, _NIBBLE_CLASSES, Burned, DictPattern, deserialize_pattern,
+    serialize_pattern,
 )
 from .slots import SlotProgram
 
@@ -51,8 +57,6 @@ _MAGIC_PREFIX = b"BRI"
 _MAGIC_V1 = b"BRI1"
 _MAGIC = b"BRI2"
 _MAGIC_V3 = b"BRI3"
-_NIBBLE_CLASSES = {"r", "f", "n4"}
-_BYTE_WIDTH = {"b": 1, "h": 2, "w": 4, "l": 2, "s": 2, "d": 8}
 
 
 @dataclass
@@ -104,7 +108,7 @@ def _slot_bytes(
 ) -> bytes:
     """Opcode byte(s) + packed operand bytes for one slot."""
     out = bytearray(opcode)
-    _, classes = pattern.operand_layout()
+    _, classes, _ = pattern.operand_layout()
     values = pattern.wildcard_values(insns)
     assert len(values) == len(classes)
     nibbles: List[int] = []
@@ -115,7 +119,7 @@ def _slot_bytes(
         elif cls == "n4":
             nibbles.append((int(value) // 4) & 0xF)
         elif cls in ("b", "h", "w"):
-            wide += int(value).to_bytes(_BYTE_WIDTH[cls], "little", signed=True)
+            wide += int(value).to_bytes(_BYTE_SIZES[cls], "little", signed=True)
         elif cls == "l":
             assert isinstance(value, str)
             wide += label_offsets[value].to_bytes(2, "little")
@@ -148,6 +152,13 @@ def _opcode_for(reverse_table: Dict[int, int], pid: int) -> bytes:
     if idx < ESCAPE:
         return _OPCODE_BYTES[idx]
     return _OPCODE_BYTES[ESCAPE] + pid.to_bytes(2, "little")
+
+
+def _symbol_ids(functions, globals_: List[GlobalData]) -> Dict[str, int]:
+    """The symbol index space symbol operands index: function names
+    first, then the globals that are not functions."""
+    names = [fn.name for fn in functions] + [g.name for g in globals_]
+    return {name: i for i, name in enumerate(dict.fromkeys(names))}
 
 
 def _pack_globals(out: bytearray, globals_: List[GlobalData]) -> None:
@@ -202,6 +213,8 @@ def _unpack_globals(data: bytes, pos: int) -> Tuple[List[GlobalData], int]:
         name, pos = _take_name(data, pos, "global name")
         size, pos = read_uvarint(data, pos)
         align, pos = read_uvarint(data, pos)
+        if align == 0:
+            raise CorruptStreamError(f"global {name!r} has alignment 0")
         flag, pos = _take_byte(data, pos, "global flags")
         is_string = bool(flag)
         nitems, pos = read_uvarint(data, pos)
@@ -242,36 +255,11 @@ def encode_image(
         for i, pid in enumerate(table):
             reverse.setdefault(pid, i)
         reverse_tables[ctx] = reverse
-    symbol_ids: Dict[str, int] = {}
-    for fn in slots.functions:
-        symbol_ids[fn.name] = len(symbol_ids)
-    for g in globals_:
-        symbol_ids.setdefault(g.name, len(symbol_ids))
+    symbol_ids = _symbol_ids(slots.functions, globals_)
 
     out = bytearray()  # container payload; magic + CRC32 are prepended below
-    # Dictionary.
-    write_uvarint(out, len(model.patterns))
-    dict_start = len(out)
-    for pattern in model.patterns:
-        out.extend(serialize_pattern(pattern))
-    dict_bytes = len(out) - dict_start
-    # Tables.
-    tables_start = len(out)
-    write_uvarint(out, len(stored_tables))
-    for ctx in sorted(stored_tables):
-        write_uvarint(out, _zig(ctx))
-        table = stored_tables[ctx]
-        write_uvarint(out, len(table))
-        for pid in table:
-            write_uvarint(out, pid)
-    table_bytes = len(out) - tables_start
-    # Globals.
-    meta_start = len(out)
-    _pack_globals(out, globals_)
-    raw = slots.entry.encode("utf-8")
-    write_uvarint(out, len(raw))
-    out.extend(raw)
-    meta_bytes = len(out) - meta_start
+    dict_bytes, table_bytes, meta_bytes = _pack_preamble(
+        out, model.patterns, stored_tables, globals_, slots.entry)
 
     # Functions.
     code_bytes = 0
@@ -279,25 +267,16 @@ def encode_image(
     operand_total = 0
     write_uvarint(out, len(slots.functions))
     for fi, fn in enumerate(slots.functions):
-        ids = fn_ids[fi]
         # First pass: slot byte offsets (opcode escapes add 2 bytes).
         offsets: List[int] = []
         cursor = 0
         opcodes: List[bytes] = []
-        prev: Optional[int] = None
-        for i, slot in enumerate(fn.slots):
-            if i == 0:
-                ctx = CTX_ENTRY
-            elif slot.is_block_start:
-                ctx = CTX_BB
-            else:
-                assert prev is not None
-                ctx = prev
-            opcode = _opcode_for(reverse_tables.get(ctx, {}), ids[i])
+        for slot, (ctx, pid) in zip(fn.slots,
+                                    context_stream(fn, fn_ids[fi])):
+            opcode = _opcode_for(reverse_tables.get(ctx, {}), pid)
             opcodes.append(opcode)
             offsets.append(cursor)
             cursor += len(opcode) + slot.pattern.operand_bytes()
-            prev = ids[i]
         total_len = cursor
         label_offsets: Dict[str, int] = {}
         bb_offsets: List[int] = []
@@ -361,6 +340,17 @@ class DecodedImage:
     globals: List[GlobalData]
     entry: str
     functions: List["DecodedFunction"] = field(default_factory=list)
+    _symbols: Optional[Tuple[List[str], Dict[str, int]]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def symbol_table(self) -> Tuple[List[str], Dict[str, int]]:
+        """The symbol index space, function names first and then the
+        globals that are not functions, plus each name's index.  Built on
+        first use, after parsing has read the function table."""
+        if self._symbols is None:
+            ids = _symbol_ids(self.functions, self.globals)
+            self._symbols = (list(ids), ids)
+        return self._symbols
 
 
 @dataclass
@@ -496,91 +486,158 @@ def _read_block_offsets(data: bytes, pos: int, name: str,
     return offsets, pos
 
 
-def symbol_names(image: DecodedImage) -> List[str]:
-    """Symbol index space: function names first, then global names."""
-    names = [fn.name for fn in image.functions]
-    for g in image.globals:
-        if g.name not in names:
-            names.append(g.name)
-    return names
+# ---------------------------------------------------------------------------
+# The slot reader
+# ---------------------------------------------------------------------------
+#
+# The read side of the slot format, shared by every consumer of an image:
+# ``decode_image`` (decompression), the in-place interpreter and the JIT.
+# A slot is an opcode byte, resolved through its Markov context, or the
+# escape byte and a 2-byte pattern id; then the pattern's operand bytes,
+# nibble-packed operands first and the wider ones after, in class order.
+
+_DOUBLE = struct.Struct("<d")
+#: Mnemonic -> position of its label operand (branches and ``jmp``).
+_LABEL_AT = {name: spec.signature.index(Operand.LABEL)
+             for name, spec in SPEC.items()
+             if Operand.LABEL in spec.signature}
+
+
+def slot_context(fn: DecodedFunction, offset: int,
+                 prev: Optional[int]) -> Optional[int]:
+    """The Markov context that decodes the slot at ``offset``.
+
+    Function entry and block starts have their own contexts, so decoding
+    can begin there; any other slot is decoded in the context of the
+    pattern before it, ``prev``.  ``None`` when that is unknown (a jump
+    into the middle of a block).
+    """
+    if offset == 0:
+        return CTX_ENTRY
+    if offset in fn.bb_offsets:
+        return CTX_BB
+    return prev
+
+
+def resolve_opcode(image: DecodedImage, fn: DecodedFunction, offset: int,
+                   ctx: Optional[int]) -> Tuple[int, int]:
+    """The pattern id of the slot at ``offset`` decoded in context
+    ``ctx``, and the offset of its operand bytes."""
+    code = fn.code
+    if offset >= len(code):
+        raise TruncatedStreamError("image ends before opcode byte")
+    byte = code[offset]
+    if byte == ESCAPE:
+        if offset + 3 > len(code):
+            raise TruncatedStreamError("image ends before escaped pattern id")
+        pid = code[offset + 1] | code[offset + 2] << 8
+        offset += 3
+    else:
+        table = image.tables.get(ctx)  # type: ignore[arg-type]
+        if table is None or byte >= len(table):
+            raise CorruptStreamError(
+                f"invalid opcode byte {byte} in context {ctx}")
+        pid = table[byte]
+        offset += 1
+    if pid >= len(image.patterns):
+        raise CorruptStreamError(
+            f"slot references pattern {pid} of {len(image.patterns)}")
+    return pid, offset
 
 
 def decode_slot(
     image: DecodedImage,
     fn: DecodedFunction,
     offset: int,
-    ctx: int,
-    names: Optional[List[str]] = None,
-) -> Tuple[DictPattern, List[Instr], int]:
-    """Decode one slot at ``offset``; returns (pattern, instructions,
-    next_offset).  Label operands come back as ``L<offset>`` names;
-    symbol indices resolve through ``names`` (default: the image's own
-    symbol table)."""
-    if names is None:
-        names = symbol_names(image)
-    code = fn.code
-    byte, offset = _take_byte(code, offset, "opcode byte")
-    if byte == ESCAPE:
-        raw, offset = take_bytes(code, offset, 2, "escaped pattern id")
-        pid = int.from_bytes(raw, "little")
-    else:
-        table = image.tables.get(ctx)
-        if table is None or byte >= len(table):
-            raise CorruptStreamError(
-                f"invalid opcode byte {byte} in context {ctx}")
-        pid = table[byte]
-    if pid >= len(image.patterns):
-        raise CorruptStreamError(
-            f"slot references pattern {pid} of {len(image.patterns)}")
+    ctx: Optional[int],
+    symbols: Optional[List] = None,
+) -> Tuple[int, Tuple[Tuple[str, tuple], ...], int]:
+    """Decode the slot at ``offset`` in context ``ctx``.
+
+    Returns ``(pattern id, parts, next offset)``, with one ``(mnemonic,
+    operands)`` pair per pattern part.  A label operand is a code offset
+    in ``fn``; a symbol operand, wildcard or burned, is looked up by its
+    index in :meth:`DecodedImage.symbol_table` as ``symbols[index]``
+    (default: the names themselves), so each caller names both its own
+    way.  Every operand is range-checked.
+    """
+    pid, offset = resolve_opcode(image, fn, offset, ctx)
     pattern = image.patterns[pid]
-    _, classes = pattern.operand_layout()
-    nnib = sum(1 for c in classes if c in _NIBBLE_CLASSES)
+    _, classes, nnib = pattern.operand_layout()
+    names, ids = image.symbol_table()
+    if symbols is None:
+        symbols = names
+    code = fn.code
+    end = offset + (nnib + 1) // 2
+    if end > len(code):
+        raise TruncatedStreamError("image ends before operand nibbles")
     nibbles: List[int] = []
-    for i in range((nnib + 1) // 2):
-        b, offset = _take_byte(code, offset, "operand nibbles")
-        nibbles.append(b >> 4)
-        nibbles.append(b & 0xF)
-    nibbles = nibbles[:nnib]
+    for byte in code[offset:end]:
+        nibbles += (byte >> 4, byte & 0xF)
+    offset = end
     values: List[object] = []
     ni = 0
     for cls in classes:
-        if cls in ("r", "f"):
-            values.append(nibbles[ni])
+        if cls in _NIBBLE_CLASSES:
+            value = nibbles[ni]
             ni += 1
-        elif cls == "n4":
-            values.append(nibbles[ni] * 4)
-            ni += 1
-        elif cls in ("b", "h", "w"):
-            width = _BYTE_WIDTH[cls]
-            raw, offset = take_bytes(code, offset, width,
-                                     f"{cls!r} operand")
-            values.append(int.from_bytes(raw, "little", signed=True))
+            if cls == "n4":
+                value *= 4
+            elif cls == "f" and value >= NUM_FREGS:
+                raise CorruptStreamError(f"register f{value} of {NUM_FREGS}")
+            values.append(value)
+            continue
+        end = offset + _BYTE_SIZES[cls]
+        if end > len(code):
+            raise TruncatedStreamError(f"image ends before {cls!r} operand")
+        if cls == "d":
+            values.append(_DOUBLE.unpack_from(code, offset)[0])
         elif cls == "l":
-            raw, offset = take_bytes(code, offset, 2, "label operand")
-            values.append(f"L{int.from_bytes(raw, 'little')}")
-        elif cls == "s":
-            raw, offset = take_bytes(code, offset, 2, "symbol operand")
-            idx = int.from_bytes(raw, "little")
-            if idx >= len(names):
+            target = code[offset] | code[offset + 1] << 8
+            if target >= len(code):
                 raise CorruptStreamError(
-                    f"symbol index {idx} of {len(names)}")
-            values.append(names[idx])
+                    f"label offset {target} beyond code of {len(code)} "
+                    f"bytes in {fn.name!r}")
+            values.append(target)
+        elif cls == "s":
+            index = code[offset] | code[offset + 1] << 8
+            if index >= len(names):
+                raise CorruptStreamError(
+                    f"symbol index {index} of {len(names)}")
+            values.append(symbols[index])
         else:
-            raw, offset = take_bytes(code, offset, 8, "double operand")
-            values.append(struct.unpack("<d", raw)[0])
-    # Rebuild concrete instructions.
-    instrs: List[Instr] = []
+            values.append(int.from_bytes(code[offset:end], "little",
+                                         signed=True))
+        offset = end
+    parts = []
     vi = 0
     for part in pattern.parts:
-        operands: List[object] = []
+        ops: List[object] = []
         for f in part.fields:
-            if isinstance(f, Burned):
-                operands.append(f.value)
-            else:
-                operands.append(values[vi])
+            if f.__class__ is not Burned:
+                ops.append(values[vi])
                 vi += 1
-        instrs.append(Instr(part.name, tuple(operands)))  # type: ignore[arg-type]
-    return pattern, instrs, offset
+            elif f.value.__class__ is str:  # a burned symbol name
+                index = ids.get(f.value)  # type: ignore[arg-type]
+                if index is None:
+                    raise CorruptStreamError(
+                        f"burned symbol {f.value!r} is not in the image")
+                ops.append(symbols[index])
+            else:
+                ops.append(f.value)
+        parts.append((part.name, tuple(ops)))
+    return pid, tuple(parts), offset
+
+
+def slot_start(starts: Dict[int, int], fn: DecodedFunction,
+               target: int) -> int:
+    """``starts[target]`` for a branch target, where ``starts`` maps each
+    slot's offset; a branch into the middle of a slot is corrupt."""
+    start = starts.get(target)
+    if start is None:
+        raise CorruptStreamError(
+            f"branch to mid-slot offset {target} in {fn.name}")
+    return start
 
 
 def decode_image(
@@ -589,51 +646,32 @@ def decode_image(
     """Fully decode an image back into a runnable VM program."""
     image = parse_image(blob, limits=limits)
     with decode_guard("BRISC image"):
-        names = symbol_names(image)
         program = VMProgram("decoded", entry=image.entry)
         program.globals = list(image.globals)
         for fn in image.functions:
             vmf = VMFunction(fn.name, frame_size=fn.frame_size,
                              param_bytes=fn.param_bytes)
             offset = 0
-            prev: Optional[int] = None
+            pid: Optional[int] = None
             offset_to_index: Dict[int, int] = {}
-            referenced: Set[str] = set()
+            referenced: Set[int] = set()
             while offset < len(fn.code):
-                if offset == 0:
-                    ctx = CTX_ENTRY
-                elif offset in fn.bb_offsets:
-                    ctx = CTX_BB
-                else:
-                    assert prev is not None
-                    ctx = prev
                 offset_to_index[offset] = len(vmf.code)
-                pattern, instrs, next_offset = decode_slot(image, fn, offset,
-                                                           ctx, names)
-                for instr in instrs:
-                    for kind, value in zip(instr.spec.signature,
-                                           instr.operands):
-                        if kind is Operand.LABEL:
-                            referenced.add(str(value))
-                vmf.code.extend(instrs)
-                # Track which pattern id produced this slot for the context.
-                byte = fn.code[offset]
-                if byte == ESCAPE:
-                    prev = int.from_bytes(fn.code[offset + 1 : offset + 3],
-                                          "little")
-                else:
-                    prev = image.tables[ctx][byte]
-                offset = next_offset
+                pid, parts, offset = decode_slot(
+                    image, fn, offset, slot_context(fn, offset, pid))
+                for name, ops in parts:
+                    at = _LABEL_AT.get(name)
+                    if at is not None:
+                        referenced.add(ops[at])
+                        ops = ops[:at] + (f"L{ops[at]}",) + ops[at + 1:]
+                    vmf.code.append(Instr(name, ops))
             # Labels at every block start and at referenced offsets.
             for off in sorted(set(fn.bb_offsets) | {0}):
                 if off in offset_to_index:
                     vmf.labels.setdefault(f"L{off}", offset_to_index[off])
-            for label in referenced:
-                off = int(label[1:])
-                if off not in offset_to_index:
-                    raise CorruptStreamError(
-                        f"branch to mid-slot offset {off} in {fn.name}")
-                vmf.labels.setdefault(label, offset_to_index[off])
+            for off in referenced:
+                vmf.labels.setdefault(
+                    f"L{off}", slot_start(offset_to_index, fn, off))
             program.functions.append(vmf)
         return program
 
@@ -652,23 +690,30 @@ def decode_image(
 # is an exact byte slice of what a full ``parse_image`` would see.
 
 
-def _pack_preamble(out: bytearray, image: DecodedImage) -> None:
-    """Re-serialize the shared preamble of a parsed image (the exact
-    inverse of :func:`_parse_preamble`)."""
-    write_uvarint(out, len(image.patterns))
-    for pattern in image.patterns:
+def _pack_preamble(out: bytearray, patterns: List[DictPattern],
+                   tables: Dict[int, List[int]], globals_: List[GlobalData],
+                   entry: str) -> Tuple[int, int, int]:
+    """Serialize the preamble v2 payloads and v3 headers share (the exact
+    inverse of :func:`_parse_preamble`); returns the bytes taken by the
+    dictionary entries, the tables, and the globals and entry."""
+    write_uvarint(out, len(patterns))
+    start = len(out)
+    for pattern in patterns:
         out.extend(serialize_pattern(pattern))
-    write_uvarint(out, len(image.tables))
-    for ctx in sorted(image.tables):
+    dict_bytes, start = len(out) - start, len(out)
+    write_uvarint(out, len(tables))
+    for ctx in sorted(tables):
         write_uvarint(out, _zig(ctx))
-        table = image.tables[ctx]
+        table = tables[ctx]
         write_uvarint(out, len(table))
         for pid in table:
             write_uvarint(out, pid)
-    _pack_globals(out, image.globals)
-    raw = image.entry.encode("utf-8")
+    table_bytes, start = len(out) - start, len(out)
+    _pack_globals(out, globals_)
+    raw = entry.encode("utf-8")
     write_uvarint(out, len(raw))
     out.extend(raw)
+    return dict_bytes, table_bytes, len(out) - start
 
 
 def repack_v3(
@@ -688,7 +733,8 @@ def repack_v3(
                          chunk_bytes)
     chunk_of = {i: cid for cid, members in enumerate(groups) for i in members}
     header = bytearray()
-    _pack_preamble(header, image)
+    _pack_preamble(header, image.patterns, image.tables, image.globals,
+                   image.entry)
     write_uvarint(header, len(image.functions))
     for index, fn in enumerate(image.functions):
         raw = fn.name.encode("utf-8")

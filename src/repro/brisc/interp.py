@@ -1,8 +1,9 @@
 """Direct interpretation of BRISC images — no decompression pass.
 
-The interpreter fetches at byte offsets inside the compressed code,
-resolves the opcode byte through the Markov context tables, unpacks the
-operand bytes, and executes the pattern's parts through the same
+The interpreter fetches at byte offsets inside the compressed code
+through the image's slot reader (:func:`repro.brisc.encode.decode_slot`,
+which resolves the opcode byte through its Markov context and unpacks the
+operand bytes), and executes the pattern's parts through the same
 instruction semantics as the plain VM interpreter
 (:meth:`repro.vm.interp.Interpreter._exec`).
 
@@ -17,14 +18,11 @@ Two modes:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..errors import CorruptStreamError
 from ..vm.instr import VMFunction, VMProgram
 from ..vm.interp import Interpreter, VMError
-from ..vm.isa import Operand
-from .encode import decode_slot, parse_image, symbol_names
-from .markov import CTX_BB, CTX_ENTRY, ESCAPE
+from .encode import decode_slot, parse_image, slot_context
 
 __all__ = ["BriscInterpreter", "run_image"]
 
@@ -45,7 +43,6 @@ class BriscInterpreter(Interpreter):
     ) -> None:
         decoded = parse_image(image)
         self._image = decoded
-        self._sym_names: List[str] = symbol_names(decoded)
         shell = VMProgram("brisc", entry=decoded.entry)
         shell.globals = list(decoded.globals)
         for fn in decoded.functions:
@@ -58,75 +55,39 @@ class BriscInterpreter(Interpreter):
         self.slots_decoded = 0
         super().__init__(shell, memory_size=memory_size, max_steps=max_steps,
                          stdin=stdin, count_opcodes=count_opcodes)
+        # The image's symbol table, resolved once: every name in it is a
+        # function or a global the shell program has just laid out.
+        self._symbol_table = [
+            ("func", self._func_index[name]) if name in self._func_index
+            else ("data", self.symbols[name])
+            for name in decoded.symbol_table()[0]
+        ]
 
     def _resolve_function(self, fn: VMFunction):
         return []  # execution decodes from the image instead
 
     # -- fetch/decode --------------------------------------------------------
 
-    def _fetch_slot(self, func: int, offset: int) -> Tuple[_Group, int, int]:
-        """Decode the slot at ``offset``: (group, next_offset, pattern_id)."""
+    def _fetch_slot(self, func: int, offset: int,
+                    prev_pid: Optional[int]) -> Tuple[_Group, int, int]:
+        """Decode the slot at ``offset``, reached from a slot of pattern
+        ``prev_pid`` (``None`` after a control transfer): (group,
+        next_offset, pattern_id)."""
         if self._cache_decoded:
             cached = self._slot_cache.get((func, offset))
             if cached is not None:
                 return cached
         fn = self._image.functions[func]
-        ctx = self._context_at(func, offset)
-        pattern, instrs, next_offset = decode_slot(self._image, fn, offset, ctx,
-                                                    self._sym_names)
+        ctx = slot_context(fn, offset, prev_pid)
+        if ctx is None:
+            raise VMError(f"jump into mid-block offset {offset}")
+        pid, group, next_offset = decode_slot(self._image, fn, offset, ctx,
+                                              self._symbol_table)
         self.slots_decoded += 1
-        pid = self._pattern_id(fn, offset, ctx)
-        group: List[Tuple[str, tuple]] = []
-        for instr in instrs:
-            ops: List[object] = []
-            for kind, value in zip(instr.spec.signature, instr.operands):
-                if kind is Operand.LABEL:
-                    ops.append(int(str(value)[1:]))  # "L<offset>" -> offset
-                elif kind is Operand.SYM:
-                    ops.append(self._resolve_sym(value))
-                else:
-                    ops.append(value)
-            group.append((instr.name, tuple(ops)))
-        result = (tuple(group), next_offset, pid)
+        result = (group, next_offset, pid)
         if self._cache_decoded:
             self._slot_cache[(func, offset)] = result
         return result
-
-    def _pattern_id(self, fn, offset: int, ctx: int) -> int:
-        """The pattern id at ``offset``, with the context-table lookup
-        guarded so a corrupt image raises a typed error, never a bare
-        ``KeyError``/``IndexError``, even if a decode path misses a check."""
-        byte = fn.code[offset]
-        if byte == ESCAPE:
-            return int.from_bytes(fn.code[offset + 1 : offset + 3], "little")
-        table = self._image.tables.get(ctx)
-        if table is None or byte >= len(table):
-            raise CorruptStreamError(
-                f"invalid opcode byte {byte} in context {ctx}")
-        return table[byte]
-
-    def _resolve_sym(self, value) -> Tuple[str, int]:
-        name = str(value)
-        if name in self._func_index:
-            return ("func", self._func_index[name])
-        if name in self.symbols:
-            return ("data", self.symbols[name])
-        raise VMError(f"undefined symbol {name!r}")
-
-    def _context_at(self, func: int, offset: int) -> int:
-        """Context for decoding at ``offset``.
-
-        Sequential execution tracks the previous pattern id; this method is
-        only called on control-transfer entry points (offset 0 or a basic
-        block start), where the special contexts apply — which is exactly
-        why the paper gives block beginnings their own contexts.
-        """
-        if offset == 0:
-            return CTX_ENTRY
-        fn = self._image.functions[func]
-        if offset in fn.bb_offsets:
-            return CTX_BB
-        raise VMError(f"jump into mid-block offset {offset}")
 
     # -- execution -----------------------------------------------------------
 
@@ -138,48 +99,16 @@ class BriscInterpreter(Interpreter):
             fn = self._image.functions[func]
             if pc >= len(fn.code):
                 raise VMError(f"fell off the end of {fn.name}")
-            # Sequential decode can use the tracked previous pattern id
-            # unless this offset begins a basic block.
-            if pc == 0 or prev_pid is None or pc in fn.bb_offsets:
-                group, next_pc, pid = self._fetch_slot(func, pc)
-            else:
-                group, next_pc, pid = self._fetch_sequential(func, pc, prev_pid)
-            start_func, start_pc = func, pc
+            group, next_pc, pid = self._fetch_slot(func, pc, prev_pid)
+            start_func = func
             pc = next_pc
             for name, ops in group:
                 func, pc, halt = self._exec(name, ops, func, pc)
                 if halt is not None:
                     return halt
+            # Fall-through decodes in this slot's context; a control
+            # transfer lands on a block start, which has its own.
             prev_pid = pid if (func == start_func and pc == next_pc) else None
-
-    def _fetch_sequential(
-        self, func: int, offset: int, prev_pid: int
-    ) -> Tuple[_Group, int, int]:
-        """Decode using the previous pattern's context (fall-through)."""
-        if self._cache_decoded:
-            cached = self._slot_cache.get((func, offset))
-            if cached is not None:
-                return cached
-        fn = self._image.functions[func]
-        pattern, instrs, next_offset = decode_slot(
-            self._image, fn, offset, prev_pid, self._sym_names)
-        self.slots_decoded += 1
-        pid = self._pattern_id(fn, offset, prev_pid)
-        group: List[Tuple[str, tuple]] = []
-        for instr in instrs:
-            ops: List[object] = []
-            for kind, value in zip(instr.spec.signature, instr.operands):
-                if kind is Operand.LABEL:
-                    ops.append(int(str(value)[1:]))
-                elif kind is Operand.SYM:
-                    ops.append(self._resolve_sym(value))
-                else:
-                    ops.append(value)
-            group.append((instr.name, tuple(ops)))
-        result = (tuple(group), next_offset, pid)
-        if self._cache_decoded:
-            self._slot_cache[(func, offset)] = result
-        return result
 
 
 def run_image(

@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 from .pattern import DictPattern
 from .slots import SlotFunction, SlotProgram
 
-__all__ = ["CTX_ENTRY", "CTX_BB", "MarkovModel", "build_markov"]
+__all__ = ["CTX_ENTRY", "CTX_BB", "MarkovModel", "build_markov",
+           "context_stream"]
 
 CTX_ENTRY = -1
 CTX_BB = -2
@@ -85,8 +86,10 @@ class MarkovModel:
         return sum(4 + 2 * len(table) for table in self.tables.values())
 
 
-def _context_stream(fn: SlotFunction, ids: List[int]) -> List[Tuple[int, int]]:
-    """(context, pattern_id) pairs for a function's slots."""
+def context_stream(fn: SlotFunction, ids: List[int]) -> List[Tuple[int, int]]:
+    """(context, pattern_id) pairs for a function's slots: the encoder's
+    side of the context rule (the image reader's is
+    :func:`repro.brisc.encode.slot_context`)."""
     out: List[Tuple[int, int]] = []
     prev: Optional[int] = None
     for i, slot in enumerate(fn.slots):
@@ -131,7 +134,7 @@ def build_markov(slots: SlotProgram) -> Tuple[MarkovModel, Dict[int, List[int]]]
     for _round in range(64):
         succ: Dict[int, Counter] = {}
         for fi, fn in enumerate(slots.functions):
-            for ctx, pid in _context_stream(fn, fn_ids[fi]):
+            for ctx, pid in context_stream(fn, fn_ids[fi]):
                 succ.setdefault(ctx, Counter())[pid] += 1
         overfull = [
             ctx for ctx, counter in succ.items()

@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple, Union
 from ..compress.bitio import read_uvarint, take_bytes, uvarint, write_uvarint
 from ..errors import CorruptStreamError, TruncatedStreamError
 from ..vm.instr import Instr
-from ..vm.isa import MNEMONIC, Operand, SPEC
+from ..vm.isa import MNEMONIC, NUM_FREGS, NUM_IREGS, Operand, SPEC
 
 __all__ = [
     "Field", "Wildcard", "Burned", "InsnPattern", "DictPattern",
@@ -257,8 +257,9 @@ class DictPattern:
             return False
         return all(p.matches(i) for p, i in zip(self.parts, insns))
 
-    def operand_layout(self) -> Tuple[int, List[str]]:
-        """Encoded operand size in bytes and the flat wildcard class list.
+    def operand_layout(self) -> Tuple[int, List[str], int]:
+        """Encoded operand size in bytes, the flat wildcard class list and
+        the number of nibble-packed operands among them.
 
         Cached per instance (the pattern is frozen, so the layout never
         changes); callers must not mutate the returned class list.
@@ -274,7 +275,7 @@ class DictPattern:
             nibbles = sum(1 for c in classes if c in _NIBBLE_CLASSES)
             whole = sum(
                 _BYTE_SIZES[c] for c in classes if c not in _NIBBLE_CLASSES)
-            cached = ((nibbles + 1) // 2 + whole, classes)
+            cached = ((nibbles + 1) // 2 + whole, classes, nibbles)
             self.__dict__["_layout"] = cached
         return cached
 
@@ -338,6 +339,18 @@ class DictPattern:
 _MNEMONIC_ID = {name: i for i, name in enumerate(MNEMONIC)}
 _CLS_ID = {c: i for i, c in enumerate(("r", "f", "n4", "b", "h", "w", "l", "s", "d"))}
 _CLS_BY_ID = {i: c for c, i in _CLS_ID.items()}
+# What the encoder writes for each operand kind: the wildcard classes
+# that can carry it, the tag of a burned value, and for registers the
+# size of the register file.  Labels are never burned (the decoder
+# regenerates them from code offsets, so a burned label names nothing).
+_KIND_CLASSES = {
+    Operand.REG: {"r"}, Operand.FREG: {"f"}, Operand.IMM: {"n4", "b", "h", "w"},
+    Operand.LABEL: {"l"}, Operand.SYM: {"s"}, Operand.DIMM: {"d"},
+}
+_BURNED_TAG = {Operand.REG: 0x00, Operand.FREG: 0x00, Operand.IMM: 0x01,
+               Operand.DIMM: 0x02, Operand.SYM: 0x03}
+_REGISTERS = {Operand.REG: NUM_IREGS, Operand.FREG: NUM_FREGS}
+_IMM_LIMIT = 1 << 31  # immediates are signed 32-bit (class ``w``)
 
 
 def serialize_pattern(pattern: DictPattern) -> bytes:
@@ -385,7 +398,11 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
 
     Every field is bounds-checked: a forged mnemonic id, wildcard class,
     tag byte, or string length raises a typed :class:`DecodeError` instead
-    of an ``IndexError``/``KeyError`` or a silently short slice.
+    of an ``IndexError``/``KeyError`` or a silently short slice.  So is
+    every form no encoder writes: a wildcard class or burned tag that
+    does not fit the field's operand kind, a burned label, a burned
+    register outside its register file, or a burned immediate wider than
+    32 bits.
     """
     nparts, pos = read_uvarint(data, pos)
     if nparts < 1 or nparts > len(data) - pos:
@@ -408,21 +425,36 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
                 if cls is None:
                     raise CorruptStreamError(
                         f"unknown wildcard class id {tag & 0x7F}")
+                if cls not in _KIND_CLASSES[kind]:
+                    raise CorruptStreamError(
+                        f"wildcard class {cls!r} cannot carry a {kind.value} "
+                        f"operand of {name}")
                 fields.append(Wildcard(cls))
+            elif tag != _BURNED_TAG.get(kind):
+                raise CorruptStreamError(
+                    f"field tag {tag:#x} cannot carry a {kind.value} operand "
+                    f"of {name}")
             elif tag == 0x00:
                 raw, pos = take_bytes(data, pos, 1, "burned register")
+                if raw[0] >= _REGISTERS[kind]:
+                    raise CorruptStreamError(
+                        f"burned {kind.value} {raw[0]} of {_REGISTERS[kind]} "
+                        f"in {name}")
                 fields.append(Burned(raw[0]))
             elif tag == 0x01:
                 z, pos = read_uvarint(data, pos)
-                fields.append(Burned(-(z >> 1) - 1 if z & 1 else z >> 1))
+                value = -(z >> 1) - 1 if z & 1 else z >> 1
+                if not -_IMM_LIMIT <= value < _IMM_LIMIT:
+                    raise CorruptStreamError(
+                        f"burned immediate {value} wider than 32 bits "
+                        f"in {name}")
+                fields.append(Burned(value))
             elif tag == 0x02:
                 raw, pos = take_bytes(data, pos, 8, "burned double")
                 fields.append(Burned(struct.unpack("<d", raw)[0]))
-            elif tag == 0x03:
+            else:
                 n, pos = read_uvarint(data, pos)
                 raw, pos = take_bytes(data, pos, n, "burned string")
                 fields.append(Burned(raw.decode("utf-8")))
-            else:
-                raise CorruptStreamError(f"unknown field tag {tag:#x}")
         parts.append(InsnPattern(name, tuple(fields)))
     return DictPattern(tuple(parts)), pos

@@ -23,14 +23,14 @@ from typing import Dict, List, Optional, Tuple
 from ..native.base import NativeTarget
 from ..native.targets import PentiumLike
 from ..brisc.cost import representative_instr
-from ..brisc.encode import DecodedImage, parse_image
-from ..brisc.markov import CTX_BB, CTX_ENTRY, ESCAPE
+from ..brisc.encode import (
+    DecodedImage, parse_image, resolve_opcode, slot_context, slot_start,
+)
 from ..brisc.pattern import DictPattern
+from ..errors import TruncatedStreamError
+from ..vm.isa import SPEC, Operand
 
 __all__ = ["JITResult", "BriscJIT", "jit_compile"]
-
-_NIBBLE_CLASSES = {"r", "f", "n4"}
-_BYTE_WIDTH = {"b": 1, "h": 2, "w": 4, "l": 2, "s": 2, "d": 8}
 
 
 @dataclass
@@ -77,9 +77,6 @@ class BriscJIT:
         ]
 
     def _build_info(self, pattern: DictPattern) -> _PatternInfo:
-        from ..brisc.pattern import Wildcard
-        from ..vm.isa import Operand, SPEC
-
         parts_native: List[bytes] = []
         holes: List[Tuple[int, int]] = []
         label_holes: List[int] = []
@@ -91,13 +88,11 @@ class BriscJIT:
             prefix = min(2, len(native))
             holes.append((offset + prefix, len(native) - prefix))
             # Branch targets get patched in a second pass: record where the
-            # native relative-offset field lands (the encoding tail).
-            spec = SPEC[part.name]
-            has_label_wildcard = any(
-                isinstance(f, Wildcard) and k is Operand.LABEL
-                for f, k in zip(part.fields, spec.signature)
-            )
-            if has_label_wildcard and len(native) >= prefix + 2:
+            # native relative-offset field lands (the encoding tail).  A
+            # label is always a wildcard: the dictionary holds no burned
+            # labels.
+            if (Operand.LABEL in SPEC[part.name].signature
+                    and len(native) >= prefix + 2):
                 label_holes.append(offset + len(native) - 2)
             parts_native.append(native)
             offset += len(native)
@@ -110,40 +105,35 @@ class BriscJIT:
 
     def compile_function(self, index: int) -> Tuple[bytes, Dict[int, int]]:
         """Compile one function; returns (native bytes, BRISC offset ->
-        native offset map, for branch patching)."""
-        fn = self.image.functions[index]
+        native offset map, for branch patching).
+
+        Opcodes resolve through the image's slot reader; the operand
+        bytes are spliced raw, never unpacked into values.
+        """
+        image = self.image
+        fn = image.functions[index]
         code = fn.code
-        tables = self.image.tables
         infos = self._infos
-        bb = fn.bb_offsets
         out = bytearray()
         offset_map: Dict[int, int] = {}
         patches: List[Tuple[int, int]] = []
         pos = 0
-        prev: Optional[int] = None
+        pid: Optional[int] = None
         n = len(code)
         while pos < n:
-            if pos == 0:
-                ctx = CTX_ENTRY
-            elif pos in bb:
-                ctx = CTX_BB
-            else:
-                assert prev is not None
-                ctx = prev
             offset_map[pos] = len(out)
-            byte = code[pos]
-            pos += 1
-            if byte == ESCAPE:
-                pid = int.from_bytes(code[pos : pos + 2], "little")
-                pos += 2
-            else:
-                pid = tables[ctx][byte]
+            pid, pos = resolve_opcode(image, fn, pos,
+                                      slot_context(fn, pos, pid))
             info = infos[pid]
             start = len(out)
             out += info.template
             # Patch the operand bytes into the template holes.
-            operand = code[pos : pos + info.operand_bytes]
-            pos += info.operand_bytes
+            end = pos + info.operand_bytes
+            if end > n:
+                raise TruncatedStreamError(
+                    f"image ends before the operands of a slot in {fn.name}")
+            operand = code[pos:end]
+            pos = end
             oi = 0
             for hole_off, hole_len in info.holes:
                 if oi >= len(operand) or hole_len == 0:
@@ -154,14 +144,12 @@ class BriscJIT:
             for hole in info.label_holes:
                 # The label operand is the trailing 2 bytes of the BRISC
                 # operand payload (labels encode last among wide fields).
-                target = (int.from_bytes(operand[-2:], "little")
-                          if len(operand) >= 2 else 0)
-                patches.append((start + hole, target))
-            prev = pid
+                patches.append((start + hole,
+                                int.from_bytes(operand[-2:], "little")))
         # Branch-patching pass: rewrite each branch's native field with the
         # native offset of its BRISC target block.
         for native_pos, brisc_target in patches:
-            native_target = offset_map.get(brisc_target, 0) & 0xFFFF
+            native_target = slot_start(offset_map, fn, brisc_target) & 0xFFFF
             out[native_pos : native_pos + 2] = native_target.to_bytes(
                 2, "little")
         return bytes(out), offset_map

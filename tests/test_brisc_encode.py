@@ -103,27 +103,99 @@ class TestRandomAccess:
     def test_block_starts_decodable_independently(self):
         """The defining BRISC property: decoding may begin at any basic
         block boundary (that is what the special Markov contexts buy)."""
-        from repro.brisc.encode import decode_slot, symbol_names
+        from repro.brisc.encode import decode_slot
 
         cp = compress(compile_sample("calc"))
         image = parse_image(cp.image.blob)
-        names = symbol_names(image)
         for fn in image.functions:
             for offset in sorted(fn.bb_offsets):
-                pattern, instrs, nxt = decode_slot(image, fn, offset,
-                                                   CTX_BB, names)
-                assert instrs
+                pid, parts, nxt = decode_slot(image, fn, offset, CTX_BB)
+                assert parts
+                assert pid < len(image.patterns)
+                assert len(parts) == len(image.patterns[pid].parts)
                 assert nxt > offset
 
     def test_function_entries_decodable(self):
-        from repro.brisc.encode import decode_slot, symbol_names
+        from repro.brisc.encode import decode_slot
 
         cp = compress(compile_sample("strings"))
         image = parse_image(cp.image.blob)
-        names = symbol_names(image)
         for fn in image.functions:
-            pattern, instrs, _ = decode_slot(image, fn, 0, CTX_ENTRY, names)
-            assert instrs[0].name == "enter"
+            _, parts, _ = decode_slot(image, fn, 0, CTX_ENTRY)
+            assert parts[0][0] == "enter"
+
+
+def single_function_image(*insns):
+    """A BRI2 image of one function ``main``, one base-pattern slot per
+    instruction; only the first is a block start, labelled ``L0``."""
+    from repro.brisc.encode import encode_image
+    from repro.brisc.pattern import DictPattern, pattern_of_instr
+    from repro.brisc.slots import Slot, SlotFunction, SlotProgram
+
+    slots = [Slot(insns=(i,), pattern=DictPattern((pattern_of_instr(i),)),
+                  is_block_start=(k == 0), labels=("L0",) if k == 0 else ())
+             for k, i in enumerate(insns)]
+    program = SlotProgram("one", functions=[SlotFunction("main", slots)])
+    return encode_image(program, [])[0].blob
+
+
+def bri2(payload):
+    """A BRI2 image of ``payload`` with a CRC that matches it."""
+    import zlib
+
+    return b"BRI2" + zlib.crc32(payload).to_bytes(4, "little") + payload
+
+
+def with_code(blob, code):
+    """``single_function_image``'s image with the function's code bytes
+    replaced by ``code`` (same length) and the CRC forged to match."""
+    payload = blob[8:]
+    old = parse_image(blob).functions[0].code
+    assert len(code) == len(old)
+    assert payload.endswith(old + b"\x00")  # then no block offsets
+    return bri2(payload[:-len(old) - 1] + code + b"\x00")
+
+
+class TestForgedImages:
+    def test_f_nibble_outside_register_file_rejected(self):
+        """A 4-bit ``f`` operand can name f8..f15; the register file has
+        eight, so the reader rejects the slot instead of handing the
+        interpreter an index past it."""
+        from repro.brisc import run_image
+        from repro.errors import CorruptStreamError
+        from repro.vm.instr import Instr
+
+        mov = Instr("mov.d", (1, 2))
+        blob = single_function_image(mov, Instr("hlt", ()))
+        assert decompress(blob).functions[0].code[0] == mov
+        code = parse_image(blob).functions[0].code
+        assert code[1] == 0x12  # mov.d's two f nibbles follow its opcode
+        forged = with_code(blob, code[:1] + b"\x92" + code[2:])
+        with pytest.raises(CorruptStreamError, match="f9"):
+            decompress(forged)
+        with pytest.raises(CorruptStreamError, match="f9"):
+            run_image(forged, cache_decoded=False)
+
+    def test_zero_alignment_rejected(self):
+        """Alignment 0 would divide by zero when the interpreter lays out
+        the globals."""
+        from repro.brisc import run_image
+        from repro.brisc.encode import encode_image
+        from repro.errors import CorruptStreamError
+        from repro.ir.tree import GlobalData
+
+        program = compile_sample("wc")
+        extra = GlobalData("aligned_word", 4, 4)
+        blob = encode_image(build_slots(program),
+                            program.globals + [extra])[0].blob
+        record = b"\x0caligned_word\x04\x04"  # name, size 4, align 4
+        payload = blob[8:]
+        assert payload.count(record) == 1
+        forged = bri2(payload.replace(record, record[:-1] + b"\x00"))
+        with pytest.raises(CorruptStreamError, match="alignment 0"):
+            decompress(forged)
+        with pytest.raises(CorruptStreamError, match="alignment 0"):
+            run_image(forged)
 
 
 class TestContainerIntegrity:

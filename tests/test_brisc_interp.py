@@ -89,9 +89,14 @@ class TestEquivalence:
         assert result.exit_code == 81
 
     def test_jump_into_mid_block_rejected(self):
+        from repro.brisc.encode import slot_context
+        from repro.vm.interp import VMError
+
         prog = compile_sample("wc")
         cp = compress(prog)
         interp = BriscInterpreter(cp.image.blob)
-        from repro.vm.interp import VMError
+        fn = interp._image.functions[0]
+        assert 1 not in fn.bb_offsets
+        assert slot_context(fn, 1, None) is None  # offset 1 is mid-slot
         with pytest.raises(VMError):
-            interp._context_at(0, 1)  # offset 1 is mid-slot
+            interp._fetch_slot(0, 1, None)  # reached by a jump

@@ -1,12 +1,17 @@
 """BRISC pattern machinery tests."""
 
+import struct
+
+import pytest
 
 from repro.brisc.pattern import (
     Burned, DictPattern, deserialize_pattern,
     imm_class, pattern_of_instr, serialize_pattern,
 )
+from repro.compress.bitio import uvarint
+from repro.errors import CorruptStreamError
 from repro.vm.instr import Instr
-from repro.vm.isa import REG_SP
+from repro.vm.isa import MNEMONIC, REG_SP
 
 
 def base(instr):
@@ -178,6 +183,56 @@ class TestSerialization:
         stay the same order of magnitude."""
         p = pattern_of_instr(ENTER).specializations(ENTER)[0]
         assert DictPattern((p,)).dictionary_size() <= 10
+
+
+def entry(name, *fields):
+    """A one-part dictionary entry with hand-written field bytes."""
+    return uvarint(1) + uvarint(MNEMONIC.index(name)) + b"".join(fields)
+
+
+WILD_R, WILD_F, WILD_N4 = b"\x80", b"\x81", b"\x82"
+
+
+class TestRejectedEntries:
+    """Forms no encoder writes: each must be a typed decode error, not an
+    entry whose operands later index past a register file or a lookup
+    table."""
+
+    def test_well_formed_entry_parses(self):
+        blob = entry("li", WILD_R, WILD_N4)
+        pattern, pos = deserialize_pattern(blob, 0)
+        assert pos == len(blob)
+        assert pattern == base(Instr("li", (0, 4)))
+
+    def test_wildcard_class_must_fit_operand_kind(self):
+        # A register class on li's immediate field.
+        with pytest.raises(CorruptStreamError):
+            deserialize_pattern(entry("li", WILD_R, WILD_R), 0)
+
+    def test_burned_tag_must_fit_operand_kind(self):
+        # A burned double in li's register field.
+        forged = entry("li", b"\x02" + struct.pack("<d", 1.5), WILD_N4)
+        with pytest.raises(CorruptStreamError):
+            deserialize_pattern(forged, 0)
+
+    def test_burned_label_rejected(self):
+        with pytest.raises(CorruptStreamError):
+            deserialize_pattern(entry("jmp", b"\x03\x02L4"), 0)
+
+    @pytest.mark.parametrize("name, register, wildcard", [
+        ("mov.i", 16, WILD_R), ("mov.d", 8, WILD_F)], ids=["REG", "FREG"])
+    def test_burned_register_outside_register_file(self, name, register,
+                                                   wildcard):
+        inside = entry(name, b"\x00" + bytes([register - 1]), wildcard)
+        assert deserialize_pattern(inside, 0)[1] == len(inside)
+        forged = entry(name, b"\x00" + bytes([register]), wildcard)
+        with pytest.raises(CorruptStreamError):
+            deserialize_pattern(forged, 0)
+
+    def test_burned_immediate_wider_than_32_bits(self):
+        forged = entry("li", WILD_R, b"\x01" + uvarint(1 << 32))  # 2**31
+        with pytest.raises(CorruptStreamError):
+            deserialize_pattern(forged, 0)
 
 
 class TestPaperNotation:
