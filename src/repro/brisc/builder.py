@@ -27,14 +27,15 @@ bytes: W ≥ 0, so no other candidate can clear its floor.
 
 **Small integers.** Each distinct :class:`InsnPattern` gets a part id,
 each candidate a dense id (cid) keyed by its tuple of part ids, each
-instruction an id from a sign-exact key, and each slot content (its
-pattern's cid plus its instruction ids) a slot id.  The scan's memo
-tables are keyed by those ids: a slot's specialization row by its slot
-id, a combination row by the pair of slot ids.  A function's savings are
-the sum of its rows, so it is kept as the list of its row keys, and a
-rescan expands only the rows that changed.  A candidate is recorded as
-its key and dictionary bytes; its ``DictPattern`` is built when W is
-priced, the heap breaks a tie, or it is admitted.
+instruction an id keyed by its mnemonic and its literals' identity, and
+each slot content (its pattern's cid plus its instruction ids) a slot
+id.  The scan's memo tables are keyed by those ids: a slot's
+specialization row by its slot id, a combination row by the pair of
+slot ids.  A function's savings are the sum of its rows, so it is kept
+as the list of its row keys, and a rescan expands only the rows that
+changed.  A candidate is recorded as its key and dictionary bytes; its
+``DictPattern`` is built when W is priced, the heap breaks a tie, or it
+is admitted.
 
 The returned :class:`BuildResult` carries the final slot program, the
 dictionary in admission order, per-pass statistics, and the counters the
@@ -44,14 +45,13 @@ paper reports (candidates tested, dictionary size).
 from __future__ import annotations
 
 import heapq
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
+from ..compress.bitio import literal_key
 from ..vm.instr import Instr, VMProgram
-from ..vm.isa import SPEC, Operand
 from .cost import CostModel
 from .pattern import (
     _BYTE_SIZES, _NIBBLE_CLASSES, DictPattern, InsnPattern, Wildcard,
@@ -75,22 +75,12 @@ _Priced = Tuple[Tuple[int, ...], int, int, int, bool, bool]
 #: pair of slot ids for the combination row of two adjacent slots.
 _RowKey = Union[int, Tuple[int, int]]
 
-#: The double-immediate operand's position, per mnemonic that has one.
-_DIMM_AT = {name: spec.signature.index(Operand.DIMM)
-            for name, spec in SPEC.items()
-            if Operand.DIMM in spec.signature}
 
-
-def _instr_key(instr: Instr) -> tuple:
-    """A key two instructions share exactly when they encode to the same
-    bytes: ``Instr`` equality equates ``-0.0`` with ``0.0``, so a double
-    immediate is keyed by its IEEE-754 bytes."""
-    operands = instr.operands
-    at = _DIMM_AT.get(instr.name)
-    if at is not None:
-        operands = (operands[:at] + (struct.pack("<d", operands[at]),)
-                    + operands[at + 1:])
-    return (instr.name,) + operands
+def _instr_identity(instr: Instr) -> tuple:
+    """The mnemonic and each operand's
+    :func:`~repro.compress.bitio.literal_key`: two instructions share it
+    exactly when they encode to the same bytes."""
+    return (instr.name, *map(literal_key, instr.operands))
 
 
 def _part_price(part: InsnPattern) -> _PartPrice:
@@ -249,8 +239,8 @@ class _Rewrite(NamedTuple):
 class _ScanTables:
     """One build's memo tables, keyed by small integers.
 
-    ``instr_ids`` gives each instruction an id (iid) from its sign-exact
-    :func:`_instr_key`; ``instrs`` keeps one instruction per id and
+    ``instr_ids`` gives each instruction an id (iid) from its
+    :func:`_instr_identity`; ``instrs`` keeps one instruction per id and
     ``names`` its mnemonic.  ``sids`` gives each slot content, its
     pattern's cid plus its iids, a slot id (sid); ``sid_cid``,
     ``sid_iids`` and ``sid_size`` hold them and the slot's encoded size,
@@ -289,7 +279,7 @@ class _ScanTables:
     # -- ids -----------------------------------------------------------------
 
     def instr_id(self, instr: Instr) -> int:
-        key = _instr_key(instr)
+        key = _instr_identity(instr)
         iid = self.instr_ids.get(key)
         if iid is None:
             iid = len(self.instrs)

@@ -12,21 +12,24 @@ semantics are preserved exactly (labels are regenerated as ``L<offset>``).
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
+from ..compress.bitio import (
+    DOUBLE, read_name, read_uvarint, take_bytes, unzigzag, write_name,
+    write_uvarint, zigzag,
+)
 from ..container.chunking import (
     DEFAULT_CHUNK_BYTES, ChunkRecord, ContainerIndex, chunk_payload,
     pack_chunks, read_header, read_index, read_span, write_container,
 )
+from ..container.data import read_globals, write_globals
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits,
     TruncatedStreamError, UnsupportedFormatError, decode_guard,
 )
-from ..ir.tree import GlobalData, PtrInit, ScalarInit
+from ..ir.tree import GlobalData
 from ..vm.instr import Instr, VMFunction, VMProgram
 from ..vm.isa import NUM_FREGS, SPEC, Operand
 from .markov import (
@@ -86,14 +89,6 @@ class BriscImage:
                 + self.breakdown.get("tables", 0))
 
 
-def _zig(v: int) -> int:
-    return (v << 1) ^ (v >> 63) if v < 0 else v << 1
-
-
-def _unzig(z: int) -> int:
-    return -(z >> 1) - 1 if z & 1 else z >> 1
-
-
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
@@ -127,7 +122,7 @@ def _slot_bytes(
             assert isinstance(value, str)
             wide += symbol_ids[value].to_bytes(2, "little")
         else:  # d
-            wide += struct.pack("<d", float(value))
+            wide += DOUBLE.pack(float(value))
     for i in range(0, len(nibbles), 2):
         hi = nibbles[i]
         lo = nibbles[i + 1] if i + 1 < len(nibbles) else 0
@@ -159,86 +154,6 @@ def _symbol_ids(functions, globals_: List[GlobalData]) -> Dict[str, int]:
     first, then the globals that are not functions."""
     names = [fn.name for fn in functions] + [g.name for g in globals_]
     return {name: i for i, name in enumerate(dict.fromkeys(names))}
-
-
-def _pack_globals(out: bytearray, globals_: List[GlobalData]) -> None:
-    write_uvarint(out, len(globals_))
-    for g in globals_:
-        raw = g.name.encode("utf-8")
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-        write_uvarint(out, g.size)
-        write_uvarint(out, g.align)
-        out.append(1 if g.is_string else 0)
-        write_uvarint(out, len(g.items))
-        for item in g.items:
-            if isinstance(item, ScalarInit):
-                if isinstance(item.value, float) or item.size == 8:
-                    out.append(1)
-                    write_uvarint(out, item.offset)
-                    out.extend(struct.pack("<d", float(item.value)))
-                else:
-                    out.append(0)
-                    write_uvarint(out, item.offset)
-                    write_uvarint(out, item.size)
-                    write_uvarint(out, _zig(int(item.value)))
-            else:
-                out.append(2)
-                write_uvarint(out, item.offset)
-                raw = item.symbol.encode("utf-8")
-                write_uvarint(out, len(raw))
-                out.extend(raw)
-
-
-def _take_name(data: bytes, pos: int, what: str) -> Tuple[str, int]:
-    n, pos = read_uvarint(data, pos)
-    DEFAULT_LIMITS.check(f"{what} length", n, DEFAULT_LIMITS.max_name_bytes)
-    raw, pos = take_bytes(data, pos, n, what)
-    return raw.decode("utf-8"), pos
-
-
-def _take_byte(data: bytes, pos: int, what: str) -> Tuple[int, int]:
-    if pos >= len(data):
-        raise TruncatedStreamError(f"image ends before {what}")
-    return data[pos], pos + 1
-
-
-def _unpack_globals(data: bytes, pos: int) -> Tuple[List[GlobalData], int]:
-    count, pos = read_uvarint(data, pos)
-    if count > len(data) - pos:  # each global costs several bytes
-        raise TruncatedStreamError(
-            f"image promises {count} globals, only {len(data) - pos} bytes")
-    globals_: List[GlobalData] = []
-    for _ in range(count):
-        name, pos = _take_name(data, pos, "global name")
-        size, pos = read_uvarint(data, pos)
-        align, pos = read_uvarint(data, pos)
-        if align == 0:
-            raise CorruptStreamError(f"global {name!r} has alignment 0")
-        flag, pos = _take_byte(data, pos, "global flags")
-        is_string = bool(flag)
-        nitems, pos = read_uvarint(data, pos)
-        if nitems > len(data) - pos:
-            raise TruncatedStreamError(
-                f"global {name!r} promises {nitems} items, image too short")
-        g = GlobalData(name, size, align, is_string=is_string)
-        for _ in range(nitems):
-            tag, pos = _take_byte(data, pos, "initializer tag")
-            offset, pos = read_uvarint(data, pos)
-            if tag == 0:
-                isize, pos = read_uvarint(data, pos)
-                z, pos = read_uvarint(data, pos)
-                g.items.append(ScalarInit(offset, isize, _unzig(z)))
-            elif tag == 1:
-                raw, pos = take_bytes(data, pos, 8, "double initializer")
-                g.items.append(ScalarInit(offset, 8, struct.unpack("<d", raw)[0]))
-            elif tag == 2:
-                symbol, pos = _take_name(data, pos, "pointer symbol")
-                g.items.append(PtrInit(offset, symbol))
-            else:
-                raise CorruptStreamError(f"unknown initializer tag {tag}")
-        globals_.append(g)
-    return globals_, pos
 
 
 def encode_image(
@@ -279,12 +194,12 @@ def encode_image(
             cursor += len(opcode) + slot.pattern.operand_bytes()
         total_len = cursor
         label_offsets: Dict[str, int] = {}
-        bb_offsets: List[int] = []
+        bb_offsets: Set[int] = set()
         for i, slot in enumerate(fn.slots):
             for label in slot.labels:
                 label_offsets[label] = offsets[i]
             if slot.is_block_start and i > 0:
-                bb_offsets.append(offsets[i])
+                bb_offsets.add(offsets[i])
         # Second pass: emit.
         body = bytearray()
         for i, slot in enumerate(fn.slots):
@@ -295,19 +210,8 @@ def encode_image(
             body += encoded
         assert len(body) == total_len
         code_bytes += total_len
-
-        raw = fn.name.encode("utf-8")
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-        write_uvarint(out, fn.frame_size)
-        write_uvarint(out, fn.param_bytes)
-        write_uvarint(out, total_len)
-        out.extend(body)
-        write_uvarint(out, len(bb_offsets))
-        last = 0
-        for off in bb_offsets:
-            write_uvarint(out, off - last)
-            last = off
+        _pack_function(out, DecodedFunction(
+            fn.name, fn.frame_size, fn.param_bytes, bytes(body), bb_offsets))
 
     payload = bytes(out)
     image = BriscImage(
@@ -425,9 +329,9 @@ def _parse_preamble(
                     f"Markov table references pattern {pid} "
                     f"of {npatterns}")
             table.append(pid)
-        tables[_unzig(zctx)] = table
-    globals_, pos = _unpack_globals(data, pos)
-    entry, pos = _take_name(data, pos, "entry symbol")
+        tables[unzigzag(zctx)] = table
+    globals_, pos = read_globals(data, pos)
+    entry, pos = read_name(data, pos, "entry symbol")
     nfuncs, pos = read_uvarint(data, pos)
     limits.check("function count", nfuncs, limits.max_functions)
     if nfuncs > len(data) - pos:
@@ -451,23 +355,46 @@ def parse_image(
         data = _image_payload(blob)
         out, nfuncs, pos = _parse_preamble(data, 0, limits)
         for _ in range(nfuncs):
-            name, pos = _take_name(data, pos, "function name")
-            frame, pos = read_uvarint(data, pos)
-            params, pos = read_uvarint(data, pos)
-            code_len, pos = read_uvarint(data, pos)
-            limits.check("function code size", code_len,
-                         limits.max_decoded_bytes)
-            code, pos = take_bytes(data, pos, code_len,
-                                   f"code for function {name!r}")
-            offsets, pos = _read_block_offsets(data, pos, name, code_len)
-            out.functions.append(
-                DecodedFunction(name, frame, params, code, offsets))
+            fn, _, _, pos = _read_function(data, pos, limits, v3=False)
+            out.functions.append(fn)
         return out
 
 
-def _read_block_offsets(data: bytes, pos: int, name: str,
-                        code_len: int) -> Tuple[Set[int], int]:
-    """A function's delta-coded block-start offsets (v2 and v3 alike)."""
+def _pack_function(out: bytearray, fn: DecodedFunction,
+                   chunk: Optional[int] = None) -> None:
+    """Append one function-table entry: name, frame, params and code
+    length; the code bytes (a BRI2 payload) or nothing (a BRI3 header,
+    whose code lives in chunk ``chunk``); the delta-coded block-start
+    offsets; and in a BRI3 header the chunk id."""
+    write_name(out, fn.name)
+    write_uvarint(out, fn.frame_size)
+    write_uvarint(out, fn.param_bytes)
+    write_uvarint(out, len(fn.code))
+    if chunk is None:
+        out += fn.code
+    write_uvarint(out, len(fn.bb_offsets))
+    last = 0
+    for off in sorted(fn.bb_offsets):
+        write_uvarint(out, off - last)
+        last = off
+    if chunk is not None:
+        write_uvarint(out, chunk)
+
+
+def _read_function(data: bytes, pos: int, limits: ResourceLimits,
+                   v3: bool) -> Tuple[DecodedFunction, int, int, int]:
+    """Invert :func:`_pack_function`: the function (with empty code in a
+    BRI3 header), its code length, its chunk id (0 in BRI2) and the new
+    position."""
+    name, pos = read_name(data, pos, "function name")
+    frame, pos = read_uvarint(data, pos)
+    params, pos = read_uvarint(data, pos)
+    code_len, pos = read_uvarint(data, pos)
+    limits.check("function code size", code_len, limits.max_decoded_bytes)
+    code = b""
+    if not v3:
+        code, pos = take_bytes(data, pos, code_len,
+                               f"code for function {name!r}")
     nbb, pos = read_uvarint(data, pos)
     if nbb > len(data) - pos:
         raise TruncatedStreamError(
@@ -483,7 +410,11 @@ def _read_block_offsets(data: bytes, pos: int, name: str,
                 f"block offset {last} beyond code of {code_len} "
                 f"bytes in {name!r}")
         offsets.add(last)
-    return offsets, pos
+    chunk = 0
+    if v3:
+        chunk, pos = read_uvarint(data, pos)
+    fn = DecodedFunction(name, frame, params, code, offsets)
+    return fn, code_len, chunk, pos
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +427,6 @@ def _read_block_offsets(data: bytes, pos: int, name: str,
 # escape byte and a 2-byte pattern id; then the pattern's operand bytes,
 # nibble-packed operands first and the wider ones after, in class order.
 
-_DOUBLE = struct.Struct("<d")
 #: Mnemonic -> position of its label operand (branches and ``jmp``).
 _LABEL_AT = {name: spec.signature.index(Operand.LABEL)
              for name, spec in SPEC.items()
@@ -591,7 +521,7 @@ def decode_slot(
         if end > len(code):
             raise TruncatedStreamError(f"image ends before {cls!r} operand")
         if cls == "d":
-            values.append(_DOUBLE.unpack_from(code, offset)[0])
+            values.append(DOUBLE.unpack_from(code, offset)[0])
         elif cls == "l":
             target = code[offset] | code[offset + 1] << 8
             if target >= len(code):
@@ -703,16 +633,14 @@ def _pack_preamble(out: bytearray, patterns: List[DictPattern],
     dict_bytes, start = len(out) - start, len(out)
     write_uvarint(out, len(tables))
     for ctx in sorted(tables):
-        write_uvarint(out, _zig(ctx))
+        write_uvarint(out, zigzag(ctx))
         table = tables[ctx]
         write_uvarint(out, len(table))
         for pid in table:
             write_uvarint(out, pid)
     table_bytes, start = len(out) - start, len(out)
-    _pack_globals(out, globals_)
-    raw = entry.encode("utf-8")
-    write_uvarint(out, len(raw))
-    out.extend(raw)
+    write_globals(out, globals_)
+    write_name(out, entry)
     return dict_bytes, table_bytes, len(out) - start
 
 
@@ -737,18 +665,7 @@ def repack_v3(
                    image.entry)
     write_uvarint(header, len(image.functions))
     for index, fn in enumerate(image.functions):
-        raw = fn.name.encode("utf-8")
-        write_uvarint(header, len(raw))
-        header.extend(raw)
-        write_uvarint(header, fn.frame_size)
-        write_uvarint(header, fn.param_bytes)
-        write_uvarint(header, len(fn.code))
-        write_uvarint(header, len(fn.bb_offsets))
-        last = 0
-        for off in sorted(fn.bb_offsets):
-            write_uvarint(header, off - last)
-            last = off
-        write_uvarint(header, chunk_of[index])
+        _pack_function(header, fn, chunk_of[index])
     chunks = [b"".join(image.functions[i].code for i in members)
               for members in groups]
     return write_container(_MAGIC_V3, header, chunks)
@@ -763,17 +680,10 @@ def _open_v3(blob: bytes,
     image, nfuncs, pos = _parse_preamble(header, 0, limits)
     table: List[Tuple[str, int, int]] = []
     for _ in range(nfuncs):
-        name, pos = _take_name(header, pos, "function name")
-        frame, pos = read_uvarint(header, pos)
-        params, pos = read_uvarint(header, pos)
-        code_len, pos = read_uvarint(header, pos)
-        limits.check("function code size", code_len,
-                     limits.max_decoded_bytes)
-        offsets, pos = _read_block_offsets(header, pos, name, code_len)
-        chunk_id, pos = read_uvarint(header, pos)
-        image.functions.append(
-            DecodedFunction(name, frame, params, b"", offsets))
-        table.append((name, chunk_id, code_len))
+        fn, code_len, chunk_id, pos = _read_function(header, pos, limits,
+                                                     v3=True)
+        image.functions.append(fn)
+        table.append((fn.name, chunk_id, code_len))
     return image, read_index("brisc", header, pos, base, limits, table)
 
 

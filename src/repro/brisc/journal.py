@@ -50,6 +50,7 @@ from .builder import (
     PassStats,
     _admissions,
     _config_sig,
+    _instr_identity,
     _InternState,
     _RowKey,
     _ScanTables,
@@ -117,11 +118,10 @@ def changed_functions(
             continue
         if a.name != b.name:
             return None
-        if (a.code != b.code or a.labels != b.labels
-                or a.frame_size != b.frame_size
+        if (a.labels != b.labels or a.frame_size != b.frame_size
                 or a.param_bytes != b.param_bytes
-                # == equates a -0.0 operand with 0.0; printed forms differ.
-                or list(map(str, a.code)) != list(map(str, b.code))):
+                or list(map(_instr_identity, a.code))
+                != list(map(_instr_identity, b.code))):
             changed.add(i)
     return changed
 

@@ -35,55 +35,20 @@ _TABLE_LIMIT = 255
 
 @dataclass
 class MarkovModel:
-    """Pattern ids, per-context successor tables, and split bookkeeping."""
+    """Pattern ids, per-context successor tables, and split bookkeeping.
+
+    ``patterns[pid]`` is the pattern with id ``pid``: ids are assigned in
+    first-use order, and a split clone's id holds its original pattern.
+    """
 
     patterns: List[DictPattern] = field(default_factory=list)
     # context key (pattern id, CTX_ENTRY, or CTX_BB) -> ordered pattern ids.
     tables: Dict[int, List[int]] = field(default_factory=dict)
     splits: int = 0
-    # pattern -> canonical id (first-use order, assigned during build).
-    # Split clones alias an existing pattern, so a cloned pattern maps to
-    # its original (pre-split) id.
-    ids: Dict[DictPattern, int] = field(default_factory=dict)
-
-    def pattern_id(self, pattern: DictPattern) -> int:
-        """The canonical id assigned to ``pattern`` during build.
-
-        Raises ``KeyError`` for a pattern the model has never seen.
-        """
-        return self.ids[pattern]
-
-    def index_of(self, ctx: int, pid: int) -> Optional[int]:
-        """Index of ``pid`` in the context table (None when absent).
-
-        Backed by a per-context reverse map (pid -> first index) so the
-        encode hot path pays O(1) per lookup instead of an O(n)
-        ``list.index`` scan; the map is rebuilt transparently if the
-        table is replaced or grows.
-        """
-        table = self.tables.get(ctx)
-        if table is None:
-            return None
-        rindex = self.__dict__.setdefault("_rindex", {})
-        cached = rindex.get(ctx)
-        if cached is None or cached[0] is not table or cached[1] != len(table):
-            reverse: Dict[int, int] = {}
-            for i, entry in enumerate(table):
-                reverse.setdefault(entry, i)
-            cached = (table, len(table), reverse)
-            rindex[ctx] = cached
-        return cached[2].get(pid)
-
-    def table_sizes(self) -> Dict[int, int]:
-        return {ctx: len(t) for ctx, t in self.tables.items()}
 
     def max_successors(self) -> int:
         """Largest successor table (paper: at most 244 for lcc)."""
         return max((len(t) for t in self.tables.values()), default=0)
-
-    def serialized_size(self) -> int:
-        """Bytes the tables occupy in the image (2 per entry + headers)."""
-        return sum(4 + 2 * len(table) for table in self.tables.values())
 
 
 def context_stream(fn: SlotFunction, ids: List[int]) -> List[Tuple[int, int]]:
@@ -128,7 +93,7 @@ def build_markov(slots: SlotProgram) -> Tuple[MarkovModel, Dict[int, List[int]]]
             ids.append(pid)
         fn_ids[fi] = ids
 
-    model = MarkovModel(patterns=patterns, ids=dict(id_of))
+    model = MarkovModel(patterns=patterns)
 
     # Iteratively build tables and split over-full pattern contexts.
     for _round in range(64):

@@ -18,13 +18,14 @@ keeps BRISC randomly addressable and directly interpretable.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
-from ..compress.bitio import read_uvarint, take_bytes, uvarint, write_uvarint
-from ..errors import CorruptStreamError, TruncatedStreamError
+from ..compress.bitio import (
+    DOUBLE, literal_key, read_byte, read_name, read_uvarint, take_bytes,
+    unzigzag, uvarint, write_name, write_uvarint, zigzag,
+)
+from ..errors import CorruptStreamError
 from ..vm.instr import Instr
 from ..vm.isa import MNEMONIC, NUM_FREGS, NUM_IREGS, Operand, SPEC
 
@@ -64,21 +65,12 @@ class Wildcard:
         return "*" if self.cls in ("r", "f") else f"*{self.cls}"
 
 
-def _same_value(a: FieldValue, b: FieldValue) -> bool:
-    """Whether two field values encode to the same bytes (``==`` alone
-    equates ``-0.0`` with ``0.0``)."""
-    if isinstance(a, float) or isinstance(b, float):
-        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-    return a == b
-
-
 @dataclass(frozen=True)
 class Burned:
     """A specialized field: its value lives in the dictionary entry.
 
-    Equality is sign-exact (see :func:`_same_value`); the generated hash
-    stays ``hash((value,))``, which is equal for values that compare
-    equal.
+    Two burned fields are equal, and hash alike, when their values'
+    :func:`~repro.compress.bitio.literal_key` is.
     """
 
     value: FieldValue
@@ -86,7 +78,10 @@ class Burned:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Burned:
             return NotImplemented
-        return _same_value(self.value, other.value)
+        return literal_key(self.value) == literal_key(other.value)
+
+    def __hash__(self) -> int:
+        return hash(literal_key(self.value))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -155,7 +150,7 @@ class InsnPattern:
         spec = SPEC[self.name]
         for field, kind, value in zip(self.fields, spec.signature, instr.operands):
             if isinstance(field, Burned):
-                if not _same_value(field.value, value):
+                if literal_key(field.value) != literal_key(value):
                     return False
             else:
                 if kind is Operand.IMM:
@@ -381,16 +376,13 @@ def _write_part(out: bytearray, part: InsnPattern) -> None:
             out.append(int(value) & 0xF)
         elif kind is Operand.IMM:
             out.append(0x01)
-            z = int(value)
-            write_uvarint(out, (z << 1) ^ (z >> 63) if z < 0 else z << 1)
+            write_uvarint(out, zigzag(int(value)))
         elif kind is Operand.DIMM:
             out.append(0x02)
-            out += struct.pack("<d", float(value))
+            out += DOUBLE.pack(float(value))
         else:  # LABEL / SYM burned as strings
             out.append(0x03)
-            raw = str(value).encode("utf-8")
-            write_uvarint(out, len(raw))
-            out += raw
+            write_name(out, str(value))
 
 
 def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
@@ -416,10 +408,7 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
         spec = SPEC[name]
         fields: List[Field] = []
         for kind in spec.signature:
-            if pos >= len(data):
-                raise TruncatedStreamError("pattern ends before a field tag")
-            tag = data[pos]
-            pos += 1
+            tag, pos = read_byte(data, pos, "field tag")
             if tag & 0x80:
                 cls = _CLS_BY_ID.get(tag & 0x7F)
                 if cls is None:
@@ -443,7 +432,7 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
                 fields.append(Burned(raw[0]))
             elif tag == 0x01:
                 z, pos = read_uvarint(data, pos)
-                value = -(z >> 1) - 1 if z & 1 else z >> 1
+                value = unzigzag(z)
                 if not -_IMM_LIMIT <= value < _IMM_LIMIT:
                     raise CorruptStreamError(
                         f"burned immediate {value} wider than 32 bits "
@@ -451,10 +440,9 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
                 fields.append(Burned(value))
             elif tag == 0x02:
                 raw, pos = take_bytes(data, pos, 8, "burned double")
-                fields.append(Burned(struct.unpack("<d", raw)[0]))
+                fields.append(Burned(DOUBLE.unpack(raw)[0]))
             else:
-                n, pos = read_uvarint(data, pos)
-                raw, pos = take_bytes(data, pos, n, "burned string")
-                fields.append(Burned(raw.decode("utf-8")))
+                symbol, pos = read_name(data, pos, "burned string")
+                fields.append(Burned(symbol))
         parts.append(InsnPattern(name, tuple(fields)))
     return DictPattern(tuple(parts)), pos

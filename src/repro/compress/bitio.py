@@ -13,13 +13,21 @@ of shifts instead of a Python-level loop per bit.  Aligned bulk
 bulk transfers go through one big-int shift rather than an 8×-per-byte
 bit loop.  The bit-for-bit output format is unchanged.
 
-The module also provides the small variable-length integer encodings the
-stream containers use for lengths and counts.
+The module also provides the byte-level literal codec both container
+formats (wire and BRISC) write with: LEB128 lengths and counts, zigzag
+for signed values, length-prefixed UTF-8 names, the one double encoding
+(:data:`DOUBLE`), and :func:`literal_key`, the rule for when two
+literals are the same.
 """
 
 from __future__ import annotations
 
-from ..errors import CorruptStreamError, TruncatedStreamError
+import struct
+from typing import Tuple, Union
+
+from ..errors import (
+    CorruptStreamError, DEFAULT_LIMITS, ResourceLimits, TruncatedStreamError,
+)
 
 __all__ = [
     "BitWriter",
@@ -28,6 +36,13 @@ __all__ = [
     "read_uvarint",
     "take_bytes",
     "uvarint",
+    "zigzag",
+    "unzigzag",
+    "write_name",
+    "read_name",
+    "read_byte",
+    "DOUBLE",
+    "literal_key",
 ]
 
 #: Flush the writer's accumulator once it holds this many bits.  Small
@@ -296,3 +311,55 @@ def uvarint(value: int) -> bytes:
     out = bytearray()
     write_uvarint(out, value)
     return bytes(out)
+
+
+def zigzag(value: int) -> int:
+    """Map signed to unsigned so small-magnitude values stay small."""
+    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+
+
+def unzigzag(value: int) -> int:
+    """Inverse of :func:`zigzag`."""
+    return -(value >> 1) - 1 if value & 1 else value >> 1
+
+
+def write_name(out: bytearray, name: str) -> None:
+    """Append ``name`` as its UTF-8 byte length (a uvarint), then the bytes."""
+    raw = name.encode("utf-8")
+    write_uvarint(out, len(raw))
+    out += raw
+
+
+def read_name(data: bytes, pos: int, what: str,
+              limits: ResourceLimits = DEFAULT_LIMITS) -> Tuple[str, int]:
+    """Invert :func:`write_name`, bounding the length by
+    ``limits.max_name_bytes`` before slicing.  Returns ``(name, new_pos)``."""
+    n, pos = read_uvarint(data, pos)
+    limits.check(f"{what} length", n, limits.max_name_bytes)
+    raw, pos = take_bytes(data, pos, n, what)
+    return raw.decode("utf-8"), pos
+
+
+def read_byte(data: bytes, pos: int, what: str) -> Tuple[int, int]:
+    """The byte at ``pos`` and ``pos + 1``; typed error past the end."""
+    if pos >= len(data):
+        raise TruncatedStreamError(f"data ends before {what}")
+    return data[pos], pos + 1
+
+
+#: IEEE-754 binary64, little-endian: how both formats store a double
+#: (wire float literals and initializers, BRISC double operands).
+DOUBLE = struct.Struct("<d")
+
+
+def literal_key(value: Union[int, float, str]) -> Union[int, bytes, str]:
+    """A literal's identity: two literals are the same exactly when their
+    keys are equal, that is, when they encode to the same bytes.
+
+    A double is keyed by its :data:`DOUBLE` bytes, because ``==``
+    equates ``-0.0`` with ``0.0`` (and never equates a NaN with
+    itself); an int or a name is its own key.  Every table or comparison
+    that decides whether two literals, instructions or IR functions are
+    the same goes through this key.
+    """
+    return DOUBLE.pack(value) if value.__class__ is float else value

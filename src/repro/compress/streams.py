@@ -16,11 +16,10 @@ Layout (all integers LEB128):
 Flag 1 marks a deflate-compressed payload; flag 2 marks a CRC32 of the
 *stored* payload bytes, verified before any decompression, so a flipped
 bit in transit is reported as :class:`~repro.errors.CorruptStreamError`
-up front rather than surfacing mid-Huffman-rebuild.  Flag 4 marks an
-arithmetic-coded payload (the ``codec="arith"`` ratio-over-speed knob);
-the flag rides with each stream, so readers decode mixed containers
-without out-of-band configuration.  Readers accept both checksummed and
-legacy (CRC-less) entries.
+up front rather than surfacing mid-Huffman-rebuild.  Flag 4 marked an
+arithmetic-coded payload, which no encoder writes now, so a reader
+meeting it raises :class:`~repro.errors.UnsupportedFormatError`.  Readers
+accept both checksummed and legacy (CRC-less) entries.
 """
 
 from __future__ import annotations
@@ -29,61 +28,48 @@ import zlib
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..errors import (
-    CorruptStreamError, DEFAULT_LIMITS, ResourceLimits, TruncatedStreamError,
+    CorruptStreamError, DEFAULT_LIMITS, ResourceLimits, UnsupportedFormatError,
     decode_guard,
 )
 from . import deflate
-from .bitio import read_uvarint, take_bytes, write_uvarint
+from .bitio import (
+    read_byte, read_name, read_uvarint, take_bytes, write_name, write_uvarint,
+)
 
 __all__ = ["pack_streams", "unpack_streams", "stored_streams", "stream_sizes"]
 
 _FLAG_DEFLATE = 1
 _FLAG_CRC32 = 2
-_FLAG_ARITH = 4
 
 
 def pack_streams(
     streams: Mapping[str, bytes],
     compress: bool = True,
     checksums: bool = False,
-    codec: str = "deflate",
 ) -> bytes:
     """Serialize named byte streams, compressing each in isolation.
 
-    When ``compress`` is true each stream is run through ``codec``
-    (``"deflate"`` or the order-1 adaptive arithmetic coder, ``"arith"``)
-    unless the compressed form would be larger (tiny streams), in which
-    case it is stored raw — the flag byte records which happened.  A
-    payload no longer than :data:`deflate.MIN_BLOCK_BYTES` is stored raw
-    without trying deflate, which could not make it shorter.
-    ``checksums`` appends a CRC32 per stream (4 bytes each) so the
-    receiver can detect corruption before decoding.
+    When ``compress`` is true each stream is deflated unless the
+    compressed form would be larger (tiny streams), in which case it is
+    stored raw — the flag byte records which happened.  A payload no
+    longer than :data:`deflate.MIN_BLOCK_BYTES` is stored raw without
+    trying deflate, which could not make it shorter.  ``checksums``
+    appends a CRC32 per stream (4 bytes each) so the receiver can detect
+    corruption before decoding.
     """
-    if codec not in ("deflate", "arith"):
-        raise ValueError(f"unknown stream codec {codec!r}")
     out = bytearray()
     write_uvarint(out, len(streams))
     for name in sorted(streams):
         payload = streams[name]
         flags = 0
-        if compress and (codec == "arith"
-                         or len(payload) > deflate.MIN_BLOCK_BYTES):
-            if codec == "arith":
-                from . import arith
-
-                packed = arith.compress(payload, order=1)
-                codec_flag = _FLAG_ARITH
-            else:
-                packed = deflate.compress(payload)
-                codec_flag = _FLAG_DEFLATE
+        if compress and len(payload) > deflate.MIN_BLOCK_BYTES:
+            packed = deflate.compress(payload)
             if len(packed) < len(payload):
                 payload = packed
-                flags = codec_flag
+                flags = _FLAG_DEFLATE
         if checksums:
             flags |= _FLAG_CRC32
-        raw_name = name.encode("utf-8")
-        write_uvarint(out, len(raw_name))
-        out.extend(raw_name)
+        write_name(out, name)
         out.append(flags)
         if checksums:
             out.extend(zlib.crc32(payload).to_bytes(4, "little"))
@@ -101,20 +87,15 @@ def _entries(
     count, pos = read_uvarint(blob, 0)
     limits.check("stream count", count, limits.max_streams)
     for _ in range(count):
-        name_len, pos = read_uvarint(blob, pos)
-        limits.check("stream name length", name_len, limits.max_name_bytes)
-        raw_name, pos = take_bytes(blob, pos, name_len, "stream name")
-        name = raw_name.decode("utf-8")
-        if pos >= len(blob):
-            raise TruncatedStreamError("truncated stream container")
-        flags = blob[pos]
-        pos += 1
-        if flags & ~(_FLAG_DEFLATE | _FLAG_CRC32 | _FLAG_ARITH):
+        name, pos = read_name(blob, pos, "stream name", limits)
+        flags, pos = read_byte(blob, pos, "stream flags")
+        if flags & 4:
+            raise UnsupportedFormatError(
+                f"stream {name!r} is arithmetic-coded (flag 4), a codec "
+                "this reader does not decode")
+        if flags & ~(_FLAG_DEFLATE | _FLAG_CRC32):
             raise CorruptStreamError(
                 f"unknown stream flags {flags:#x} for {name!r}")
-        if (flags & _FLAG_DEFLATE) and (flags & _FLAG_ARITH):
-            raise CorruptStreamError(
-                f"stream {name!r} claims two codecs at once")
         crc = None
         if flags & _FLAG_CRC32:
             crc_raw, pos = take_bytes(blob, pos, 4, "stream checksum")
@@ -145,15 +126,6 @@ def unpack_streams(
         for name, flags, payload in _entries(blob, limits):
             if flags & _FLAG_DEFLATE:
                 payload = deflate.decompress(payload, limits=limits)
-            elif flags & _FLAG_ARITH:
-                from . import arith
-
-                # The coded stream leads with its decoded length (32-bit
-                # big-endian); bound it before decoding allocates.
-                declared = int.from_bytes(payload[:4], "big")
-                limits.check("decoded stream bytes", declared,
-                             limits.max_decoded_bytes)
-                payload = arith.decompress(payload, order=1)
             decoded_total += len(payload)
             limits.check("decoded container bytes", decoded_total,
                          limits.max_decoded_bytes)

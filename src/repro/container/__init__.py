@@ -1,4 +1,4 @@
-"""Seekable container support shared by the WIR3 and BRI3 formats.
+"""Container support shared by the wire and BRISC formats.
 
 The format-specific function tables and chunk payloads live with their
 formats (:mod:`repro.wire.format`, :mod:`repro.brisc.encode`); this
@@ -7,7 +7,8 @@ the framing, the block index and the span reader (see
 :mod:`repro.container.chunking`) — plus format-dispatching front doors
 (:func:`container_index`, :func:`decode_range_bytes`, :func:`verify`)
 that branch on the blob's magic so callers like the service and CLI
-don't care which format they hold.
+don't care which format they hold.  :mod:`repro.container.data` is the
+global-data section every version of both formats carries.
 """
 
 from __future__ import annotations

@@ -13,10 +13,6 @@ from ..vm.isa import ISA
 
 __all__ = ["PipelineConfig"]
 
-#: Wire-stream codecs: deflate (the default) or the adaptive arithmetic
-#: coder (smaller, slower — the paper's "compresses best" extreme).
-_WIRE_CODECS = ("deflate", "arith")
-
 
 @dataclass
 class PipelineConfig:
@@ -29,11 +25,9 @@ class PipelineConfig:
     ``wire_container``/``brisc_container`` select the container layout
     (2 = the flat v2 default, 3 = the seekable chunked v3);
     ``chunk_target_bytes`` caps v3 chunk sizes (in decoded-address-space
-    bytes — see the format modules).  ``wire_codec`` picks the per-stream
-    entropy coder (``"deflate"`` default, ``"arith"`` for the adaptive
-    arithmetic coder — smaller streams, slower to decode).  The stage
-    fragments only mention these when they differ from the defaults, so
-    existing cache keys are untouched.
+    bytes — see the format modules).  The stage fragments only mention
+    these when they differ from the defaults, so existing cache keys are
+    untouched.
     """
 
     isa: ISA = field(default_factory=ISA)
@@ -47,7 +41,6 @@ class PipelineConfig:
     #: brisc cache key only when set.
     brisc_journal: bool = False
     wire_compress: bool = True
-    wire_codec: str = "deflate"
     wire_container: int = 2
     brisc_container: int = 2
     chunk_target_bytes: int = 2048
@@ -92,10 +85,3 @@ class PipelineConfig:
     def with_journal(self, journal: bool = True) -> "PipelineConfig":
         """A copy recording (or not) BRISC replay journals."""
         return replace(self, brisc_journal=journal)
-
-    def with_wire_codec(self, codec: str) -> "PipelineConfig":
-        """A copy compressing wire streams with ``codec``."""
-        if codec not in _WIRE_CODECS:
-            raise ValueError(
-                f"wire codec must be one of {_WIRE_CODECS}, got {codec!r}")
-        return replace(self, wire_codec=codec)

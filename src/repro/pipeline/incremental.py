@@ -28,23 +28,38 @@ mode can be slower than cold, never wrong.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, List, Optional, Sequence
 
-from ..ir.tree import IRFunction
+from ..compress.bitio import literal_key
+from ..ir.tree import IRFunction, Tree
 from .config import PipelineConfig
 from .stages import Stage, finish_brisc, resolve_stages
 
 __all__ = ["DeltaCompiler"]
 
 
+def _forest_identity(trees: Sequence[Tree], out: List) -> List:
+    """Append each node's operator name and, when it has one, its
+    literal's :func:`~repro.compress.bitio.literal_key`, in prefix order.
+    Operators have fixed arity, so equal lists mean equal forests."""
+    for tree in trees:
+        out.append(tree.op.name)
+        if tree.value is not None:
+            out.append(literal_key(tree.value))
+        if tree.kids:
+            _forest_identity(tree.kids, out)
+    return out
+
+
 def _same_ir(a: IRFunction, b: IRFunction) -> bool:
     """True when codegen and the wire encoder cannot tell ``a`` from
     ``b``: they read only the forest, ``frame_size``, ``param_sizes``
     and ``ret_suffix`` of an IR function."""
-    # Printed form, not ==: == equates a -0.0 literal with 0.0.
     return (a.frame_size == b.frame_size and a.param_sizes == b.param_sizes
             and a.ret_suffix == b.ret_suffix
-            and len(a.forest) == len(b.forest) and str(a) == str(b))
+            and len(a.forest) == len(b.forest)
+            and (_forest_identity(a.forest, [])
+                 == _forest_identity(b.forest, [])))
 
 
 class DeltaCompiler:

@@ -122,10 +122,8 @@ class WireStage(Stage):
 
     def config_fragment(self, config):
         fragment = f"compress={config.wire_compress}"
-        # Only non-default container/codec settings enter the key, so
-        # existing v2 deflate cache entries stay valid.
-        if config.wire_codec != "deflate":
-            fragment += f";codec={config.wire_codec}"
+        # Only non-default container settings enter the key, so existing
+        # v2 cache entries stay valid.
         if config.wire_container != 2:
             fragment += (f";container={config.wire_container}"
                          f";chunk={config.chunk_target_bytes}")
@@ -143,8 +141,7 @@ class WireStage(Stage):
                 "chunks": len(index.chunks),
                 "index_bytes": index.header_bytes,
             }
-        blob = encode_module(value, compress=config.wire_compress,
-                             codec=config.wire_codec)
+        blob = encode_module(value, compress=config.wire_compress)
         container = blob[4:]
         # Read the blob back: every CRC checked, every stream decoded.
         streams = unpack_streams(container)

@@ -17,27 +17,28 @@ the only — purely internal — renaming).
 
 from __future__ import annotations
 
-import math
-import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compress import huffman
-from ..compress.bitio import read_uvarint, take_bytes, write_uvarint
+from ..compress.bitio import (
+    DOUBLE, literal_key, read_byte, read_name, read_uvarint, unzigzag,
+    write_name, write_uvarint, zigzag,
+)
 from ..compress.mtf import mtf_decode, mtf_encode
 from ..compress.streams import pack_streams, stored_streams, unpack_streams
 from ..container.chunking import (
     DEFAULT_CHUNK_BYTES, ChunkRecord, ContainerIndex, chunk_payload,
     pack_chunks, read_header, read_index, read_span, write_container,
 )
+from ..container.data import read_globals, write_globals
 from ..errors import (
     CorruptStreamError, DEFAULT_LIMITS, ResourceLimits,
     TruncatedStreamError, UnsupportedFormatError, decode_guard,
 )
 from ..ir.ops import op
-from ..ir.tree import GlobalData, IRFunction, IRModule, PtrInit, ScalarInit
+from ..ir.tree import IRFunction, IRModule
 from .patternize import (
     Pattern, _LiteralSource, normalize_labels, patternize_tree, rebuild_tree,
-    unzigzag, zigzag,
 )
 
 __all__ = [
@@ -87,9 +88,7 @@ def _unpack_int_novels(data: bytes, count: int) -> List[int]:
 def _pack_str_novels(values: List[str]) -> bytes:
     out = bytearray()
     for v in values:
-        raw = v.encode("utf-8")
-        write_uvarint(out, len(raw))
-        out.extend(raw)
+        write_name(out, v)
     return bytes(out)
 
 
@@ -100,23 +99,16 @@ def _unpack_str_novels(data: bytes, count: int) -> List[str]:
     values: List[str] = []
     pos = 0
     for _ in range(count):
-        n, pos = read_uvarint(data, pos)
-        DEFAULT_LIMITS.check("string novel length", n,
-                             DEFAULT_LIMITS.max_name_bytes)
-        raw, pos = take_bytes(data, pos, n, "string novel")
-        values.append(raw.decode("utf-8"))
+        value, pos = read_name(data, pos, "string novel")
+        values.append(value)
     return values
-
-
-def _pack_float_novels(values: List[float]) -> bytes:
-    return struct.pack("<%dd" % len(values), *values)
 
 
 def _unpack_float_novels(data: bytes, count: int) -> List[float]:
     if count * 8 > len(data):
         raise TruncatedStreamError(
             f"novel stream promises {count} doubles, only {len(data)} bytes")
-    return list(struct.unpack_from("<%dd" % count, data))
+    return [value for (value,) in DOUBLE.iter_unpack(data[:count * 8])]
 
 
 def _pack_pattern_novels(patterns: List[Pattern]) -> bytes:
@@ -155,21 +147,15 @@ def _unpack_pattern_novels(data: bytes, count: int) -> List[Pattern]:
                 f"pattern promises {n} operators, stream too short")
         syms = []
         for _ in range(n):
-            if pos >= len(data):
-                raise TruncatedStreamError("truncated pattern novel")
-            byte = data[pos]
-            pos += 1
+            byte, pos = read_byte(data, pos, "pattern opcode")
             opcode = byte & 0x7F
             name = by_opcode.get(opcode)
             if name is None:
                 raise CorruptStreamError(f"unknown opcode {opcode} in pattern")
+            width = 0
             if byte & 0x80:
-                if pos >= len(data):
-                    raise TruncatedStreamError("pattern missing width byte")
-                syms.append((name, data[pos]))
-                pos += 1
-            else:
-                syms.append((name, 0))
+                width, pos = read_byte(data, pos, "pattern width byte")
+            syms.append((name, width))
         patterns.append(tuple(syms))
     return patterns
 
@@ -199,39 +185,8 @@ def _decode_mtf_stream(
 # ---------------------------------------------------------------------------
 
 
-def _pack_globals_meta(out: bytearray, globals_: List[GlobalData]) -> None:
-    write_uvarint(out, len(globals_))
-    for g in globals_:
-        raw = g.name.encode("utf-8")
-        write_uvarint(out, len(raw))
-        out.extend(raw)
-        write_uvarint(out, g.size)
-        write_uvarint(out, g.align)
-        out.append(1 if g.is_string else 0)
-        write_uvarint(out, len(g.items))
-        for item in g.items:
-            if isinstance(item, ScalarInit):
-                if isinstance(item.value, float) or item.size == 8:
-                    out.append(1)
-                    write_uvarint(out, item.offset)
-                    out.extend(struct.pack("<d", float(item.value)))
-                else:
-                    out.append(0)
-                    write_uvarint(out, item.offset)
-                    write_uvarint(out, item.size)
-                    write_uvarint(out, zigzag(int(item.value)))
-            else:
-                out.append(2)
-                write_uvarint(out, item.offset)
-                raw = item.symbol.encode("utf-8")
-                write_uvarint(out, len(raw))
-                out.extend(raw)
-
-
 def _pack_fn_header(out: bytearray, fn: IRFunction) -> None:
-    raw = fn.name.encode("utf-8")
-    write_uvarint(out, len(raw))
-    out.extend(raw)
+    write_name(out, fn.name)
     write_uvarint(out, fn.frame_size)
     out.append(ord(fn.ret_suffix))
     write_uvarint(out, len(fn.param_sizes))
@@ -244,10 +199,8 @@ def _pack_meta(module: IRModule, fields: Sequence[Sequence[int]]) -> bytes:
     per-version fields: the tree count in a v2 meta stream, the chunk id
     and span length in a v3 header."""
     out = bytearray()
-    name_raw = module.name.encode("utf-8")
-    write_uvarint(out, len(name_raw))
-    out.extend(name_raw)
-    _pack_globals_meta(out, module.globals)
+    write_name(out, module.name)
+    write_globals(out, module.globals)
     write_uvarint(out, len(module.functions))
     for fn, values in zip(module.functions, fields):
         _pack_fn_header(out, fn)
@@ -256,60 +209,10 @@ def _pack_meta(module: IRModule, fields: Sequence[Sequence[int]]) -> bytes:
     return bytes(out)
 
 
-def _read_name(data: bytes, pos: int, what: str) -> Tuple[str, int]:
-    n, pos = read_uvarint(data, pos)
-    DEFAULT_LIMITS.check(f"{what} length", n, DEFAULT_LIMITS.max_name_bytes)
-    raw, pos = take_bytes(data, pos, n, what)
-    return raw.decode("utf-8"), pos
-
-
-def _read_byte(data: bytes, pos: int, what: str) -> Tuple[int, int]:
-    if pos >= len(data):
-        raise TruncatedStreamError(f"meta stream ends before {what}")
-    return data[pos], pos + 1
-
-
-def _unpack_globals_meta(data: bytes, pos: int) -> Tuple[List[GlobalData], int]:
-    nglobals, pos = read_uvarint(data, pos)
-    if nglobals > len(data) - pos:  # every global costs several bytes
-        raise TruncatedStreamError(
-            f"meta promises {nglobals} globals, stream too short")
-    globals_: List[GlobalData] = []
-    for _ in range(nglobals):
-        name, pos = _read_name(data, pos, "global name")
-        size, pos = read_uvarint(data, pos)
-        align, pos = read_uvarint(data, pos)
-        flag, pos = _read_byte(data, pos, "global flags")
-        is_string = bool(flag)
-        nitems, pos = read_uvarint(data, pos)
-        if nitems > len(data) - pos:
-            raise TruncatedStreamError(
-                f"global {name!r} promises {nitems} items, stream too short")
-        g = GlobalData(name, size, align, is_string=is_string)
-        for _ in range(nitems):
-            tag, pos = _read_byte(data, pos, "initializer tag")
-            offset, pos = read_uvarint(data, pos)
-            if tag == 0:
-                isize, pos = read_uvarint(data, pos)
-                z, pos = read_uvarint(data, pos)
-                g.items.append(ScalarInit(offset, isize, unzigzag(z)))
-            elif tag == 1:
-                raw, pos = take_bytes(data, pos, 8, "double initializer")
-                g.items.append(ScalarInit(offset, 8,
-                                          struct.unpack("<d", raw)[0]))
-            elif tag == 2:
-                symbol, pos = _read_name(data, pos, "pointer symbol")
-                g.items.append(PtrInit(offset, symbol))
-            else:
-                raise CorruptStreamError(f"unknown initializer tag {tag}")
-        globals_.append(g)
-    return globals_, pos
-
-
 def _read_fn_header(data: bytes, pos: int) -> Tuple[IRFunction, int]:
-    name, pos = _read_name(data, pos, "function name")
+    name, pos = read_name(data, pos, "function name")
     frame_size, pos = read_uvarint(data, pos)
-    suffix_byte, pos = _read_byte(data, pos, "return suffix")
+    suffix_byte, pos = read_byte(data, pos, "return suffix")
     ret_suffix = chr(suffix_byte)
     nparams, pos = read_uvarint(data, pos)
     if nparams > len(data) - pos:
@@ -328,9 +231,9 @@ def _unpack_meta(
 ) -> Tuple[IRModule, List[List[int]], int]:
     """Invert :func:`_pack_meta`: (module skeleton, each function's
     ``nfields`` fields, end position)."""
-    name, pos = _read_name(data, 0, "module name")
+    name, pos = read_name(data, 0, "module name")
     module = IRModule(name)
-    module.globals, pos = _unpack_globals_meta(data, pos)
+    module.globals, pos = read_globals(data, pos)
     nfuncs, pos = read_uvarint(data, pos)
     limits.check("function count", nfuncs, limits.max_functions)
     if nfuncs > len(data) - pos:
@@ -429,8 +332,9 @@ def _pack_code_streams(
             values = indexed
             kind = "int"
         elif kind == "float":
-            # Keyed by sign too: a bare value key aliases -0.0 with 0.0.
-            values = [(v, math.copysign(1.0, v)) for v in values]
+            # A double's literal_key is its encoding, so the novels are
+            # the bytes the stream stores.
+            values = [literal_key(v) for v in values]
         idx_bytes, novels = _encode_mtf_stream(values)
         streams[f"lit.{key}.idx"] = idx_bytes
         blob = bytearray()
@@ -438,7 +342,7 @@ def _pack_code_streams(
         if kind == "int":
             blob.extend(_pack_int_novels(novels))
         else:  # float
-            blob.extend(_pack_float_novels([v for v, _ in novels]))
+            blob.extend(b"".join(novels))
         streams[f"lit.{key}.new"] = bytes(blob)
 
     blob = bytearray()
@@ -448,22 +352,15 @@ def _pack_code_streams(
     return streams
 
 
-def encode_module(module: IRModule, compress: bool = True,
-                  codec: str = "deflate") -> bytes:
-    """Encode ``module`` into the wire format (WIR2: per-stream CRC32).
-
-    ``codec`` picks the per-stream entropy coder; the flag byte each
-    stream carries makes the choice self-describing, so decoding needs
-    no matching knob.
-    """
+def encode_module(module: IRModule, compress: bool = True) -> bytes:
+    """Encode ``module`` into the wire format (WIR2: per-stream CRC32)."""
     pattern_stream, literal_streams, tree_counts, normalized = (
         _collect_streams(module)
     )
     streams = _pack_code_streams(pattern_stream, literal_streams)
     streams["meta"] = _pack_meta(normalized,
                                  [(count,) for count in tree_counts])
-    return _MAGIC + pack_streams(streams, compress=compress, checksums=True,
-                                 codec=codec)
+    return _MAGIC + pack_streams(streams, compress=compress, checksums=True)
 
 
 def _container_streams(

@@ -10,20 +10,21 @@ Literal width flags: the IR "has been augmented with a few operators with
 the suffixes 8 and 16 to flag literals that fit in eight or sixteen bits".
 We reproduce that by tagging each literal-bearing operator occurrence with
 a width class (0=8-bit, 1=16-bit, 2=32-bit, computed over the zigzag
-encoding so negative offsets stay small), so e.g. ``ADDRLP8`` and
-``ADDRLP16`` are distinct pattern symbols with separately-sized literal
-streams.
+encoding of :mod:`repro.compress.bitio` so negative offsets stay small),
+so e.g. ``ADDRLP8`` and ``ADDRLP16`` are distinct pattern symbols with
+separately-sized literal streams.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple, Union
 
+from ..compress.bitio import zigzag
 from ..ir.ops import op
 from ..ir.tree import IRFunction, Tree
 
 __all__ = [
-    "PatternSym", "Pattern", "zigzag", "unzigzag", "width_class",
+    "PatternSym", "Pattern", "width_class",
     "patternize_tree", "rebuild_tree", "stream_key", "normalize_labels",
 ]
 
@@ -33,16 +34,6 @@ PatternSym = Tuple[str, int]
 Pattern = Tuple[PatternSym, ...]
 
 LiteralValue = Union[int, float, str]
-
-
-def zigzag(value: int) -> int:
-    """Map signed to unsigned so small-magnitude values stay small."""
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
-def unzigzag(value: int) -> int:
-    """Inverse of :func:`zigzag`."""
-    return -(value >> 1) - 1 if value & 1 else value >> 1
 
 
 def width_class(value: int) -> int:

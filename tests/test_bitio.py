@@ -272,3 +272,42 @@ def test_read_bytes_matches_bitwise_reference(payload, skew):
     reference = bytes(r_bits.read_bits(8) for _ in range(len(payload)))
     assert r_bulk.read_bytes(len(payload)) == reference == payload
     assert r_bulk.bits_consumed == r_bits.bits_consumed
+
+
+# ---------------------------------------------------------------------------
+# The literal codec both container formats share
+# ---------------------------------------------------------------------------
+
+
+@given(st.text(max_size=40))
+def test_name_roundtrip(name):
+    from repro.compress.bitio import read_name, write_name
+
+    out = bytearray(b"\x07")
+    write_name(out, name)
+    assert read_name(bytes(out), 1, "name") == (name, len(out))
+
+
+def test_name_reader_bounds_and_truncation_are_typed():
+    from repro.compress.bitio import read_name, write_name
+    from repro.errors import ResourceLimitError, ResourceLimits
+
+    out = bytearray()
+    write_name(out, "x" * 10)
+    with pytest.raises(ResourceLimitError, match="symbol length"):
+        read_name(bytes(out), 0, "symbol", ResourceLimits(max_name_bytes=9))
+    with pytest.raises(TruncatedStreamError):
+        read_name(bytes(out[:-1]), 0, "symbol")
+
+
+def test_literal_key_is_the_encoding():
+    """Two literals are the same exactly when they encode alike: a
+    double's key is its bytes, so the signed zeros differ and a NaN
+    equals itself; other literals are their own keys."""
+    from repro.compress.bitio import DOUBLE, literal_key
+
+    assert -0.0 == 0.0 and literal_key(-0.0) != literal_key(0.0)
+    assert literal_key(2.5) == DOUBLE.pack(2.5)
+    nan = float("nan")
+    assert literal_key(nan) == literal_key(DOUBLE.unpack(DOUBLE.pack(nan))[0])
+    assert literal_key(7) == 7 and literal_key("L3") == "L3"

@@ -5,10 +5,10 @@ Each unit is ``generate_program_source(10, seed)`` plus a signed-zero
 probe (``0.0`` and ``-0.0`` stored into two globals and printed), the
 literal pair a value-keyed table anywhere in the pipeline would merge.
 Against the plain VM's exit code and output, the harness checks the
-wire round trip under each wire codec, BRISC in place with and without
-the decode cache, BRISC decompressed, the image repacked as a
-multi-chunk BRI3 container, a journal-replayed build after a seeded
-one-literal edit, and each ISA variant of the ablation study.
+wire round trip with its streams deflated and stored, BRISC in place
+with and without the decode cache, BRISC decompressed, the image
+repacked as a multi-chunk BRI3 container, a journal-replayed build after
+a seeded one-literal edit, and each ISA variant of the ablation study.
 
 Tier-1 runs the seeds in ``SEEDS``; a wider sweep selects its own with
 ``--harness-seeds`` (see ``tests/conftest.py``), for example
@@ -17,6 +17,7 @@ Tier-1 runs the seeds in ``SEEDS``; a wider sweep selects its own with
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -129,11 +130,12 @@ def test_vm_reference_prints_both_zeros(unit):
     assert output.startswith("0 -0\n")
 
 
-@pytest.mark.parametrize("codec", ["deflate", "arith"])
-def test_wire_round_trip(unit, codec):
+@pytest.mark.parametrize("compress", [True, False],
+                         ids=["deflate", "stored"])
+def test_wire_round_trip(unit, compress):
     blob = unit.toolchain.compile(
         unit.source, name=f"gen{unit.seed}", stages=["wire"],
-        config=unit.config.with_wire_codec(codec)).wire_blob
+        config=replace(unit.config, wire_compress=compress)).wire_blob
     program = generate_program(decode_module(blob))
     assert outcome(run_program(program, max_steps=MAX_STEPS)) == \
         unit.expected

@@ -139,27 +139,6 @@ def test_default_stage_keys_are_pinned():
                          config=tc.config.with_journal()) == WC_JOURNAL_KEYS
 
 
-def test_wire_codec_knob_changes_key_and_roundtrips():
-    """``wire_codec="arith"`` is the ratio-over-speed knob: it re-keys
-    (and re-runs) the wire stage, and the coded blob decodes back to the
-    same module because the codec flag rides with each stream."""
-    from repro.wire import decode_module
-
-    source = suite_source("wc")  # large enough for both codecs to engage
-    tc = Toolchain()
-    base = tc.compile(source, name="wc", stages=("wire",))
-    config = tc.config.with_wire_codec("arith")
-    coded = tc.compile(source, name="wc", stages=("wire",), config=config)
-    assert not coded.artifact("wire").from_cache
-    assert coded.wire_blob != base.wire_blob
-    assert dump_module(decode_module(coded.wire_blob)) == \
-        dump_module(decode_module(base.wire_blob))
-    # The default codec spells its fragment the same as before the knob
-    # existed, so pre-existing deflate keys (and caches) are untouched.
-    again = tc.compile(source, name="wc", stages=("wire",))
-    assert again.artifact("wire").from_cache
-
-
 def test_with_brisc_keeps_unrelated_knobs():
     tc = Toolchain()
     config = tc.config.with_brisc(k=7).with_brisc(max_passes=3)

@@ -10,6 +10,7 @@ from repro.compress.streams import (
 )
 from repro.errors import (
     CorruptStreamError, DecodeError, ResourceLimitError, ResourceLimits,
+    UnsupportedFormatError,
 )
 
 
@@ -130,61 +131,23 @@ def test_errors_are_decode_errors():
 
 
 # ---------------------------------------------------------------------------
-# the arith codec knob
+# The retired arithmetic-coded payload flag
 # ---------------------------------------------------------------------------
 
 
-def test_arith_codec_roundtrip():
-    streams = {"ops": b"abcabcabc" * 200, "lits": bytes(range(100)) * 4}
-    blob = pack_streams(streams, codec="arith")
-    assert unpack_streams(blob) == streams
-
-
-def test_arith_codec_beats_deflate_on_skewed_streams():
-    # Heavily skewed symbol frequencies are where arithmetic coding's
-    # fractional-bit symbols pay for their speed.
-    streams = {"skew": (b"a" * 60 + b"b") * 120}
-    assert len(pack_streams(streams, codec="arith")) < \
-        len(pack_streams(streams, codec="deflate"))
-
-
-def test_arith_codec_stores_tiny_streams_raw():
-    blob = pack_streams({"tiny": b"ab"}, codec="arith")
-    assert unpack_streams(blob) == {"tiny": b"ab"}
-    assert len(blob) < 30
-
-
-def test_arith_flag_rides_with_the_stream():
-    blob = pack_streams({"s": b"qq" * 300}, codec="arith")
+@pytest.mark.parametrize("checksums", [False, True])
+def test_arith_coded_stream_is_unsupported(checksums):
+    """Flag 4 marked an arithmetic-coded payload; no encoder writes one
+    now, so a reader meeting it says the format is unsupported."""
+    blob = bytearray(pack_streams({"s": b"qq" * 300}, compress=False,
+                                  checksums=checksums))
     # count(1) + name_len(1) + name(1), then the flag byte.
-    assert blob[3] == 4
-
-
-def test_mixed_codec_containers_decode_per_stream():
-    arith_blob = pack_streams({"a": b"xy" * 300}, codec="arith")
-    deflate_blob = pack_streams({"b": b"xy" * 300})
-    combined = bytes([2]) + arith_blob[1:] + deflate_blob[1:]
-    assert unpack_streams(combined) == {"a": b"xy" * 300, "b": b"xy" * 300}
-
-
-def test_both_codec_flags_at_once_rejected():
-    blob = bytearray(pack_streams({"s": b"qq" * 300}, codec="arith"))
-    assert blob[3] == 4
-    blob[3] = 5  # deflate + arith simultaneously: nonsense
-    with pytest.raises(CorruptStreamError):
+    assert blob[3] == (2 if checksums else 0)
+    blob[3] |= 4
+    with pytest.raises(UnsupportedFormatError, match="flag 4"):
         unpack_streams(bytes(blob))
-
-
-def test_unknown_codec_rejected():
-    with pytest.raises(ValueError):
-        pack_streams({"s": b"x"}, codec="lzw")
-
-
-def test_arith_declared_length_is_bounded_before_decode():
-    blob = bytearray(pack_streams({"s": b"qq" * 300}, codec="arith"))
-    with pytest.raises(ResourceLimitError):
-        unpack_streams(bytes(blob),
-                       limits=ResourceLimits(max_decoded_bytes=100))
+    with pytest.raises(UnsupportedFormatError):
+        stored_streams(bytes(blob))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.cfront import compile_to_ast
+from repro.compress.bitio import unzigzag, zigzag
 from repro.corpus.samples import SAMPLES
 from repro.ir import T, lower_unit
 from repro.ir.tree import IRModule
@@ -12,7 +13,6 @@ from repro.wire import (
     decode_module, encode_module, normalize_labels, patternize_tree,
     stream_breakdown, width_class, wire_size,
 )
-from repro.wire.patternize import unzigzag, zigzag
 
 
 def lower(src, name="m"):
@@ -209,3 +209,21 @@ class TestContainerIntegrity:
         for cut in (5, len(blob) // 2, len(blob) - 1):
             with pytest.raises(DecodeError):
                 decode_module(blob[:cut])
+
+    @pytest.mark.parametrize("encode", ["encode_module", "encode_module_v3"])
+    def test_zero_alignment_rejected(self, encode):
+        """Alignment 0 would divide by zero when the VM lays out the
+        globals.  The encoder writes whatever the module holds, so the
+        forged blob carries valid CRCs and only the reader can refuse it."""
+        from repro.corpus import suite_source
+        from repro.errors import CorruptStreamError
+        from repro.wire import decode_function
+
+        mod = lower(suite_source("wc"), "wc")
+        mod.globals[0].align = 0
+        blob = getattr(repro.wire, encode)(mod)
+        assert blob[:4] == (b"WIR2" if encode == "encode_module" else b"WIR3")
+        with pytest.raises(CorruptStreamError, match="alignment 0"):
+            decode_module(blob)
+        with pytest.raises(CorruptStreamError, match="alignment 0"):
+            decode_function(blob, "main")
