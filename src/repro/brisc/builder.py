@@ -25,6 +25,13 @@ per pattern, so liveness is an exact predicate, not a heuristic bound.
 W is priced only for a candidate whose savings pass its dictionary
 bytes: W ≥ 0, so no other candidate can clear its floor.
 
+**Replay.** Given the journal of an earlier build (``prev``) and the
+functions an edit changed, the same loop replays that build: every
+unchanged function keeps its final slots and feeds its recorded
+per-pass delta through the one merge a scanned delta goes through, and
+only changed functions are scanned and rewritten (see
+:mod:`repro.brisc.journal`).
+
 **Small integers.** Each distinct :class:`InsnPattern` gets a part id,
 each candidate a dense id (cid) keyed by its tuple of part ids, each
 instruction an id keyed by its mnemonic and its literals' identity, and
@@ -48,7 +55,9 @@ import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import (
+    Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..compress.bitio import literal_key
 from ..vm.instr import Instr, VMProgram
@@ -56,7 +65,9 @@ from .cost import CostModel
 from .pattern import (
     _BYTE_SIZES, _NIBBLE_CLASSES, DictPattern, InsnPattern, Wildcard,
 )
-from .slots import Slot, SlotFunction, SlotProgram, build_slots
+from .slots import (
+    Slot, SlotFunction, SlotProgram, build_slot_function, build_slots,
+)
 
 __all__ = ["BuildResult", "BriscBuilder", "PassStats", "build_dictionary"]
 
@@ -198,16 +209,6 @@ class _InternState:
                      + cost.working_set_cost(self.pattern(cid)))
             self.floors[cid] = floor
         return floor
-
-    def clears_floor(self, cid: int, savings: int, cost: CostModel) -> bool:
-        """Whether ``savings`` exceed the candidate's floor (B > 0).
-
-        Priced in two steps: W ≥ 0, so savings at or below the dictionary
-        bytes never clear the floor, and W is priced only for candidates
-        whose savings get past those bytes.
-        """
-        return (savings > self.dict_bytes[cid]
-                and savings > self.floor(cid, cost))
 
 
 def _priced(key: Tuple[int, ...], part_price: List[_PartPrice]) -> _Priced:
@@ -488,8 +489,8 @@ class _ScanTables:
         # Specialization pass: adopt any new pattern that represents a slot
         # more compactly.  Candidates are tried in admission order, so a
         # pass's rewrite outcome depends on the admitted *sequence* — which
-        # is why the journal replayer verifies its re-derived admissions
-        # against the recorded list, order included.
+        # is why a replay checks each pass's admissions against the
+        # recorded list, order included.
         choice = rewrite.choice
         for i, sid in enumerate(sids):
             best = choice.get(sid)
@@ -607,6 +608,12 @@ class BriscBuilder:
     ``prune=False`` disables the incremental rescan and re-scores every
     candidate every pass (the pre-optimization behaviour, kept as the
     reference for determinism tests).
+
+    ``prev`` replays that earlier build's journal for ``program``, in
+    which only the functions whose indices are in ``changed`` differ from
+    the program ``prev`` compressed.  :meth:`run` then returns ``None``
+    as soon as a pass admits anything other than the recorded list, or
+    the journal has no pass left.
     """
 
     def __init__(
@@ -617,9 +624,10 @@ class BriscBuilder:
         max_passes: int = 40,
         prune: bool = True,
         journal: bool = False,
+        prev: Optional[BuildResult] = None,
+        changed: Set[int] = frozenset(),
     ) -> None:
         t0 = time.perf_counter()
-        self.slots = build_slots(program)
         self.k = k
         self.cost = CostModel(abundant_memory)
         self.max_passes = max_passes
@@ -629,27 +637,49 @@ class BriscBuilder:
         self.candidates_tested = 0
         self.passes = 0
         self.pass_stats: List[PassStats] = []
-        self._tables = _ScanTables()
+        # A replay scans and rewrites only the changed functions; each
+        # other one keeps its final slots from ``prev``.  ``_recorded``
+        # holds, per recorded pass, the unchanged functions' deltas and
+        # the admissions the pass must repeat.
+        recorded = None if prev is None else prev.journal
+        self._recorded: Optional[List[Tuple[Dict[int, Dict[int, int]],
+                                            List[int]]]] = None
+        if recorded is None:
+            self.slots = build_slots(program)
+            self._scanned: Sequence[int] = range(len(program.functions))
+            self._tables = _ScanTables()
+        else:
+            self.slots = SlotProgram(program.name, entry=program.entry)
+            self.slots.functions = [
+                build_slot_function(fn) if index in changed
+                else prev.slots.functions[index]
+                for index, fn in enumerate(program.functions)]
+            self._scanned = sorted(changed)
+            self._tables = _ScanTables(recorded.interned)
+            self._recorded = [
+                ({index: net for index, net in p.deltas
+                  if index not in changed}, p.admitted)
+                for p in recorded.passes]
         # Incremental-scan state, keyed by the tables' dense candidate
         # ids: each function's slot ids and row keys, the merged savings
         # totals, the live (positive-benefit) candidate set, which ids
         # are already dictionary members (and how many of those sit in
-        # the merged map), and the functions the last rewrite touched.
+        # the merged map), and the functions the next scan must visit.
         # All maintained so the merged map always equals what a full
         # rescan would produce.
-        self._sids: List[List[int]] = []
-        self._row_keys: Optional[List[List[_RowKey]]] = None
+        self._sids: List[Optional[List[int]]] = []
+        self._row_keys: List[List[_RowKey]] = [[] for _ in program.functions]
         self._savings: Dict[int, int] = {}
         self._live: Set[int] = set()
         self._dict_ids: Set[int] = set()
         self._dict_overlap = 0
-        self._changed: Set[int] = set()
+        self._changed: Set[int] = set(self._scanned)
         # Heap tie-break keys per cid: constant, so built once.
         self._ties: Dict[int, Tuple[int, str, int]] = {}
-        # Replay journal: records each pass's savings deltas, live set,
-        # and admissions so an edited program can replay this build (see
-        # :mod:`repro.brisc.journal`).  ``prune=False`` never computes
-        # per-function deltas, so it skips recording.
+        # Replay journal: records the base seed and each pass's savings
+        # deltas and admissions, so an edited program can replay this
+        # build (see :mod:`repro.brisc.journal`).  ``prune=False`` never
+        # computes per-function deltas, so it skips recording.
         self._journal = None
         if journal and prune:
             from .journal import BuildJournal
@@ -658,18 +688,24 @@ class BriscBuilder:
                 config_sig=_config_sig(k, abundant_memory, max_passes),
                 interned=self._tables.interned,
             )
-        self._seed_base_patterns()
+        self._seed_base_patterns(recorded)
         self.base_patterns = len(self.dictionary)
         # Slotting and seeding precede the first pass; run() charges
         # them to it, so BuildResult.seconds is wall time.
         self._setup_seconds = time.perf_counter() - t0
 
-    def _seed_base_patterns(self) -> None:
+    def _seed_base_patterns(self, recorded) -> None:
         journal = self._journal
-        for fn in self.slots.functions:
+        scanned = set(self._scanned)
+        for index, fn in enumerate(self.slots.functions):
             # Every base pattern gets its cid up front, so dictionary
             # membership is a plain cid-set lookup from the first scan on.
-            seed, sids = self._tables.seed(fn)
+            # A replayed function's slots are final, so its seed is the
+            # recorded one.
+            if index in scanned:
+                seed, sids = self._tables.seed(fn)
+            else:
+                seed, sids = recorded.base_seed[index], None
             self._sids.append(sids)
             if journal is not None:
                 journal.base_seed.append(seed)
@@ -697,16 +733,24 @@ class BriscBuilder:
         """Apply one function's net savings delta to the merged map,
         maintaining the live set, the dictionary-overlap count, and the
         paper's candidates-tested counter exactly as a full rescan
-        would."""
+        would.  A scanned delta and a replayed one both go through here.
+
+        A candidate is live when its savings exceed its floor (B > 0).
+        W ≥ 0, so savings at or below the dictionary bytes never do, and
+        W is priced only for candidates whose savings get past them.
+        """
         savings = self._savings
-        live = self._live
+        get = savings.get
+        add, discard = self._live.add, self._live.discard
         members = self._dict_ids
         seen = self.seen
-        clears_floor = self._tables.interned.clears_floor
+        interned = self._tables.interned
+        dict_bytes = interned.dict_bytes
+        floors = interned.floors.get
         cost = self.cost
         overlap = 0
         for cid, delta in net.items():
-            current = savings.get(cid)
+            current = get(cid)
             if current is None:
                 if delta <= 0:
                     continue
@@ -722,15 +766,23 @@ class BriscBuilder:
                     if cid in members:
                         overlap -= 1
                     else:
-                        live.discard(cid)
+                        discard(cid)
                     continue
                 savings[cid] = value
                 if cid in members:
                     continue
-            if clears_floor(cid, value, cost):
-                live.add(cid)
-            else:
-                live.discard(cid)
+            if value > dict_bytes[cid]:
+                floor = floors(cid)
+                if floor is None:
+                    floor = interned.floor(cid, cost)
+                if value > floor:
+                    add(cid)
+                    continue
+            elif delta > 0:
+                # Rose, yet not past its dictionary bytes: it was not
+                # live before either.
+                continue
+            discard(cid)
         self._dict_overlap += overlap
         self.candidates_tested = len(seen)
 
@@ -740,37 +792,45 @@ class BriscBuilder:
         The first pass (and every pass when ``prune=False``) scans every
         function; later passes re-scan only the functions the previous
         rewrite changed, applying the difference between each one's old
-        and new rows.  Both paths produce the same merged map.
+        and new rows.  Both paths produce the same merged map.  In a
+        replay, an unchanged function is never scanned: its recorded
+        delta for the pass is merged in its place, in the same
+        function order.
         """
         functions = self.slots.functions
-        if self._row_keys is None or not self.prune:
+        if not self.prune:
             self._row_keys = [[] for _ in functions]
             self._savings = {}
             self._live = set()
             self._dict_overlap = 0
-            indices = range(len(functions))
-        else:
-            indices = sorted(self._changed)
-        self._changed = set()
+            self._changed = set(self._scanned)
+        replayed: Dict[int, Dict[int, int]] = {}
+        if self._recorded is not None:
+            replayed = self._recorded[self.passes - 1][0]
         tables = self._tables
         row_keys = self._row_keys
         journal = self._journal
         record = journal.passes[-1].deltas if journal is not None else None
-        for index in indices:
-            keys = tables.row_keys(functions[index].slots, self._sids[index])
-            # Net per-function delta (new − old): replaying these in
-            # sequence reproduces the merged savings map exactly, because
-            # merging is plain addition.
-            net = tables.delta(row_keys[index], keys)
-            row_keys[index] = keys
+        for index in sorted(self._changed.union(replayed)):
+            net = replayed.get(index)
+            if net is None:
+                keys = tables.row_keys(functions[index].slots,
+                                       self._sids[index])
+                # Net per-function delta (new − old): replaying these in
+                # sequence reproduces the merged savings map exactly,
+                # because merging is plain addition.
+                net = tables.delta(row_keys[index], keys)
+                row_keys[index] = keys
             self._merge(net)
             if record is not None:
                 record.append((index, net))
+        self._changed = set()
 
     # -- rewriting -----------------------------------------------------------
 
     def _apply_patterns(self, admitted: List[int]) -> Set[int]:
-        """Rewrite every function with the newly admitted candidates.
+        """Rewrite every scanned function with the newly admitted
+        candidates.
 
         Returns the indices of functions whose slots actually changed —
         the only ones whose candidate contributions the next pass must
@@ -778,39 +838,46 @@ class BriscBuilder:
         """
         tables = self._tables
         rewrite = tables.prepare_rewrite(admitted)
-        return {index for index, fn in enumerate(self.slots.functions)
-                if tables.rewrite(fn, self._sids[index], rewrite)}
+        functions = self.slots.functions
+        return {index for index in self._scanned
+                if tables.rewrite(functions[index], self._sids[index],
+                                  rewrite)}
 
     # -- driver ------------------------------------------------------------
 
-    def run(self) -> BuildResult:
+    def run(self) -> Optional[BuildResult]:
         journal = self._journal
+        recorded = self._recorded
         interned = self._tables.interned
         setup = self._setup_seconds
         while self.passes < self.max_passes:
+            if recorded is not None and self.passes == len(recorded):
+                return None
             self.passes += 1
             t0 = time.perf_counter()
-            journal_pass = None
             if journal is not None:
                 from .journal import PassJournal
 
-                journal_pass = PassJournal()
-                journal.passes.append(journal_pass)
+                journal.passes.append(PassJournal())
             self._refresh_savings()
             savings = self._savings
             # Snapshot before admission: the pass's candidate count is
             # the merged map minus patterns already admitted when the
             # scan ran, exactly what the full-rescan filter reported.
             candidates = len(savings) - self._dict_overlap
-            if journal_pass is not None:
-                journal_pass.candidates = candidates
-                journal_pass.live = sorted(self._live)
             admitted = _admissions(self._live, savings, interned, self.cost,
                                    self.k, self._ties)
+            # A replay must admit exactly the recorded sequence: rewriting
+            # tries candidates in admission order, so even a reorder can
+            # change a tie-break, and with it the slots the unchanged
+            # functions' recorded deltas were measured against.
+            if (recorded is not None
+                    and admitted != recorded[self.passes - 1][1]):
+                return None
             for cid in admitted:
                 self._admit(cid)
-            if journal_pass is not None:
-                journal_pass.admitted = list(admitted)
+            if journal is not None:
+                journal.passes[-1].admitted = admitted
             if admitted:
                 self._changed = self._apply_patterns(admitted)
             self.pass_stats.append(PassStats(
@@ -821,9 +888,6 @@ class BriscBuilder:
             setup = 0.0
             if len(admitted) < self.k:
                 break
-        if journal is not None:
-            journal.seen = sorted(self.seen)
-            journal.candidates_tested = self.candidates_tested
         return BuildResult(
             slots=self.slots,
             dictionary=self.dictionary,

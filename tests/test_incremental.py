@@ -9,8 +9,9 @@ Covers the acceptance criteria of the incremental-compilation change:
   function whose lowered IR is unchanged instead of re-running the
   stages after lower;
 * an edited compile lexes the source once;
-* the BRISC journal replay path reproduces the cold image exactly, and
-  journaled builds are byte-identical to plain ones;
+* the BRISC journal replay path reproduces the cold image and the cold
+  build's counters exactly, and journaled builds are byte-identical to
+  plain ones;
 * delta reuse is refused across configuration changes and missing
   journals (conservative cold fallback, never a wrong artifact);
 * stage statistics account replays and cache hits separately, and a
@@ -44,6 +45,10 @@ BIG = "\n".join(
 
 BIG_EDIT = BIG.replace("int f7(int a, int b) { return a * 7 + b; }",
                        "int f7(int a, int b) { return a * 9 + b; }")
+
+#: ``f7`` divides: the unit's only ``div.i``, so the edit (and its
+#: reverse) changes which base patterns seed the dictionary.
+BIG_DIV = BIG.replace("a * 7 + b", "a / 9 + b")
 
 #: Sema numbers ``<strN>`` labels unit-wide in first-appearance order, so
 #: the literal inserted into ``a`` renumbers the label ``main`` refers to.
@@ -87,6 +92,8 @@ EDIT_CASES = [
     pytest.param(STRINGS, STRINGS.replace('{ print_str("x");',
                                           '{ print_str("w"); print_str("x");'),
                  {"a", "main"}, id="string-renumbering"),
+    pytest.param(BIG, BIG_DIV, {"f7"}, id="base-pattern-added"),
+    pytest.param(BIG_DIV, BIG, {"f7"}, id="base-pattern-removed"),
 ]
 
 
@@ -109,15 +116,26 @@ def assert_byte_identical(a, b):
 # ---------------------------------------------------------------------------
 
 
+def builder_counters(result):
+    """The BRISC build's candidates tested, passes, and each pass's
+    ``(candidates, admitted)``, as the brisc artifact's meta reports
+    them."""
+    meta = result.artifacts["brisc"].meta
+    return (meta["candidates_tested"], meta["passes"],
+            [(p["candidates"], p["admitted"]) for p in meta["builder_passes"]])
+
+
 def edit_matches_cold(source, edited, config):
     """Compile ``source`` cold, then ``edited`` with ``prev=``; assert the
-    delta result equals a cold compile of ``edited`` byte for byte, and
-    return ``(cold, delta)``."""
+    delta result equals a cold compile of ``edited`` byte for byte and in
+    its BRISC builder counters (a replayed build reports the cold
+    build's), and return ``(cold, delta)``."""
     tc = Toolchain()
     cold = tc.compile(source, name="u", config=config)
     delta = tc.compile(edited, name="u", config=config, prev=cold)
     fresh = Toolchain().compile(edited, name="u", config=config)
     assert_byte_identical(delta, fresh)
+    assert builder_counters(delta) == builder_counters(fresh)
     return cold, delta
 
 
@@ -144,6 +162,17 @@ class TestDeltaCompile:
                                         Toolchain().config.with_journal())
         if relowered is not None:
             assert_relowered(cold, delta, relowered)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("source, edited", [(BIG, BIG_DIV), (BIG_DIV, BIG)],
+                             ids=["added", "removed"])
+    def test_base_pattern_edit_replays(self, source, edited, k):
+        """Adding or removing the unit's only ``div.i`` changes the
+        seeded dictionary, yet the build still replays, with the cold
+        build's counters."""
+        config = Toolchain().config.with_journal().with_brisc(k=k)
+        _, delta = edit_matches_cold(source, edited, config)
+        assert delta.artifacts["brisc"].meta.get("replayed") is True
 
     def test_negative_zero_edit_is_a_changed_function(self):
         """``==`` equates ``-0.0`` with ``0.0``; the replay must not."""
