@@ -169,10 +169,14 @@ class InsnPattern:
 
     def specializations(self, instr: Instr) -> List["InsnPattern"]:
         """All one-more-field-burned versions of this pattern w.r.t. the
-        concrete instruction (the paper specializes one field at a time)."""
+        concrete instruction (the paper specializes one field at a time).
+
+        Label fields stay wildcards: the decoder regenerates labels from
+        code offsets, so a burned label would name nothing."""
         out: List[InsnPattern] = []
+        kinds = SPEC[self.name].signature
         for i, field in enumerate(self.fields):
-            if isinstance(field, Wildcard):
+            if isinstance(field, Wildcard) and kinds[i] is not Operand.LABEL:
                 new_fields = list(self.fields)
                 new_fields[i] = Burned(instr.operands[i])
                 out.append(InsnPattern(self.name, tuple(new_fields)))
@@ -380,7 +384,7 @@ def _write_part(out: bytearray, part: InsnPattern) -> None:
         elif kind is Operand.DIMM:
             out.append(0x02)
             out += DOUBLE.pack(float(value))
-        else:  # LABEL / SYM burned as strings
+        else:  # SYM burned as a string
             out.append(0x03)
             write_name(out, str(value))
 

@@ -33,8 +33,34 @@ int main(void) {
 }
 """
 
+#: A ``switch`` whose arms all end in ``break``: each arm jumps to one
+#: label, so a pattern with that label burned in once paid for itself and
+#: was admitted, and no reader could decode the image.
+SWITCH_BREAKS = """
+int f(int x) {
+    int r;
+    switch (x) {
+    case 0: r = 10; break;
+    case 1: r = 20; break;
+    case 2: r = 30; break;
+    case 3: r = 40; break;
+    case 4: r = 50; break;
+    case 5: r = 60; break;
+    default: r = 0; break;
+    }
+    return r;
+}
+int main(void) {
+    int i;
+    for (i = 0; i < 8; i = i + 1) { print_int(f(i)); putchar(' '); }
+    putchar('\\n');
+    return 0;
+}
+"""
+
 PIPELINE_INPUTS = [(name, SAMPLES[name]) for name in FAST_SAMPLES]
 PIPELINE_INPUTS.append(("negative_zero", NEGATIVE_ZERO))
+PIPELINE_INPUTS.append(("switch_breaks", SWITCH_BREAKS))
 
 
 @pytest.mark.parametrize("name, src", PIPELINE_INPUTS,
