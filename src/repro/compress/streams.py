@@ -36,7 +36,7 @@ from .bitio import (
     read_byte, read_name, read_uvarint, take_bytes, write_name, write_uvarint,
 )
 
-__all__ = ["pack_streams", "unpack_streams", "stored_streams", "stream_sizes"]
+__all__ = ["pack_streams", "unpack_streams", "stored_streams"]
 
 _FLAG_DEFLATE = 1
 _FLAG_CRC32 = 2
@@ -152,11 +152,3 @@ def stored_streams(
                 raise CorruptStreamError(f"duplicate stream {name!r}")
             stored[name] = payload
         return stored
-
-
-def stream_sizes(streams: Mapping[str, bytes]) -> Dict[str, Tuple[int, int]]:
-    """Per-stream (raw, deflate-compressed) sizes, for size breakdowns."""
-    return {
-        name: (len(data), len(deflate.compress(data)))
-        for name, data in streams.items()
-    }

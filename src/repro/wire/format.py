@@ -43,8 +43,7 @@ from .patternize import (
 
 __all__ = [
     "container_index", "decode_function", "decode_module", "decode_range",
-    "encode_module", "encode_module_v3", "function_image", "stream_breakdown",
-    "wire_size",
+    "encode_module", "encode_module_v3", "function_image", "wire_size",
 ]
 
 # The fourth magic byte is the container version: "WIR1" blobs (the seed
@@ -489,18 +488,6 @@ def wire_size(module: IRModule, code_only: bool = False) -> int:
         {k: v for k, v in stored.items() if k not in ("meta", "symtab")},
         compress=False, checksums=True)
     return 4 + len(without_meta)
-
-
-def stream_breakdown(module: IRModule) -> Dict[str, int]:
-    """Per-stream compressed sizes (for size-analysis reports)."""
-    pattern_stream, literal_streams, tree_counts, normalized = (
-        _collect_streams(module)
-    )
-    blob = encode_module(module)
-    streams = unpack_streams(blob[4:])
-    from ..compress import deflate
-
-    return {name: len(deflate.compress(data)) for name, data in streams.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compress.streams import (
-    pack_streams, stored_streams, stream_sizes, unpack_streams,
-)
+from repro.compress.streams import pack_streams, stored_streams, unpack_streams
 from repro.errors import (
     CorruptStreamError, DecodeError, ResourceLimitError, ResourceLimits,
     UnsupportedFormatError,
@@ -57,13 +55,6 @@ def test_truncated_container_raises():
     blob = pack_streams({"a": b"hello world"})
     with pytest.raises((EOFError, ValueError)):
         unpack_streams(blob[:-3])
-
-
-def test_stream_sizes_reports_both():
-    sizes = stream_sizes({"s": b"qq" * 200})
-    raw, packed = sizes["s"]
-    assert raw == 400
-    assert packed < raw
 
 
 @given(st.dictionaries(st.text(min_size=1, max_size=10), st.binary(max_size=500),

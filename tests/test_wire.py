@@ -11,7 +11,7 @@ from repro.ir.tree import IRModule
 from repro.vm import run_program
 from repro.wire import (
     decode_module, encode_module, normalize_labels, patternize_tree,
-    stream_breakdown, width_class, wire_size,
+    width_class, wire_size,
 )
 
 
@@ -137,13 +137,6 @@ class TestSizes:
         blob = encode_module(mod)
         uncompressed = encode_module(mod, compress=False)
         assert len(blob) < len(uncompressed)
-
-    def test_stream_breakdown_covers_streams(self):
-        mod = lower(SAMPLES["calc"])
-        breakdown = stream_breakdown(mod)
-        assert "patterns.idx" in breakdown
-        assert any(k.startswith("lit.ADDRFP") or k.startswith("lit.ADDRLP")
-                   for k in breakdown)
 
     def test_wire_size_helper(self):
         mod = lower("int f(void) { return 1; }")
