@@ -688,13 +688,13 @@ class BriscBuilder:
                 config_sig=_config_sig(k, abundant_memory, max_passes),
                 interned=self._tables.interned,
             )
-        self._seed_base_patterns(recorded)
+        self._seed_base_patterns(recorded.base_seed if recorded else None)
         self.base_patterns = len(self.dictionary)
         # Slotting and seeding precede the first pass; run() charges
         # them to it, so BuildResult.seconds is wall time.
         self._setup_seconds = time.perf_counter() - t0
 
-    def _seed_base_patterns(self, recorded) -> None:
+    def _seed_base_patterns(self, recorded_seed: Optional[list]) -> None:
         journal = self._journal
         scanned = set(self._scanned)
         for index, fn in enumerate(self.slots.functions):
@@ -705,7 +705,7 @@ class BriscBuilder:
             if index in scanned:
                 seed, sids = self._tables.seed(fn)
             else:
-                seed, sids = recorded.base_seed[index], None
+                seed, sids = recorded_seed[index], None
             self._sids.append(sids)
             if journal is not None:
                 journal.base_seed.append(seed)

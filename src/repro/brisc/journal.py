@@ -68,9 +68,8 @@ class BuildJournal:
     space (``interned`` is the builder's intern state).
 
     ``base_seed`` records each function's initial slot-pattern ids in
-    slot order, so replay can reconstruct the seeded dictionary — and
-    the membership differences an edit introduces — without the original
-    program.
+    slot order, so a replay seeds the dictionary from it for every
+    function it does not re-slot.
     """
 
     config_sig: str

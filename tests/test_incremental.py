@@ -164,7 +164,8 @@ class TestDeltaCompile:
             assert_relowered(cold, delta, relowered)
 
     @pytest.mark.parametrize("k", [4, 6])
-    @pytest.mark.parametrize("source, edited", [(BIG, BIG_DIV), (BIG_DIV, BIG)],
+    @pytest.mark.parametrize("source, edited",
+                             [(BIG, BIG_DIV), (BIG_DIV, BIG)],
                              ids=["added", "removed"])
     def test_base_pattern_edit_replays(self, source, edited, k):
         """Adding or removing the unit's only ``div.i`` changes the
