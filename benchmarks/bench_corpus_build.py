@@ -4,7 +4,7 @@ Compiling the three suite units cold through every compressed format is
 dominated by the BRISC stage's greedy dictionary construction.  This
 bench builds the corpus from source through a fresh (memory-cache)
 toolchain, timing the incremental-pruning + table-driven builder, and
-lands the row in ``pipeline_stats.txt``.
+lands the row in ``corpus_build.txt``.
 
 The PR 5 baseline row is the same cold measurement taken with the
 pre-pruning builder (commit 416ff87) on the host that wrote the results
@@ -25,7 +25,7 @@ PR5_BRISC_SECONDS = 89.7
 UNITS = ("wc", "lcc", "gcc")
 
 
-def test_corpus_build_timings(results_dir, corpus_timings, fold_stage_stats):
+def test_corpus_build_timings(results_dir):
     from repro.corpus import suite_source
     from repro.pipeline import Toolchain
 
@@ -35,20 +35,13 @@ def test_corpus_build_timings(results_dir, corpus_timings, fold_stage_stats):
     for name, source in units:
         tc.compile(source, name=name, stages=("wire", "brisc", "deflate"))
     cold_wall = time.perf_counter() - t0
-    stages = tc.stats()["stages"]
-    cold_brisc = stages["brisc"]["seconds"]
-
-    # The build went through a private toolchain; fold its stage stats
-    # into the session report so pipeline_stats.txt shows the stages
-    # this bench demonstrably ran.
-    fold_stage_stats(stages)
+    cold_brisc = tc.stats()["stages"]["brisc"]["seconds"]
 
     rows = [
         ("cold, PR 5 builder (416ff87)", PR5_BRISC_SECONDS,
          PR5_BRISC_SECONDS, len(units)),
         ("cold", cold_wall, cold_brisc, len(units)),
     ]
-    corpus_timings.extend(rows)
     save_table(results_dir, "corpus_build", render_table(
         ["corpus build", "seconds", "brisc s", "units"],
         [[v, f"{w:8.2f}", f"{b:8.2f}", str(u)] for v, w, b, u in rows],

@@ -34,7 +34,7 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def test_one_function_edit_speedup(results_dir, fold_stage_stats):
+def test_one_function_edit_speedup(results_dir):
     source = suite_source(UNIT)
     assert OLD_CONST in source
     # Replace the first occurrence only (it sits in next_rand); the
@@ -81,5 +81,3 @@ def test_one_function_edit_speedup(results_dir, fold_stage_stats):
              f"{speedup:.1f}x", "yes"],
         ],
     ))
-    fold_stage_stats(tc.stats()["stages"])
-    fold_stage_stats(fresh_tc.stats()["stages"])

@@ -124,43 +124,25 @@ def cmd_stats(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    # Uses the process default toolchain (not _toolchain) because the
-    # bench measurement helpers resolve default_toolchain() internally;
-    # set REPRO_DISK_CACHE=1 to persist artifacts across invocations.
+    # The bench measurement helpers compile through default_toolchain(),
+    # not _toolchain(args): set REPRO_DISK_CACHE=1 to persist artifacts
+    # across invocations.
     from .bench import regen
-    from .pipeline import default_toolchain
 
     try:
-        report = regen.regenerate_tables(
-            units=args.units, state_path=args.state,
-            skip_interp=args.skip_interp, toolchain=default_toolchain())
+        report = regen.regenerate_tables(units=args.units,
+                                         skip_interp=args.skip_interp)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     written = regen.write_results(report, args.results_dir)
     if args.write_experiments and regen.patch_experiments(report):
         written.append("EXPERIMENTS.md")
-    failed = bool(report["churn"]) or report["hit_rate_dropped"]
-    if args.json:
-        payload = {k: report[k] for k in (
-            "units", "statuses", "churn", "measured", "cached",
-            "hit_rate", "prev_hit_rate", "hit_rate_dropped", "state_path")}
-        payload["written"] = written
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if args.check and failed else 0
-    for name in report["units"]:
-        print(f"{name}: {report['statuses'][name]}")
-    for name, stages in sorted(report["churn"].items()):
-        print(f"WARNING: cache-key churn for {name!r}: {', '.join(stages)} "
-              f"(source unchanged but stage keys moved — cached artifacts "
-              f"and table rows were invalidated by a code/config change)")
-    if report["hit_rate_dropped"]:
-        print(f"WARNING: toolchain cache hit-rate {report['hit_rate']:.0%} "
-              f"is below the previous run's {report['prev_hit_rate']:.0%}")
+    for name in report:
+        print(f"{name}: measured")
     for path in written:
         print(f"wrote {path}")
-    print(regen.summary_line(report))
-    return 1 if args.check and failed else 0
+    return 0
 
 
 def cmd_wire(args) -> int:
@@ -528,15 +510,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
-        "tables",
-        help="regenerate the EXPERIMENTS.md tables incrementally, "
-             "re-measuring only units whose source or stage keys changed")
+        "tables", help="measure and regenerate the EXPERIMENTS.md tables")
     p.add_argument("--units", nargs="+", metavar="UNIT", default=None,
                    help="suite units to rebuild (default: the full suite)")
-    p.add_argument("--state",
-                   default="benchmarks/results/tables_state.json",
-                   help="state file recording per-unit source digests, "
-                        "stage keys, and measured rows")
     p.add_argument("--results-dir", default="benchmarks/results",
                    help="directory receiving table1.txt..table3.txt")
     p.add_argument("--skip-interp", action="store_true",
@@ -545,9 +521,6 @@ def main(argv=None) -> int:
     p.add_argument("--write-experiments", action="store_true",
                    help="also patch the marker-delimited block in "
                         "EXPERIMENTS.md")
-    p.add_argument("--check", action="store_true",
-                   help="exit 1 on cache-key churn or a hit-rate drop")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("wire", help="emit the wire format")

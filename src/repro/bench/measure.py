@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..brisc import CompressedProgram, run_image
 from ..codegen import ABLATION_VARIANTS
@@ -49,14 +49,8 @@ class WireRow:
         return self.conventional / self.wire if self.wire else 0.0
 
 
-_WIRE_CACHE: Dict[str, WireRow] = {}
-
-
 def wire_row(name: str) -> WireRow:
     """Compute one Table-1 row for a suite input."""
-    cached = _WIRE_CACHE.get(name)
-    if cached is not None:
-        return cached
     inp = build_input(name)
     conventional = SparcLike().program_size(inp.program)
     sparc_bytes = b"".join(
@@ -69,9 +63,7 @@ def wire_row(name: str) -> WireRow:
     res = default_toolchain().compile(inp.source, name=name,
                                       stages=("wire",))
     wire = res.artifact("wire").meta["code_size"]
-    row = WireRow(name, conventional, gzipped, wire)
-    _WIRE_CACHE[name] = row
-    return row
+    return WireRow(name, conventional, gzipped, wire)
 
 
 # ---------------------------------------------------------------------------
@@ -79,20 +71,15 @@ def wire_row(name: str) -> WireRow:
 # ---------------------------------------------------------------------------
 
 
-def compressed_suite(
-    name: str, k: int = 20, abundant_memory: bool = False
-) -> CompressedProgram:
-    """Compress a suite input (cached — this is the expensive step).
+def compressed_suite(name: str) -> CompressedProgram:
+    """Compress a suite input at the default K=20 (the expensive step).
 
-    Routed through the shared toolchain: the BRISC artifact is keyed by
-    (source, ISA, k, abundant_memory), so benchmarks, tests, and the CLI
-    all reuse one compression per configuration.
+    Routed through the shared toolchain, whose content-addressed cache
+    holds one BRISC artifact per source and configuration, so benchmarks,
+    tests, and the CLI all reuse one compression.
     """
-    toolchain = default_toolchain()
-    config = toolchain.config.with_brisc(k=k, abundant_memory=abundant_memory)
-    res = toolchain.compile(suite_source(name), name=name,
-                            stages=("brisc",), config=config)
-    return res.brisc
+    return default_toolchain().compile(
+        suite_source(name), name=name, stages=("brisc",)).brisc
 
 
 @dataclass
@@ -116,7 +103,7 @@ class BriscRow:
 
 
 def interp_overhead(
-    name: str, k: int = 20, max_steps: int = 200_000_000
+    name: str, max_steps: int = 200_000_000
 ) -> Tuple[float, float, float]:
     """(vm_seconds, brisc_seconds, ratio) on the suite input's workload.
 
@@ -126,7 +113,7 @@ def interp_overhead(
     describes.
     """
     inp = build_input(name)
-    cp = compressed_suite(name, k)
+    cp = compressed_suite(name)
     t0 = time.perf_counter()
     base = run_program(inp.program, max_steps=max_steps)
     t1 = time.perf_counter()
@@ -139,16 +126,10 @@ def interp_overhead(
     return vm_s, brisc_s, brisc_s / vm_s if vm_s > 0 else float("inf")
 
 
-_BRISC_ROW_CACHE: Dict[str, BriscRow] = {}
-
-
-def brisc_row(name: str, k: int = 20, measure_interp: bool = True) -> BriscRow:
+def brisc_row(name: str, measure_interp: bool = True) -> BriscRow:
     """Compute one Table-2 row."""
-    cached = _BRISC_ROW_CACHE.get(name)
-    if cached is not None:
-        return cached
     inp = build_input(name)
-    cp = compressed_suite(name, k)
+    cp = compressed_suite(name)
     target = PentiumLike()
     native = target.program_size(inp.program)
     gzip_rel = len(deflate.compress(vm_code_bytes(inp.program))) / native
@@ -164,10 +145,10 @@ def brisc_row(name: str, k: int = 20, measure_interp: bool = True) -> BriscRow:
     jit_ratio = (nominal_run_seconds + jit.compile_seconds) / nominal_run_seconds
 
     if measure_interp:
-        _, _, interp_ratio = interp_overhead(name, k)
+        _, _, interp_ratio = interp_overhead(name)
     else:
         interp_ratio = float("nan")
-    row = BriscRow(
+    return BriscRow(
         name=name,
         native_bytes=native,
         brisc_rel=brisc_rel,
@@ -176,8 +157,6 @@ def brisc_row(name: str, k: int = 20, measure_interp: bool = True) -> BriscRow:
         jit_runtime_ratio=jit_ratio,
         interp_ratio=interp_ratio,
     )
-    _BRISC_ROW_CACHE[name] = row
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +178,7 @@ class AblationRow:
         return self.compressed_size / self.native_size
 
 
-_ABLATION_CACHE: Dict[Tuple[str, int], List[AblationRow]] = {}
-
-
-def ablation_rows(name: str = "lcc", k: int = 20) -> List[AblationRow]:
+def ablation_rows(name: str = "lcc") -> List[AblationRow]:
     """Compress the same input under each abstract-machine variant.
 
     ``native_size`` is the Pentium-like size of the *full-feature* machine's
@@ -210,19 +186,14 @@ def ablation_rows(name: str = "lcc", k: int = 20) -> List[AblationRow]:
     compressed size against native code, which does not change when the
     abstract machine is de-tuned).
     """
-    key = (name, k)
-    cached = _ABLATION_CACHE.get(key)
-    if cached is not None:
-        return cached
     toolchain = default_toolchain()
     baseline = build_input(name, ABLATION_VARIANTS[0])
     native = PentiumLike().program_size(baseline.program)
     rows: List[AblationRow] = []
     for isa in ABLATION_VARIANTS:
         inp = build_input(name, isa)
-        config = toolchain.config.with_isa(isa).with_brisc(k=k)
+        config = toolchain.config.with_isa(isa)
         cp = toolchain.compile(inp.source, name=name, stages=("brisc",),
                                config=config).brisc
         rows.append(AblationRow(isa.name, native, cp.image.code_segment_size))
-    _ABLATION_CACHE[key] = rows
     return rows

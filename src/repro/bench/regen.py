@@ -1,18 +1,10 @@
-"""Cached regeneration of the EXPERIMENTS.md tables (``repro tables``).
+"""Regeneration of the EXPERIMENTS.md tables (``repro tables``).
 
-Rebuilds the paper's Table 1 (wire sizes), Table 2 (BRISC results), and
-Table 3 (abstract-machine ablation) rows **incrementally**: a state file
-records, per suite unit, the source digest, the content-addressed stage
-keys the pipeline would use, and the previously measured rows.  A unit
-is re-measured only when its source or its keys changed; everything else
-is served from the state file, so a no-op rerun measures zero units.
-
-The stage keys double as a **churn detector**: if a unit's source digest
-is unchanged but any stage key differs, a code or configuration change
-invalidated cached artifacts without changing the input — the exact
-failure mode that silently degrades warm-cache build times.  ``tables``
-warns on churn (``--check`` turns the warning into a failing exit), and
-compares the pipeline's cache hit-rate against the previous run's.
+Measures the paper's Table 1 (wire sizes), Table 2 (BRISC results), and
+Table 3 (abstract-machine ablation) rows of every requested suite unit,
+on every run.  The only thing a run reuses is the shared toolchain's
+artifact cache, which ``REPRO_DISK_CACHE=1`` persists across runs, so a
+rerun compiles nothing it compiled before but measures every row again.
 
 Rendered tables always land in the results directory
 (``table1.txt``/``table2.txt``/``table3.txt``); ``--write-experiments``
@@ -21,24 +13,14 @@ additionally patches the auto-generated block of ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-import math
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..corpus import suite_names, suite_source
-from ..pipeline import default_toolchain
-from .measure import (
-    AblationRow, BriscRow, WireRow, ablation_rows, brisc_row, wire_row,
-)
+from ..corpus import suite_names
+from .measure import ablation_rows, brisc_row, wire_row
 from .tables import ablation_table, brisc_table, wire_table
 
 __all__ = ["regenerate_tables", "render_report"]
-
-#: State-file layout version (bump on incompatible changes).
-STATE_SCHEMA = 1
 
 #: Which units feed which table (mirrors benchmarks/bench_table*.py):
 #: Table 1 measures every suite unit, Table 2 skips gcc (its interpreter
@@ -51,160 +33,46 @@ MARK_BEGIN = "<!-- repro-tables:begin -->"
 MARK_END = "<!-- repro-tables:end -->"
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _nan_to_none(row: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: (None if isinstance(v, float) and math.isnan(v) else v)
-            for k, v in row.items()}
-
-
-def _none_to_nan(row: Dict[str, Any], cls) -> Dict[str, Any]:
-    floats = {f.name for f in dataclasses.fields(cls)
-              if f.type in ("float", float)}
-    return {k: (float("nan") if v is None and k in floats else v)
-            for k, v in row.items()}
-
-
-def _unit_keys(toolchain, name: str, source: str) -> Dict[str, str]:
-    """Every stage key the three tables depend on for one unit."""
-    keys = dict(toolchain.stage_keys(source, name))
-    if name == T3_UNIT:
-        from ..codegen import ABLATION_VARIANTS
-
-        for isa in ABLATION_VARIANTS:
-            config = toolchain.config.with_isa(isa)
-            variant = toolchain.stage_keys(source, name, ("brisc",), config)
-            keys[f"ablation:{isa.name}:brisc"] = variant["brisc"]
-    return keys
-
-
 def _measure_unit(name: str, skip_interp: bool) -> Dict[str, Any]:
-    """Measure every table row this unit contributes (the slow path)."""
-    rows: Dict[str, Any] = {
-        "t1": _nan_to_none(dataclasses.asdict(wire_row(name))),
-    }
+    """Measure every table row this unit contributes."""
+    rows: Dict[str, Any] = {"t1": wire_row(name)}
     if name in T2_UNITS:
-        row = brisc_row(name, measure_interp=not skip_interp)
-        rows["t2"] = _nan_to_none(dataclasses.asdict(row))
+        rows["t2"] = brisc_row(name, measure_interp=not skip_interp)
     if name == T3_UNIT:
-        rows["t3"] = [dataclasses.asdict(r) for r in ablation_rows(name)]
+        rows["t3"] = ablation_rows(name)
     return rows
 
 
-def _load_state(path: str) -> Dict[str, Any]:
-    try:
-        with open(path) as f:
-            state = json.load(f)
-    except (OSError, ValueError):
-        return {}
-    if state.get("schema") != STATE_SCHEMA:
-        return {}
-    return state
-
-
 def regenerate_tables(
-    units: Optional[List[str]] = None,
-    state_path: str = "benchmarks/results/tables_state.json",
-    skip_interp: bool = False,
-    toolchain=None,
-) -> Dict[str, Any]:
-    """Rebuild the table rows for ``units``, re-measuring only what changed.
+    units: Optional[List[str]] = None, skip_interp: bool = False,
+) -> Dict[str, Dict[str, Any]]:
+    """Measure the table rows of ``units`` (default: the full suite).
 
-    Returns a report dict: per-unit status (``measured``/``cached``/
-    ``churn``), the assembled rows, counters, and hit-rate trend info.
-    The updated state is written back to ``state_path``.
+    Returns ``{unit: {"t1": WireRow, "t2": BriscRow, "t3": [AblationRow]}}``
+    in ``units`` order, each unit carrying only the tables it feeds.
     """
-    toolchain = toolchain or default_toolchain()
     if units is None:
         units = list(suite_names())
     unknown = sorted(set(units) - set(suite_names()))
     if unknown:
         raise KeyError(f"unknown suite units {unknown} "
                        f"(have: {sorted(suite_names())})")
-    state = _load_state(state_path)
-    known: Dict[str, Any] = state.get("units", {})
-    statuses: Dict[str, str] = {}
-    churned: Dict[str, List[str]] = {}
-    rows: Dict[str, Any] = {}
-
-    for name in units:
-        source = suite_source(name)
-        digest = _digest(source)
-        keys = _unit_keys(toolchain, name, source)
-        entry = known.get(name)
-        if entry is not None and entry.get("source_digest") == digest:
-            if entry.get("stage_keys") == keys:
-                statuses[name] = "cached"
-                rows[name] = entry["rows"]
-                continue
-            # Same source, different keys: cache-key churn.  Every
-            # artifact this unit had cached is now unreachable; re-measure
-            # and report which stages moved.
-            old = entry.get("stage_keys", {})
-            churned[name] = sorted(
-                set(old) ^ set(keys)
-                | {s for s in set(old) & set(keys) if old[s] != keys[s]}
-            )
-            statuses[name] = "churn"
-        else:
-            statuses[name] = "measured"
-        rows[name] = _measure_unit(name, skip_interp)
-        known[name] = {"source_digest": digest, "stage_keys": keys,
-                       "rows": rows[name]}
-
-    measured = sum(1 for s in statuses.values() if s != "cached")
-    tc_stats = toolchain.stats()
-    hit_rate = tc_stats["totals"]["hit_rate"]
-    prev_hit_rate = state.get("hit_rate")
-    hit_rate_dropped = (measured > 0 and prev_hit_rate is not None
-                        and hit_rate < prev_hit_rate - 0.05)
-
-    state = {"schema": STATE_SCHEMA, "units": known, "hit_rate": hit_rate}
-    directory = os.path.dirname(state_path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = state_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(state, f, indent=2, sort_keys=True)
-    os.replace(tmp, state_path)
-
-    return {
-        "units": units,
-        "statuses": statuses,
-        "churn": churned,
-        "rows": rows,
-        "measured": measured,
-        "cached": sum(1 for s in statuses.values() if s == "cached"),
-        "hit_rate": hit_rate,
-        "prev_hit_rate": prev_hit_rate,
-        "hit_rate_dropped": hit_rate_dropped,
-        "state_path": state_path,
-    }
+    return {name: _measure_unit(name, skip_interp) for name in units}
 
 
-def render_report(report: Dict[str, Any]) -> Tuple[str, str, str]:
+def render_report(
+    report: Dict[str, Dict[str, Any]],
+) -> Tuple[str, str, str]:
     """Render the three tables from a :func:`regenerate_tables` report."""
-    rows = report["rows"]
-    t1 = wire_table(
-        WireRow(**_none_to_nan(rows[u]["t1"], WireRow))
-        for u in report["units"] if "t1" in rows[u]
-    )
-    t2 = brisc_table(
-        BriscRow(**_none_to_nan(rows[u]["t2"], BriscRow))
-        for u in report["units"] if "t2" in rows.get(u, {})
-    )
-    t3 = ""
-    for u in report["units"]:
-        if "t3" in rows.get(u, {}):
-            t3 = ablation_table(
-                AblationRow(**r) for r in rows[u]["t3"])
-            break
+    rows = report.values()
+    t1 = wire_table(r["t1"] for r in rows)
+    t2 = brisc_table(r["t2"] for r in rows if "t2" in r)
+    t3 = next((ablation_table(r["t3"]) for r in rows if "t3" in r), "")
     return t1, t2, t3
 
 
-def write_results(report: Dict[str, Any], results_dir: str) -> List[str]:
+def write_results(report: Dict[str, Dict[str, Any]],
+                  results_dir: str) -> List[str]:
     """Write ``table1.txt``..``table3.txt`` under ``results_dir``."""
     os.makedirs(results_dir, exist_ok=True)
     written: List[str] = []
@@ -219,7 +87,7 @@ def write_results(report: Dict[str, Any], results_dir: str) -> List[str]:
     return written
 
 
-def patch_experiments(report: Dict[str, Any],
+def patch_experiments(report: Dict[str, Dict[str, Any]],
                       path: str = "EXPERIMENTS.md") -> bool:
     """Replace the auto-generated block in ``EXPERIMENTS.md``.
 
@@ -253,12 +121,3 @@ def patch_experiments(report: Dict[str, Any],
     with open(path, "w") as f:
         f.write(new_doc)
     return True
-
-
-def summary_line(report: Dict[str, Any]) -> str:
-    """The one-line machine-greppable outcome (CI asserts on it)."""
-    churn = sum(1 for s in report["statuses"].values() if s == "churn")
-    return (f"units: {len(report['units'])} · "
-            f"re-measured: {report['measured']} · "
-            f"cached: {report['cached']} · "
-            f"churn: {churn}")

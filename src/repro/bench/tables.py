@@ -11,7 +11,7 @@ from typing import Iterable, List, Sequence
 from .measure import AblationRow, BriscRow, WireRow
 
 __all__ = ["render_table", "wire_table", "brisc_table", "ablation_table",
-           "stage_stats_table", "toolchain_stats_table"]
+           "stage_stats_table"]
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -79,32 +79,3 @@ def stage_stats_table(rows: Iterable[dict]) -> str:
             for r in rows
         ],
     )
-
-
-def toolchain_stats_table(stats: dict) -> str:
-    """Lifetime per-stage stats of a :class:`repro.pipeline.Toolchain`.
-
-    ``stats`` is :meth:`Toolchain.stats` output; renders the ``stages``
-    section (runs, cache hits, cumulative seconds, bytes produced) plus,
-    when any BRISC build ran, the builder's aggregated per-pass counters.
-    """
-    table = render_table(
-        ["stage", "runs", "cache hits", "replays", "hit rate", "seconds",
-         "bytes"],
-        [
-            [name, str(s["runs"]), str(s["cache_hits"]),
-             str(s.get("replays", 0)), f"{s.get('hit_rate', 0.0):.0%}",
-             f"{s['seconds']:8.3f}", str(s["bytes"])]
-            for name, s in stats["stages"].items()
-        ],
-    )
-    builder = stats.get("brisc_builder")
-    if builder and builder.get("builds"):
-        table += "\n\n" + render_table(
-            ["brisc builder", "builds", "passes", "candidates", "admitted",
-             "seconds"],
-            [["totals", str(builder["builds"]), str(builder["passes"]),
-              str(builder["candidates"]), str(builder["admitted"]),
-              f"{builder['seconds']:8.3f}"]],
-        )
-    return table

@@ -46,8 +46,7 @@ class StageStats:
 
     ``replays`` counts the subset of ``runs`` served by the incremental
     delta compiler (:mod:`repro.pipeline.incremental`) instead of the
-    cold stage; ``hit_rate`` is cache hits over total requests — the
-    number the ``tables`` trend tracker diffs between runs.
+    cold stage; ``hit_rate`` is cache hits over total requests.
     """
 
     runs: int = 0
@@ -145,9 +144,7 @@ class Toolchain:
         config: Optional[PipelineConfig] = None,
     ) -> Dict[str, str]:
         """The content-addressed cache keys :meth:`compile` would use for
-        ``source``, without compiling anything.  The ``tables`` command
-        diffs these between runs to detect cache-key churn (a key that
-        changed while the source did not)."""
+        ``source``, without compiling anything."""
         config = config or self.config
         base_key = _digest(f"{SCHEMA_VERSION}|{name}|{source}")
         keys: Dict[str, str] = {}
@@ -386,7 +383,7 @@ class Toolchain:
     def stats(self) -> Dict[str, Any]:
         """Per-stage runs/hits/seconds/bytes plus cache hit counters, the
         BRISC builder's aggregated per-pass accounting, and cross-stage
-        totals (with the overall hit rate CI diffs between runs)."""
+        totals (with the overall hit rate)."""
         with self._stats_lock:
             runs = sum(s.runs for s in self._stats.values())
             hits = sum(s.cache_hits for s in self._stats.values())

@@ -2,12 +2,12 @@
 
 from .format import (
     container_index, decode_function, decode_module, decode_range,
-    encode_module, encode_module_v3, function_image, wire_size,
+    encode_module, encode_module_v3, function_image,
 )
 from .patternize import normalize_labels, patternize_tree, width_class
 
 __all__ = [
     "container_index", "decode_function", "decode_module", "decode_range",
     "encode_module", "encode_module_v3", "function_image", "normalize_labels",
-    "patternize_tree", "width_class", "wire_size",
+    "patternize_tree", "width_class",
 ]

@@ -25,7 +25,7 @@ from ..compress.bitio import (
     write_name, write_uvarint, zigzag,
 )
 from ..compress.mtf import mtf_decode, mtf_encode
-from ..compress.streams import pack_streams, stored_streams, unpack_streams
+from ..compress.streams import pack_streams, unpack_streams
 from ..container.chunking import (
     DEFAULT_CHUNK_BYTES, ChunkRecord, ContainerIndex, chunk_payload,
     pack_chunks, read_header, read_index, read_span, write_container,
@@ -43,7 +43,7 @@ from .patternize import (
 
 __all__ = [
     "container_index", "decode_function", "decode_module", "decode_range",
-    "encode_module", "encode_module_v3", "function_image", "wire_size",
+    "encode_module", "encode_module_v3", "function_image",
 ]
 
 # The fourth magic byte is the container version: "WIR1" blobs (the seed
@@ -470,24 +470,6 @@ def _decode_trees(
 
     source = _LiteralSource(literal_streams)
     return [rebuild_tree(pattern, source) for pattern in pattern_stream]
-
-
-def wire_size(module: IRModule, code_only: bool = False) -> int:
-    """Size in bytes of the wire encoding of ``module``.
-
-    With ``code_only`` the meta stream (global data images, symbol names,
-    function headers) is excluded — the paper "compresses only code
-    segments", and its conventional-code baseline carries no symbol table
-    either, so Table-1 comparisons use this metric.
-    """
-    blob = encode_module(module)
-    if not code_only:
-        return len(blob)
-    stored = stored_streams(blob[4:])
-    without_meta = pack_streams(
-        {k: v for k, v in stored.items() if k not in ("meta", "symtab")},
-        compress=False, checksums=True)
-    return 4 + len(without_meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Measurement-runner tests (on the small suite input, for speed)."""
 
+import math
 
 from repro.bench import (
-    ablation_table, brisc_table, render_table, vm_code_bytes,
+    ablation_table, brisc_row, brisc_table, render_table, vm_code_bytes,
     wire_row, wire_table,
 )
 from repro.bench.measure import WireRow, BriscRow, AblationRow
@@ -20,8 +21,17 @@ class TestWireRow:
         row = WireRow("x", conventional=500, gzipped=200, wire=100)
         assert row.wire_factor == 5.0
 
-    def test_cached(self):
-        assert wire_row("wc") is wire_row("wc")
+
+class TestBriscRow:
+    def test_row_without_interp_is_not_reused(self):
+        """Each call measures: a row measured without the interpreter run
+        never stands in for one that asks for it."""
+        skipped = brisc_row("wc", measure_interp=False)
+        assert math.isnan(skipped.interp_ratio)
+        row = brisc_row("wc")
+        assert not math.isnan(row.interp_ratio) and row.interp_ratio > 0
+        assert (row.native_bytes, row.brisc_rel, row.gzip_rel) == \
+            (skipped.native_bytes, skipped.brisc_rel, skipped.gzip_rel)
 
 
 class TestVmCodeBytes:

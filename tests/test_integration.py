@@ -100,7 +100,7 @@ def test_sizes_are_ordered_sensibly():
     < uncompressed VM encoding < SPARC-like native."""
     from repro.native import SparcLike
     from repro.vm import program_size
-    from repro.wire import wire_size
+    from repro.wire import encode_module
 
     src = "\n".join(
         SAMPLES[n].replace("int main(void)", f"int m_{n}(void)")
@@ -109,7 +109,7 @@ def test_sizes_are_ordered_sensibly():
     module = lower_unit(compile_to_ast(src, "linked"), "linked")
     program = generate_program(module)
 
-    wire = wire_size(module)
+    wire = len(encode_module(module))
     vm = program_size(program)
     native = SparcLike().program_size(program)
     brisc = compress(program).image.code_segment_size

@@ -19,7 +19,7 @@ import re
 import pytest
 
 from repro.cfront import CompileError, compile_to_ast
-from repro.codegen import generate_program
+from repro.codegen import ABLATION_VARIANTS, generate_program
 from repro.corpus import suite_names, suite_source
 from repro.ir import dump_module, lower_unit
 from repro.pipeline import (
@@ -113,8 +113,8 @@ def test_config_changes_invalidate_downstream_only():
 
 
 #: Cache keys of the wc suite unit under the default configuration.  Any
-#: change to them invalidates every warm cache and every ``repro tables``
-#: state file, so it must be deliberate and update these literals.
+#: change to them invalidates every warm cache, so it must be deliberate
+#: and update these literals.
 WC_DEFAULT_KEYS = {
     "parse": "cce7e6230712bdf53da441fbe8b4b471939e251ac2f4dd8228e1c4a761db0730",
     "lower": "4585ee98d5cfff736dd0842d312f78c40ddfa21d1a58f7d9f1583de005ed585e",
@@ -130,6 +130,15 @@ WC_JOURNAL_KEYS = dict(
     brisc="eb91c5b0c1d044f778b7f82eca8250dba507c6942b825b9bc49dbefa555694a9",
 )
 
+#: Table 3's "minus both" machine re-keys codegen and what it feeds;
+#: parse, lower and wire (which reads the lowered IR) keep their keys.
+WC_MINUS_BOTH_KEYS = dict(
+    WC_DEFAULT_KEYS,
+    codegen="6c3112fe239a6deb8a591e71743f07419112ee2b6471994e71558f8aca03abbb",
+    brisc="064f2376a8cbc8d0142c0820f791ce7be8297a6354881978766ddc9f37cf5b91",
+    deflate="b492fb1b7fbb3d4ac450e12f1b496a22259ced0b45103e3f1e38653b76802a68",
+)
+
 
 def test_default_stage_keys_are_pinned():
     tc = Toolchain()
@@ -137,6 +146,8 @@ def test_default_stage_keys_are_pinned():
     assert tc.stage_keys(source, "wc") == WC_DEFAULT_KEYS
     assert tc.stage_keys(source, "wc",
                          config=tc.config.with_journal()) == WC_JOURNAL_KEYS
+    minus_both = tc.config.with_isa(ABLATION_VARIANTS[3])
+    assert tc.stage_keys(source, "wc", config=minus_both) == WC_MINUS_BOTH_KEYS
 
 
 def test_with_brisc_keeps_unrelated_knobs():

@@ -1,18 +1,15 @@
-"""Incremental table regeneration (`python -m repro tables`).
+"""Table regeneration (`python -m repro tables`).
 
 The measurement helpers are monkeypatched to canned rows so these tests
-pin the *caching machinery* — state round-trip, re-measure decisions,
-cache-key churn detection, NaN serialization, EXPERIMENTS.md patching —
+pin the regeneration itself — which units feed which table, that every
+run measures every unit, NaN rendering, EXPERIMENTS.md patching —
 without paying for real BRISC builds.
 """
-
-import json
 
 import pytest
 
 from repro.bench import regen
 from repro.bench.measure import AblationRow, BriscRow, WireRow
-from repro.pipeline import Toolchain
 
 
 @pytest.fixture
@@ -24,14 +21,14 @@ def measured(monkeypatch):
         calls["wire"].append(name)
         return WireRow(name=name, conventional=100, gzipped=50, wire=40)
 
-    def fake_brisc(name, k=20, measure_interp=True):
+    def fake_brisc(name, measure_interp=True):
         calls["brisc"].append((name, measure_interp))
         interp = 9.5 if measure_interp else float("nan")
         return BriscRow(name=name, native_bytes=100, brisc_rel=0.5,
                         gzip_rel=0.4, jit_mb_per_s=1.0,
                         jit_runtime_ratio=1.0, interp_ratio=interp)
 
-    def fake_ablation(name="lcc", k=20):
+    def fake_ablation(name="lcc"):
         calls["ablation"].append(name)
         return [AblationRow(variant="RISC", native_size=100,
                             compressed_size=61)]
@@ -42,81 +39,39 @@ def measured(monkeypatch):
     return calls
 
 
-def run(tmp_path, units, **kw):
-    return regen.regenerate_tables(
-        units=units, state_path=str(tmp_path / "state.json"),
-        toolchain=Toolchain(), **kw)
-
-
 class TestRegenerate:
-    def test_second_run_measures_nothing(self, tmp_path, measured):
-        first = run(tmp_path, ["wc", "lcc"])
-        assert first["measured"] == 2 and first["cached"] == 0
+    def test_second_run_measures_again(self, measured):
+        first = regen.regenerate_tables(["wc", "lcc"])
         assert measured["wire"] == ["wc", "lcc"]
+        assert measured["brisc"] == [("wc", True), ("lcc", True)]
         assert measured["ablation"] == ["lcc"]  # lcc only
-        second = run(tmp_path, ["wc", "lcc"])
-        assert second["measured"] == 0 and second["cached"] == 2
-        assert measured["wire"] == ["wc", "lcc"]  # unchanged
-        assert second["rows"] == first["rows"]
-        assert regen.summary_line(second) == \
-            "units: 2 · re-measured: 0 · cached: 2 · churn: 0"
+        second = regen.regenerate_tables(["wc", "lcc"])
+        assert measured["wire"] == ["wc", "lcc"] * 2
+        assert measured["brisc"] == [("wc", True), ("lcc", True)] * 2
+        assert measured["ablation"] == ["lcc"] * 2
+        assert second == first
 
-    def test_stage_key_churn_forces_remeasure(self, tmp_path, measured):
-        run(tmp_path, ["wc"])
-        state_path = tmp_path / "state.json"
-        state = json.loads(state_path.read_text())
-        state["units"]["wc"]["stage_keys"]["brisc"] = "0" * 16
-        state_path.write_text(json.dumps(state))
-        report = run(tmp_path, ["wc"])
-        assert report["statuses"]["wc"] == "churn"
-        assert report["churn"]["wc"] == ["brisc"]
-        assert report["measured"] == 1
-        assert "churn: 1" in regen.summary_line(report)
-        # The refreshed keys heal the state: next run is cached again.
-        assert run(tmp_path, ["wc"])["statuses"]["wc"] == "cached"
-
-    def test_source_change_is_measured_not_churn(self, tmp_path, measured):
-        run(tmp_path, ["wc"])
-        state_path = tmp_path / "state.json"
-        state = json.loads(state_path.read_text())
-        state["units"]["wc"]["source_digest"] = "0" * 64
-        state_path.write_text(json.dumps(state))
-        report = run(tmp_path, ["wc"])
-        assert report["statuses"]["wc"] == "measured"
-        assert report["churn"] == {}
-
-    def test_schema_bump_discards_state(self, tmp_path, measured):
-        run(tmp_path, ["wc"])
-        state_path = tmp_path / "state.json"
-        state = json.loads(state_path.read_text())
-        state["schema"] = regen.STATE_SCHEMA + 1
-        state_path.write_text(json.dumps(state))
-        assert run(tmp_path, ["wc"])["measured"] == 1
-
-    def test_unknown_unit_rejected(self, tmp_path, measured):
+    def test_unknown_unit_rejected(self, measured):
         with pytest.raises(KeyError):
-            run(tmp_path, ["no-such-unit"])
+            regen.regenerate_tables(["no-such-unit"])
 
-    def test_skip_interp_nan_roundtrips_as_null(self, tmp_path, measured):
-        report = run(tmp_path, ["wc"], skip_interp=True)
+    def test_skip_interp_nan_roundtrips_as_null(self, measured):
+        report = regen.regenerate_tables(["wc"], skip_interp=True)
         assert measured["brisc"] == [("wc", False)]
-        assert report["rows"]["wc"]["t2"]["interp_ratio"] is None
-        # The state file is valid strict JSON (no NaN literals)...
-        json.loads((tmp_path / "state.json").read_text())
-        # ...and rendering restores the NaN for the table formatter.
+        # The skipped interp column renders as NaN.
         _, t2, _ = regen.render_report(report)
         assert "nan" in t2
 
-    def test_gcc_contributes_only_table1(self, tmp_path, measured):
-        report = run(tmp_path, ["gcc"])
-        assert set(report["rows"]["gcc"]) == {"t1"}
+    def test_gcc_contributes_only_table1(self, measured):
+        report = regen.regenerate_tables(["gcc"])
+        assert set(report["gcc"]) == {"t1"}
         assert measured["brisc"] == [] and measured["ablation"] == []
 
 
 class TestRendering:
     def test_write_results_emits_only_populated_tables(self, tmp_path,
                                                        measured):
-        report = run(tmp_path, ["wc"])
+        report = regen.regenerate_tables(["wc"])
         written = regen.write_results(report, str(tmp_path / "out"))
         names = [p.rsplit("/", 1)[1] for p in written]
         assert names == ["table1.txt", "table2.txt"]  # no ablation row
@@ -124,7 +79,7 @@ class TestRendering:
     def test_patch_experiments_is_idempotent(self, tmp_path, measured):
         doc = tmp_path / "EXPERIMENTS.md"
         doc.write_text("# header\n\nbody text\n")
-        report = run(tmp_path, ["wc", "lcc"])
+        report = regen.regenerate_tables(["wc", "lcc"])
         assert regen.patch_experiments(report, str(doc)) is True
         first = doc.read_text()
         assert first.startswith("# header")
@@ -139,7 +94,7 @@ class TestRendering:
         doc = tmp_path / "EXPERIMENTS.md"
         doc.write_text(f"head\n{regen.MARK_BEGIN}\nstale\n{regen.MARK_END}\n"
                        f"tail\n")
-        report = run(tmp_path, ["wc"])
+        report = regen.regenerate_tables(["wc"])
         assert regen.patch_experiments(report, str(doc)) is True
         text = doc.read_text()
         assert "stale" not in text

@@ -11,7 +11,7 @@ from repro.ir.tree import IRModule
 from repro.vm import run_program
 from repro.wire import (
     decode_module, encode_module, normalize_labels, patternize_tree,
-    width_class, wire_size,
+    width_class,
 )
 
 
@@ -137,10 +137,6 @@ class TestSizes:
         blob = encode_module(mod)
         uncompressed = encode_module(mod, compress=False)
         assert len(blob) < len(uncompressed)
-
-    def test_wire_size_helper(self):
-        mod = lower("int f(void) { return 1; }")
-        assert wire_size(mod) == len(encode_module(mod))
 
     def test_empty_module(self):
         mod = IRModule("empty")

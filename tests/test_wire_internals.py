@@ -7,7 +7,8 @@ from repro.compress.bitio import literal_key
 from repro.compress.streams import unpack_streams
 from repro.corpus.samples import SAMPLES
 from repro.ir import lower_unit
-from repro.wire import encode_module, wire_size
+from repro.pipeline import Toolchain
+from repro.wire import encode_module
 from repro.wire.format import (
     _pack_int_novels, _pack_pattern_novels, _pack_str_novels,
     _unpack_float_novels, _unpack_int_novels, _unpack_pattern_novels,
@@ -83,18 +84,22 @@ class TestSymbolTable:
 
 
 class TestSizeMetrics:
+    """Table 1's metric is the wire stage's ``code_size`` meta."""
+
+    @staticmethod
+    def wire_artifact(src, name="m"):
+        return Toolchain().compile(src, name=name,
+                                   stages=("wire",)).artifact("wire")
+
     def test_code_only_excludes_meta_and_symtab(self):
-        mod = lower(SAMPLES["hashtab"], "hashtab")
-        full = wire_size(mod)
-        code = wire_size(mod, code_only=True)
-        assert code < full
+        wire = self.wire_artifact(SAMPLES["hashtab"], "hashtab")
+        assert wire.meta["code_size"] < wire.size
 
     def test_code_only_still_positive(self):
-        mod = lower("int main(void) { return 0; }")
-        assert wire_size(mod, code_only=True) > 0
+        wire = self.wire_artifact("int main(void) { return 0; }")
+        assert wire.meta["code_size"] > 0
 
     def test_bigger_program_bigger_wire(self):
-        small = lower("int main(void) { return 0; }")
-        big = lower(SAMPLES["sort"], "sort")
-        assert wire_size(big, code_only=True) > \
-            wire_size(small, code_only=True)
+        small = self.wire_artifact("int main(void) { return 0; }")
+        big = self.wire_artifact(SAMPLES["sort"], "sort")
+        assert big.meta["code_size"] > small.meta["code_size"]
