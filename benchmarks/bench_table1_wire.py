@@ -16,8 +16,7 @@ larger inputs, and the wire factor is well beyond 3x.
 
 import pytest
 
-from conftest import save_table
-from repro.bench import wire_row, wire_table
+from repro.bench import wire_row
 from repro.corpus import build_input
 from repro.wire import encode_module
 
@@ -31,12 +30,12 @@ def test_wire_encode_throughput(benchmark, name):
     benchmark.extra_info["wire_bytes"] = len(blob)
 
 
-def test_table1_rows(benchmark, results_dir):
-    """Regenerate the full table and check the paper's shape claims."""
+def test_table1_rows(benchmark):
+    """Measure the table's rows and check the paper's shape claims (the
+    rendered table is ``python -m repro tables``' output)."""
     rows = benchmark.pedantic(
         lambda: [wire_row(n) for n in ("wc", "lcc", "gcc")],
         rounds=1, iterations=1)
-    save_table(results_dir, "table1_wire", wire_table(rows))
 
     by_name = {r.name: r for r in rows}
     # Shape claim 1: the wire format improves significantly over

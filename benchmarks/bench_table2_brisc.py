@@ -15,8 +15,7 @@ meaningfully slower than direct execution, and JIT runtime close to 1x.
 
 import pytest
 
-from conftest import save_table
-from repro.bench import brisc_row, brisc_table, compressed_suite
+from repro.bench import brisc_row, compressed_suite
 from repro.bench.measure import interp_overhead
 from repro.brisc import run_image
 from repro.jit import jit_compile
@@ -42,10 +41,11 @@ def test_brisc_interpretation_kernel(benchmark):
     assert result.exit_code == 0
 
 
-def test_table2_rows(benchmark, results_dir):
+def test_table2_rows(benchmark):
+    """Measure the table's rows and check the paper's shape claims (the
+    rendered table is ``python -m repro tables``' output)."""
     rows = benchmark.pedantic(
         lambda: [brisc_row(n) for n in SUITE], rounds=1, iterations=1)
-    save_table(results_dir, "table2_brisc", brisc_table(rows))
 
     lcc = next(r for r in rows if r.name == "lcc")
     # Shape claim 1: BRISC is far below native size and in gzip's

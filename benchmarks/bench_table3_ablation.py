@@ -16,15 +16,14 @@ the four ratios are close together (within a handful of points) and the
 full-featured machine is never materially worse than the de-tuned ones.
 """
 
-
-from conftest import save_table
-from repro.bench import ablation_rows, ablation_table
+from repro.bench import ablation_rows
 
 
-def test_table3_ablation(benchmark, results_dir):
+def test_table3_ablation(benchmark):
+    """Measure the ablation rows and check the paper's shape claims (the
+    rendered table is ``python -m repro tables``' output)."""
     rows = benchmark.pedantic(lambda: ablation_rows("lcc"),
                               rounds=1, iterations=1)
-    save_table(results_dir, "table3_ablation", ablation_table(rows))
 
     ratios = {r.variant: r.ratio for r in rows}
     base = ratios["RISC"]

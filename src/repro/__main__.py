@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .brisc import run_image
@@ -47,8 +48,21 @@ def _toolchain(args) -> Toolchain:
     return default_toolchain()
 
 
+def _source(path: str):
+    """A C file's unit name and text.  The unit is named after the file's
+    basename: the WIR2 container stores the name, so a blob must not
+    depend on the directory the file is read from."""
+    with open(path) as f:
+        return os.path.basename(path), f.read()
+
+
+def _compile(toolchain: Toolchain, path: str, **kwargs):
+    name, source = _source(path)
+    return toolchain.compile(source, name=name, **kwargs)
+
+
 def cmd_run(args) -> int:
-    res = _toolchain(args).compile_file(args.file, stages=("codegen",))
+    res = _compile(_toolchain(args), args.file, stages=("codegen",))
     result = run_program(res.program, max_steps=args.max_steps)
     sys.stdout.write(result.output)
     if args.stats:
@@ -57,13 +71,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_dump_ir(args) -> int:
-    res = _toolchain(args).compile_file(args.file, stages=("lower",))
+    res = _compile(_toolchain(args), args.file, stages=("lower",))
     print(dump_module(res.module))
     return 0
 
 
 def cmd_dump_asm(args) -> int:
-    res = _toolchain(args).compile_file(args.file, stages=("codegen",))
+    res = _compile(_toolchain(args), args.file, stages=("codegen",))
     for fn in res.program.functions:
         print(format_function(fn))
         print()
@@ -71,8 +85,8 @@ def cmd_dump_asm(args) -> int:
 
 
 def cmd_sizes(args) -> int:
-    res = _toolchain(args).compile_file(
-        args.file, stages=("codegen", "wire", "brisc", "deflate"))
+    res = _compile(_toolchain(args), args.file,
+                   stages=("codegen", "wire", "brisc", "deflate"))
     program = res.program
     sizes = res.sizes()
     sparc = SparcLike().program_size(program)
@@ -80,7 +94,7 @@ def cmd_sizes(args) -> int:
     brisc_meta = res.artifact("brisc").meta
     if args.json:
         payload = {
-            "unit": args.file,
+            "unit": res.unit,
             "sizes": {
                 "sparc_native": sparc,
                 "pentium_native": pentium,
@@ -107,10 +121,10 @@ def cmd_sizes(args) -> int:
 
 def cmd_stats(args) -> int:
     toolchain = _toolchain(args)
-    res = toolchain.compile_file(args.file)
+    res = _compile(toolchain, args.file)
     if args.json:
         print(json.dumps({
-            "unit": args.file,
+            "unit": res.unit,
             "stages": res.stage_rows(),
             "toolchain": toolchain.stats(),
         }, indent=2, sort_keys=True, default=str))
@@ -125,8 +139,12 @@ def cmd_stats(args) -> int:
 
 def cmd_tables(args) -> int:
     # The bench measurement helpers compile through default_toolchain(),
-    # not _toolchain(args): set REPRO_DISK_CACHE=1 to persist artifacts
-    # across invocations.
+    # which the top-level cache flags do not reach.
+    if args.disk_cache or args.cache_dir:
+        print("error: tables does not take --disk-cache/--cache-dir; set "
+              "REPRO_DISK_CACHE=1 (and REPRO_CACHE_DIR) to persist its "
+              "artifacts", file=sys.stderr)
+        return 2
     from .bench import regen
 
     try:
@@ -146,7 +164,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_wire(args) -> int:
-    res = _toolchain(args).compile_file(args.file, stages=("wire",))
+    res = _compile(_toolchain(args), args.file, stages=("wire",))
     blob = res.wire_blob
     with open(args.output, "wb") as f:
         f.write(blob)
@@ -157,7 +175,7 @@ def cmd_wire(args) -> int:
 def cmd_brisc(args) -> int:
     toolchain = _toolchain(args)
     config = toolchain.config.with_brisc(k=args.k)
-    res = toolchain.compile_file(args.file, stages=("brisc",), config=config)
+    res = _compile(toolchain, args.file, stages=("brisc",), config=config)
     cp = res.brisc
     with open(args.output, "wb") as f:
         f.write(cp.image.blob)
@@ -335,15 +353,14 @@ def cmd_client(args) -> int:
                 if not args.file:
                     print(f"error: {op} needs a source file", file=sys.stderr)
                     return 2
-                with open(args.file) as f:
-                    source = f.read()
+                name, source = _source(args.file)
                 if op == "compile":
-                    result = client.compile(source, name=args.file,
+                    result = client.compile(source, name=name,
                                             deadline=args.deadline)
                     print(json.dumps(result, indent=2, sort_keys=True))
                 else:
                     blob = (client.wire if op == "wire" else client.brisc)(
-                        source, name=args.file, deadline=args.deadline)
+                        source, name=name, deadline=args.deadline)
                     if args.output:
                         with open(args.output, "wb") as f:
                             f.write(blob)
@@ -396,21 +413,20 @@ def cmd_fetch(args) -> int:
     if args.start is not None and args.length is None:
         print("error: --start requires --length", file=sys.stderr)
         return 2
-    with open(args.file) as f:
-        source = f.read()
+    name, source = _source(args.file)
     try:
         with ServiceClient(args.host, args.port,
                            timeout=args.timeout) as client:
             if args.function is not None:
                 result = client.fetch_function(
-                    source, args.function, name=args.file,
+                    source, args.function, name=name,
                     format=args.format, chunk_bytes=args.chunk_bytes,
                     deadline=args.deadline)
                 where = (f"function {args.function!r} "
                          f"(chunk(s) {result['chunks']})")
             else:
                 result = client.fetch_range(
-                    source, args.start, args.length, name=args.file,
+                    source, args.start, args.length, name=name,
                     format=args.format, chunk_bytes=args.chunk_bytes,
                     deadline=args.deadline)
                 where = (f"span [{args.start}, {args.start + args.length})"

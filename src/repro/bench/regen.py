@@ -63,10 +63,12 @@ def regenerate_tables(
 def render_report(
     report: Dict[str, Dict[str, Any]],
 ) -> Tuple[str, str, str]:
-    """Render the three tables from a :func:`regenerate_tables` report."""
+    """Render the three tables from a :func:`regenerate_tables` report; a
+    table that no unit of the report feeds renders as ``""``."""
     rows = report.values()
     t1 = wire_table(r["t1"] for r in rows)
-    t2 = brisc_table(r["t2"] for r in rows if "t2" in r)
+    t2_rows = [r["t2"] for r in rows if "t2" in r]
+    t2 = brisc_table(t2_rows) if t2_rows else ""
     t3 = next((ablation_table(r["t3"]) for r in rows if "t3" in r), "")
     return t1, t2, t3
 

@@ -39,7 +39,6 @@ class BriscInterpreter(Interpreter):
         max_steps: int = 50_000_000,
         stdin: str = "",
         cache_decoded: bool = True,
-        count_opcodes: bool = False,
     ) -> None:
         decoded = parse_image(image)
         self._image = decoded
@@ -54,7 +53,7 @@ class BriscInterpreter(Interpreter):
         self._slot_cache: Dict[Tuple[int, int], Tuple[_Group, int, int]] = {}
         self.slots_decoded = 0
         super().__init__(shell, memory_size=memory_size, max_steps=max_steps,
-                         stdin=stdin, count_opcodes=count_opcodes)
+                         stdin=stdin)
         # The image's symbol table, resolved once: every name in it is a
         # function or a global the shell program has just laid out.
         self._symbol_table = [

@@ -19,8 +19,8 @@ class PipelineConfig:
     """Knobs consumed by the stages.
 
     ``isa`` selects the abstract machine (the ablation variants de-tune
-    it); ``brisc_*`` mirror :func:`repro.brisc.compress`'s parameters;
-    ``wire_compress`` mirrors :func:`repro.wire.encode_module`'s flag.
+    it); ``brisc_k`` is :func:`repro.brisc.compress`'s patterns admitted
+    per pass.
 
     ``wire_container``/``brisc_container`` select the container layout
     (2 = the flat v2 default, 3 = the seekable chunked v3);
@@ -32,15 +32,12 @@ class PipelineConfig:
 
     isa: ISA = field(default_factory=ISA)
     brisc_k: int = 20
-    brisc_abundant_memory: bool = False
-    brisc_max_passes: int = 40
     #: Record a replay journal on brisc artifacts so a later
     #: ``Toolchain.compile(prev=...)`` can replay the build for an edited
     #: unit (see :mod:`repro.brisc.journal`).  Image bytes are unchanged,
     #: but the artifact payload grows, so this is opt-in and enters the
     #: brisc cache key only when set.
     brisc_journal: bool = False
-    wire_compress: bool = True
     wire_container: int = 2
     brisc_container: int = 2
     chunk_target_bytes: int = 2048
@@ -68,19 +65,9 @@ class PipelineConfig:
                                 if chunk_bytes is None else chunk_bytes),
         )
 
-    def with_brisc(self, k: Optional[int] = None,
-                   abundant_memory: Optional[bool] = None,
-                   max_passes: Optional[int] = None) -> "PipelineConfig":
-        """A copy with the given BRISC knobs overridden."""
-        return replace(
-            self,
-            brisc_k=self.brisc_k if k is None else k,
-            brisc_abundant_memory=(self.brisc_abundant_memory
-                                   if abundant_memory is None
-                                   else abundant_memory),
-            brisc_max_passes=(self.brisc_max_passes
-                              if max_passes is None else max_passes),
-        )
+    def with_brisc(self, k: int) -> "PipelineConfig":
+        """A copy admitting ``k`` BRISC patterns per pass."""
+        return replace(self, brisc_k=k)
 
     def with_journal(self, journal: bool = True) -> "PipelineConfig":
         """A copy recording (or not) BRISC replay journals."""

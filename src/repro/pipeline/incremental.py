@@ -177,12 +177,9 @@ class DeltaCompiler:
         changed = changed_functions(prev_program, program)
         if changed is None:
             return None  # function list changed shape: cold build
-        cp = incremental_compress(
-            program, prev_program, prev_cp.build,
-            k=config.brisc_k,
-            abundant_memory=config.brisc_abundant_memory,
-            max_passes=config.brisc_max_passes,
-            journal=config.brisc_journal)
+        cp = incremental_compress(program, prev_program, prev_cp.build,
+                                  k=config.brisc_k,
+                                  journal=config.brisc_journal)
         if cp is None:
             return None  # journal missing/mismatched: cold build
         payload, size, meta = finish_brisc(cp, config)

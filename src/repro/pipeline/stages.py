@@ -121,7 +121,7 @@ class WireStage(Stage):
     requires = "lower"
 
     def config_fragment(self, config):
-        fragment = f"compress={config.wire_compress}"
+        fragment = "compress=True"
         # Only non-default container settings enter the key, so existing
         # v2 cache entries stay valid.
         if config.wire_container != 2:
@@ -133,7 +133,7 @@ class WireStage(Stage):
         if config.wire_container == 3:
             from ..wire import container_index, encode_module_v3
 
-            blob = encode_module_v3(value, compress=config.wire_compress,
+            blob = encode_module_v3(value,
                                     chunk_bytes=config.chunk_target_bytes)
             index = container_index(blob)
             return blob, len(blob), {
@@ -141,7 +141,7 @@ class WireStage(Stage):
                 "chunks": len(index.chunks),
                 "index_bytes": index.header_bytes,
             }
-        blob = encode_module(value, compress=config.wire_compress)
+        blob = encode_module(value)
         container = blob[4:]
         # Read the blob back: every CRC checked, every stream decoded.
         streams = unpack_streams(container)
@@ -161,11 +161,11 @@ class BriscStage(Stage):
     requires = "codegen"
 
     def config_fragment(self, config):
+        # The cost model and pass cap are compress()'s defaults; their
+        # text stays in the key so existing cache entries stay valid.
         # Journaling leaves the image bytes untouched but attaches the
         # replay journal to the payload, so it keys separately.
-        fragment = (f"k={config.brisc_k};"
-                    f"abundant={config.brisc_abundant_memory};"
-                    f"passes={config.brisc_max_passes}")
+        fragment = f"k={config.brisc_k};abundant=False;passes=40"
         if config.brisc_journal:
             fragment += ";journal=1"
         if config.brisc_container != 2:
@@ -176,10 +176,7 @@ class BriscStage(Stage):
     def run(self, value, unit, config):
         from ..brisc import compress  # deferred: brisc is the heaviest import
 
-        cp = compress(value, k=config.brisc_k,
-                      abundant_memory=config.brisc_abundant_memory,
-                      max_passes=config.brisc_max_passes,
-                      journal=config.brisc_journal)
+        cp = compress(value, k=config.brisc_k, journal=config.brisc_journal)
         return finish_brisc(cp, config)
 
 

@@ -240,17 +240,6 @@ class Toolchain:
         return CompilationResult(unit=name, source=source,
                                  artifacts=artifacts, config=config)
 
-    def compile_file(
-        self,
-        path: str,
-        stages: Optional[Sequence[str]] = None,
-        config: Optional[PipelineConfig] = None,
-    ) -> CompilationResult:
-        """Read ``path`` and compile it, named after the file."""
-        with open(path) as f:
-            source = f.read()
-        return self.compile(source, name=path, stages=stages, config=config)
-
     # -- batch compilation ------------------------------------------------
 
     def compile_many(

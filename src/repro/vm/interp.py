@@ -8,17 +8,20 @@ be stored to memory and reloaded like any other 32-bit word.
 
 The interpreter counts executed instructions; ``clock`` (syscall 8) returns
 that count, which gives corpus programs a deterministic timing source.
+Each mnemonic's semantics is one handler in :data:`SEMANTICS`, the table
+the plain VM and BRISC in place both execute through.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir.tree import PtrInit, ScalarInit
 from .instr import VMFunction, VMProgram
-from .isa import NUM_FREGS, NUM_IREGS, Operand, REG_RA, REG_SP, SYSCALLS
+from .isa import NUM_FREGS, NUM_IREGS, Operand, REG_RA, REG_SP, SPEC, SYSCALLS
 
 __all__ = ["VMError", "ExecutionResult", "Interpreter", "run_program",
            "GLOBAL_BASE", "FUNC_ADDR_BASE"]
@@ -52,7 +55,6 @@ class ExecutionResult:
     exit_code: int
     output: str
     steps: int
-    opcode_counts: Dict[str, int] = field(default_factory=dict)
 
 
 class Interpreter:
@@ -64,7 +66,6 @@ class Interpreter:
         memory_size: int = 1 << 20,
         max_steps: int = 50_000_000,
         stdin: str = "",
-        count_opcodes: bool = False,
     ) -> None:
         self.program = program
         self.memory = bytearray(memory_size)
@@ -76,8 +77,6 @@ class Interpreter:
         self._stdin = stdin
         self._stdin_pos = 0
         self.exit_code: Optional[int] = None
-        self.count_opcodes = count_opcodes
-        self.opcode_counts: Dict[str, int] = {}
         self._func_index = {fn.name: i for i, fn in enumerate(program.functions)}
         self.symbols: Dict[str, int] = {}
         self._load_globals()
@@ -257,7 +256,6 @@ class Interpreter:
             exit_code=exit_code,
             output="".join(self.output),
             steps=self.steps,
-            opcode_counts=dict(self.opcode_counts),
         )
 
     def _loop(self, func: int, pc: int) -> int:
@@ -281,311 +279,294 @@ class Interpreter:
         """Execute one instruction; returns (func, pc, halt_value_or_None).
 
         ``pc`` is the fall-through continuation (already advanced); control
-        transfers overwrite it.  Shared by the plain interpreter and the
-        BRISC in-place interpreter.
+        transfers overwrite it.  The one entry both the plain interpreter
+        and the BRISC in-place interpreter execute through: it counts the
+        step, enforces ``max_steps``, then runs the mnemonic's handler from
+        :data:`SEMANTICS`.
         """
-        regs = self.iregs
-        fregs = self.fregs
         self.steps += 1
         if self.steps > self.max_steps:
             raise VMError(f"exceeded {self.max_steps} steps")
-        if self.count_opcodes:
-            counts = self.opcode_counts
-            counts[name] = counts.get(name, 0) + 1
-        if True:
-            # --- memory ---
-            if name == "ld.iw":
-                regs[ops[0]] = _s32(self.load(_u32(regs[ops[2]]) + ops[1], 4, True))
-            elif name == "st.iw":
-                self.store(_u32(regs[ops[2]]) + ops[1], 4, regs[ops[0]])
-            elif name == "ld.ib":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 1, True)
-            elif name == "ld.iub":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 1, False)
-            elif name == "ld.ih":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 2, True)
-            elif name == "ld.iuh":
-                regs[ops[0]] = self.load(_u32(regs[ops[2]]) + ops[1], 2, False)
-            elif name == "st.ib":
-                self.store(_u32(regs[ops[2]]) + ops[1], 1, regs[ops[0]])
-            elif name == "st.ih":
-                self.store(_u32(regs[ops[2]]) + ops[1], 2, regs[ops[0]])
-            elif name == "ld.d":
-                fregs[ops[0]] = self.load_double(_u32(regs[ops[2]]) + ops[1])
-            elif name == "st.d":
-                self.store_double(_u32(regs[ops[2]]) + ops[1], fregs[ops[0]])
-            elif name == "spill.i":
-                self.store(_u32(regs[ops[2]]) + ops[1], 4, regs[ops[0]])
-            elif name == "reload.i":
-                regs[ops[0]] = _s32(self.load(_u32(regs[ops[2]]) + ops[1], 4, True))
-            elif name == "ldx.iw":
-                regs[ops[0]] = _s32(self.load(_u32(regs[ops[1]]), 4, True))
-            elif name == "stx.iw":
-                self.store(_u32(regs[ops[1]]), 4, regs[ops[0]])
-            elif name == "ldx.ib":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 1, True)
-            elif name == "ldx.iub":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 1, False)
-            elif name == "ldx.ih":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 2, True)
-            elif name == "ldx.iuh":
-                regs[ops[0]] = self.load(_u32(regs[ops[1]]), 2, False)
-            elif name == "stx.ib":
-                self.store(_u32(regs[ops[1]]), 1, regs[ops[0]])
-            elif name == "stx.ih":
-                self.store(_u32(regs[ops[1]]), 2, regs[ops[0]])
-            elif name == "ldx.d":
-                fregs[ops[0]] = self.load_double(_u32(regs[ops[1]]))
-            elif name == "stx.d":
-                self.store_double(_u32(regs[ops[1]]), fregs[ops[0]])
+        try:
+            handler = SEMANTICS[name]
+        except KeyError:
+            raise VMError(f"unimplemented instruction {name}") from None
+        return handler(self, ops, func, pc) or (func, pc, None)
 
-            # --- moves ---
-            elif name == "mov.i":
-                regs[ops[0]] = regs[ops[1]]
-            elif name == "li":
-                regs[ops[0]] = _s32(ops[1])
-            elif name == "la":
-                kind, value = ops[1]
-                regs[ops[0]] = _s32(FUNC_ADDR_BASE + value if kind == "func"
-                                    else value)
-            elif name == "mov.d":
-                fregs[ops[0]] = fregs[ops[1]]
-            elif name == "li.d":
-                fregs[ops[0]] = float(ops[1])
 
-            # --- integer alu ---
-            elif name == "add.i":
-                regs[ops[0]] = _s32(regs[ops[1]] + regs[ops[2]])
-            elif name == "sub.i":
-                regs[ops[0]] = _s32(regs[ops[1]] - regs[ops[2]])
-            elif name == "mul.i":
-                regs[ops[0]] = _s32(regs[ops[1]] * regs[ops[2]])
-            elif name == "div.i":
-                regs[ops[0]] = _s32(_divtrunc(regs[ops[1]], regs[ops[2]]))
-            elif name == "divu.i":
-                b = _u32(regs[ops[2]])
-                if b == 0:
-                    raise VMError("division by zero")
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) // b)
-            elif name == "rem.i":
-                regs[ops[0]] = _s32(_remtrunc(regs[ops[1]], regs[ops[2]]))
-            elif name == "remu.i":
-                b = _u32(regs[ops[2]])
-                if b == 0:
-                    raise VMError("division by zero")
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) % b)
-            elif name == "and.i":
-                regs[ops[0]] = _s32(regs[ops[1]] & regs[ops[2]])
-            elif name == "or.i":
-                regs[ops[0]] = _s32(regs[ops[1]] | regs[ops[2]])
-            elif name == "xor.i":
-                regs[ops[0]] = _s32(regs[ops[1]] ^ regs[ops[2]])
-            elif name == "shl.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) << (regs[ops[2]] & 31))
-            elif name == "shr.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) >> (regs[ops[2]] & 31))
-            elif name == "sra.i":
-                regs[ops[0]] = _s32(regs[ops[1]] >> (regs[ops[2]] & 31))
-            elif name == "neg.i":
-                regs[ops[0]] = _s32(-regs[ops[1]])
-            elif name == "not.i":
-                regs[ops[0]] = _s32(~regs[ops[1]])
+# -- instruction semantics ---------------------------------------------------
+#
+# One handler per mnemonic, ``handler(vm, ops, func, pc)``: it returns None
+# to fall through to ``pc`` or a ``(func, pc, halt)`` triple.  The table is
+# built family by family, as ``repro.vm.isa`` declares the ISA.
 
-            # --- immediate alu ---
-            elif name == "addi.i":
-                regs[ops[0]] = _s32(regs[ops[1]] + ops[2])
-            elif name == "subi.i":
-                regs[ops[0]] = _s32(regs[ops[1]] - ops[2])
-            elif name == "muli.i":
-                regs[ops[0]] = _s32(regs[ops[1]] * ops[2])
-            elif name == "andi.i":
-                regs[ops[0]] = _s32(regs[ops[1]] & ops[2])
-            elif name == "ori.i":
-                regs[ops[0]] = _s32(regs[ops[1]] | ops[2])
-            elif name == "xori.i":
-                regs[ops[0]] = _s32(regs[ops[1]] ^ ops[2])
-            elif name == "shli.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) << (ops[2] & 31))
-            elif name == "shri.i":
-                regs[ops[0]] = _s32(_u32(regs[ops[1]]) >> (ops[2] & 31))
-            elif name == "srai.i":
-                regs[ops[0]] = _s32(regs[ops[1]] >> (ops[2] & 31))
 
-            # --- extensions ---
-            elif name == "sext.b":
-                regs[ops[0]] = _s32((regs[ops[1]] & 0xFF) - 0x100
-                                    if regs[ops[1]] & 0x80 else regs[ops[1]] & 0xFF)
-            elif name == "zext.b":
-                regs[ops[0]] = regs[ops[1]] & 0xFF
-            elif name == "sext.h":
-                regs[ops[0]] = _s32((regs[ops[1]] & 0xFFFF) - 0x1_0000
-                                    if regs[ops[1]] & 0x8000 else regs[ops[1]] & 0xFFFF)
-            elif name == "zext.h":
-                regs[ops[0]] = regs[ops[1]] & 0xFFFF
-
-            # --- double alu / conversions ---
-            elif name == "add.d":
-                fregs[ops[0]] = fregs[ops[1]] + fregs[ops[2]]
-            elif name == "sub.d":
-                fregs[ops[0]] = fregs[ops[1]] - fregs[ops[2]]
-            elif name == "mul.d":
-                fregs[ops[0]] = fregs[ops[1]] * fregs[ops[2]]
-            elif name == "div.d":
-                if fregs[ops[2]] == 0.0:
-                    raise VMError("floating division by zero")
-                fregs[ops[0]] = fregs[ops[1]] / fregs[ops[2]]
-            elif name == "neg.d":
-                fregs[ops[0]] = -fregs[ops[1]]
-            elif name == "cvt.id":
-                fregs[ops[0]] = float(regs[ops[1]])
-            elif name == "cvt.ud":
-                fregs[ops[0]] = float(_u32(regs[ops[1]]))
-            elif name == "cvt.di":
-                fregs_val = fregs[ops[1]]
-                regs[ops[0]] = _s32(int(fregs_val))
-            elif name == "cvt.du":
-                regs[ops[0]] = _s32(int(fregs[ops[1]]) & _U32)
-
-            # --- branches ---
-            elif name == "beq.i":
-                if regs[ops[0]] == regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bne.i":
-                if regs[ops[0]] != regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "blt.i":
-                if regs[ops[0]] < regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "ble.i":
-                if regs[ops[0]] <= regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bgt.i":
-                if regs[ops[0]] > regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bge.i":
-                if regs[ops[0]] >= regs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bltu.i":
-                if _u32(regs[ops[0]]) < _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "bleu.i":
-                if _u32(regs[ops[0]]) <= _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "bgtu.i":
-                if _u32(regs[ops[0]]) > _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "bgeu.i":
-                if _u32(regs[ops[0]]) >= _u32(regs[ops[1]]):
-                    pc = ops[2]
-            elif name == "beqi.i":
-                if regs[ops[0]] == ops[1]:
-                    pc = ops[2]
-            elif name == "bnei.i":
-                if regs[ops[0]] != ops[1]:
-                    pc = ops[2]
-            elif name == "blti.i":
-                if regs[ops[0]] < ops[1]:
-                    pc = ops[2]
-            elif name == "blei.i":
-                if regs[ops[0]] <= ops[1]:
-                    pc = ops[2]
-            elif name == "bgti.i":
-                if regs[ops[0]] > ops[1]:
-                    pc = ops[2]
-            elif name == "bgei.i":
-                if regs[ops[0]] >= ops[1]:
-                    pc = ops[2]
-            elif name == "bltui.i":
-                if _u32(regs[ops[0]]) < _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "bleui.i":
-                if _u32(regs[ops[0]]) <= _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "bgtui.i":
-                if _u32(regs[ops[0]]) > _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "bgeui.i":
-                if _u32(regs[ops[0]]) >= _u32(ops[1]):
-                    pc = ops[2]
-            elif name == "beq.d":
-                if fregs[ops[0]] == fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bne.d":
-                if fregs[ops[0]] != fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "blt.d":
-                if fregs[ops[0]] < fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "ble.d":
-                if fregs[ops[0]] <= fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bgt.d":
-                if fregs[ops[0]] > fregs[ops[1]]:
-                    pc = ops[2]
-            elif name == "bge.d":
-                if fregs[ops[0]] >= fregs[ops[1]]:
-                    pc = ops[2]
-
-            # --- control flow ---
-            elif name == "jmp":
-                pc = ops[0]
-            elif name == "call":
-                kind, index = ops[0]
-                if kind != "func":
-                    raise VMError("call target is not a function")
-                regs[REG_RA] = _s32(RET_ADDR_BASE | (func << 16) | pc)
-                func = index
-                pc = 0
-            elif name == "calli":
-                target = _u32(regs[ops[0]])
-                if not FUNC_ADDR_BASE <= target < FUNC_ADDR_BASE + len(self.program.functions):
-                    raise VMError(f"indirect call to non-function {target:#x}")
-                regs[REG_RA] = _s32(RET_ADDR_BASE | (func << 16) | pc)
-                func = target - FUNC_ADDR_BASE
-                pc = 0
-            elif name == "rjr":
-                target = _u32(regs[ops[0]])
-                if target == HALT_ADDR:
-                    return func, pc, _s32(regs[0])
-                if not RET_ADDR_BASE <= target < RET_ADDR_BASE + 0x0FFF_0000:
-                    raise VMError(f"return to non-return address {target:#x}")
-                func = (target - RET_ADDR_BASE) >> 16
-                pc = target & 0xFFFF
-
-            # --- frame ---
-            elif name == "enter":
-                regs[ops[0]] = _s32(regs[ops[1]] - ops[2])
-            elif name == "exit":
-                regs[ops[0]] = _s32(regs[ops[1]] + ops[2])
-
-            # --- macros ---
-            elif name == "blkcpy":
-                dst = _u32(regs[ops[0]])
-                src = _u32(regs[ops[1]])
-                n = ops[2]
-                self._check(dst, n)
-                self._check(src, n)
-                self.memory[dst : dst + n] = bytes(self.memory[src : src + n])
-            elif name == "sys":
-                self._syscall(ops[0])
-                if self.exit_code is not None:
-                    return func, pc, self.exit_code
-            elif name == "hlt":
-                return func, pc, _s32(regs[0])
-            else:
-                raise VMError(f"unimplemented instruction {name}")
-        return func, pc, None
+def _divisor(b: int) -> int:
+    if b == 0:
+        raise VMError("division by zero")
+    return b
 
 
 def _divtrunc(a: int, b: int) -> int:
-    if b == 0:
-        raise VMError("division by zero")
-    q = abs(a) // abs(b)
+    q = abs(a) // abs(_divisor(b))
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def _remtrunc(a: int, b: int) -> int:
-    return a - _divtrunc(a, b) * b
+def _truncate(value: float) -> int:
+    """C's double-to-integer conversion; an infinity or a NaN has no
+    integer value (C leaves the result undefined)."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise VMError(f"cannot convert {value} to an integer") from None
+
+
+def _ddiv(a: float, b: float) -> float:
+    if b == 0.0:
+        raise VMError("floating division by zero")
+    return a / b
+
+
+#: Integer operators, each serving ``<op>.i`` and, where the ISA has one,
+#: the immediate form ``<op>i.i``; the result wraps to 32 bits.
+_INT_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": _divtrunc, "rem": lambda a, b: a - _divtrunc(a, b) * b,
+    "divu": lambda a, b: _u32(a) // _divisor(_u32(b)),
+    "remu": lambda a, b: _u32(a) % _divisor(_u32(b)),
+    "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+    "shl": lambda a, b: _u32(a) << (b & 31),
+    "shr": lambda a, b: _u32(a) >> (b & 31),
+    "sra": lambda a, b: a >> (b & 31),
+}
+#: One-register integer operations (rd <- f(rs)).
+_INT_UNARY = {
+    "mov.i": lambda a: a,
+    "neg.i": lambda a: _s32(-a),
+    "not.i": lambda a: _s32(~a),
+    "sext.b": lambda a: ((a & 0xFF) ^ 0x80) - 0x80,
+    "zext.b": lambda a: a & 0xFF,
+    "sext.h": lambda a: ((a & 0xFFFF) ^ 0x8000) - 0x8000,
+    "zext.h": lambda a: a & 0xFFFF,
+}
+#: Double operators, each serving ``<op>.d``.
+_DOUBLE_OPS = {"add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "div": _ddiv}
+#: Branch conditions, each serving ``b<cond>.i``, ``b<cond>u.i``,
+#: ``b<cond>i.i``, ``b<cond>ui.i`` and ``b<cond>.d`` where the ISA has them.
+_CONDITIONS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+               "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+#: Integer load/store suffixes: (width in bytes, signed).  The ISA
+#: stores only the signed ones, since a store's signedness is moot.
+_WIDTHS = {"iw": (4, True), "ib": (1, True), "iub": (1, False),
+           "ih": (2, True), "iuh": (2, False)}
+
+
+def _alu(op):
+    """(register, immediate) forms of one integer operator."""
+    def reg(vm, ops, func, pc):
+        r = vm.iregs
+        r[ops[0]] = _s32(op(r[ops[1]], r[ops[2]]))
+
+    def imm(vm, ops, func, pc):
+        r = vm.iregs
+        r[ops[0]] = _s32(op(r[ops[1]], ops[2]))
+    return reg, imm
+
+
+def _unary(op):
+    """An integer ``rd <- op(rs)`` instruction."""
+    def handler(vm, ops, func, pc):
+        r = vm.iregs
+        r[ops[0]] = op(r[ops[1]])
+    return handler
+
+
+def _double(op):
+    """A double ``fd <- op(fs, ft)`` instruction."""
+    def handler(vm, ops, func, pc):
+        f = vm.fregs
+        f[ops[0]] = op(f[ops[1]], f[ops[2]])
+    return handler
+
+
+def _mov_d(vm, ops, func, pc):
+    vm.fregs[ops[0]] = vm.fregs[ops[1]]
+
+
+def _neg_d(vm, ops, func, pc):
+    vm.fregs[ops[0]] = -vm.fregs[ops[1]]
+
+
+def _branches(cmp):
+    """(register, unsigned, immediate, unsigned immediate, double) forms."""
+    def reg(vm, ops, func, pc):
+        r = vm.iregs
+        if cmp(r[ops[0]], r[ops[1]]):
+            return func, ops[2], None
+
+    def ureg(vm, ops, func, pc):
+        r = vm.iregs
+        if cmp(_u32(r[ops[0]]), _u32(r[ops[1]])):
+            return func, ops[2], None
+
+    def imm(vm, ops, func, pc):
+        if cmp(vm.iregs[ops[0]], ops[1]):
+            return func, ops[2], None
+
+    def uimm(vm, ops, func, pc):
+        if cmp(_u32(vm.iregs[ops[0]]), _u32(ops[1])):
+            return func, ops[2], None
+
+    def double(vm, ops, func, pc):
+        f = vm.fregs
+        if cmp(f[ops[0]], f[ops[1]]):
+            return func, ops[2], None
+    return reg, ureg, imm, uimm, double
+
+
+def _int_memory(size, signed):
+    """(load, indexed load, store, indexed store) of one width."""
+    def ld(vm, ops, func, pc):
+        r = vm.iregs
+        r[ops[0]] = vm.load(_u32(r[ops[2]]) + ops[1], size, signed)
+
+    def ldx(vm, ops, func, pc):
+        r = vm.iregs
+        r[ops[0]] = vm.load(_u32(r[ops[1]]), size, signed)
+
+    def st(vm, ops, func, pc):
+        r = vm.iregs
+        vm.store(_u32(r[ops[2]]) + ops[1], size, r[ops[0]])
+
+    def stx(vm, ops, func, pc):
+        r = vm.iregs
+        vm.store(_u32(r[ops[1]]), size, r[ops[0]])
+    return ld, ldx, st, stx
+
+
+def _ld_d(vm, ops, func, pc):
+    vm.fregs[ops[0]] = vm.load_double(_u32(vm.iregs[ops[2]]) + ops[1])
+
+
+def _ldx_d(vm, ops, func, pc):
+    vm.fregs[ops[0]] = vm.load_double(_u32(vm.iregs[ops[1]]))
+
+
+def _st_d(vm, ops, func, pc):
+    vm.store_double(_u32(vm.iregs[ops[2]]) + ops[1], vm.fregs[ops[0]])
+
+
+def _stx_d(vm, ops, func, pc):
+    vm.store_double(_u32(vm.iregs[ops[1]]), vm.fregs[ops[0]])
+
+
+def _li(vm, ops, func, pc):
+    vm.iregs[ops[0]] = _s32(ops[1])
+
+
+def _la(vm, ops, func, pc):
+    kind, value = ops[1]
+    vm.iregs[ops[0]] = _s32(FUNC_ADDR_BASE + value if kind == "func"
+                            else value)
+
+
+def _li_d(vm, ops, func, pc):
+    vm.fregs[ops[0]] = float(ops[1])
+
+
+def _cvt_id(vm, ops, func, pc):
+    vm.fregs[ops[0]] = float(vm.iregs[ops[1]])
+
+
+def _cvt_ud(vm, ops, func, pc):
+    vm.fregs[ops[0]] = float(_u32(vm.iregs[ops[1]]))
+
+
+def _cvt_di(vm, ops, func, pc):
+    # Also cvt.du: both keep the low 32 bits of the truncated value.
+    vm.iregs[ops[0]] = _s32(_truncate(vm.fregs[ops[1]]))
+
+
+def _jmp(vm, ops, func, pc):
+    return func, ops[0], None
+
+
+def _call(vm, ops, func, pc):
+    kind, index = ops[0]
+    if kind != "func":
+        raise VMError("call target is not a function")
+    vm.iregs[REG_RA] = _s32(RET_ADDR_BASE | (func << 16) | pc)
+    return index, 0, None
+
+
+def _calli(vm, ops, func, pc):
+    regs = vm.iregs
+    target = _u32(regs[ops[0]])
+    if not FUNC_ADDR_BASE <= target < FUNC_ADDR_BASE + len(vm.program.functions):
+        raise VMError(f"indirect call to non-function {target:#x}")
+    regs[REG_RA] = _s32(RET_ADDR_BASE | (func << 16) | pc)
+    return target - FUNC_ADDR_BASE, 0, None
+
+
+def _rjr(vm, ops, func, pc):
+    regs = vm.iregs
+    target = _u32(regs[ops[0]])
+    if target == HALT_ADDR:
+        return func, pc, _s32(regs[0])
+    if not RET_ADDR_BASE <= target < RET_ADDR_BASE + 0x0FFF_0000:
+        raise VMError(f"return to non-return address {target:#x}")
+    return (target - RET_ADDR_BASE) >> 16, target & 0xFFFF, None
+
+
+def _blkcpy(vm, ops, func, pc):
+    dst = _u32(vm.iregs[ops[0]])
+    src = _u32(vm.iregs[ops[1]])
+    n = ops[2]
+    vm._check(dst, n)
+    vm._check(src, n)
+    vm.memory[dst : dst + n] = bytes(vm.memory[src : src + n])
+
+
+def _sys(vm, ops, func, pc):
+    vm._syscall(ops[0])
+    if vm.exit_code is not None:
+        return func, pc, vm.exit_code
+
+
+def _hlt(vm, ops, func, pc):
+    return func, pc, _s32(vm.iregs[0])
+
+
+#: Every mnemonic's handler: the one definition of the ISA's semantics.
+SEMANTICS = {
+    "li": _li, "la": _la, "li.d": _li_d,
+    "cvt.id": _cvt_id, "cvt.ud": _cvt_ud, "cvt.di": _cvt_di, "cvt.du": _cvt_di,
+    "jmp": _jmp, "call": _call, "calli": _calli, "rjr": _rjr,
+    "blkcpy": _blkcpy, "sys": _sys, "hlt": _hlt,
+    "ld.d": _ld_d, "ldx.d": _ldx_d, "st.d": _st_d, "stx.d": _stx_d,
+    "mov.d": _mov_d, "neg.d": _neg_d,
+}
+for _op, _fn in _INT_OPS.items():
+    SEMANTICS[f"{_op}.i"], SEMANTICS[f"{_op}i.i"] = _alu(_fn)
+for _name, _fn in _INT_UNARY.items():
+    SEMANTICS[_name] = _unary(_fn)
+for _op, _fn in _DOUBLE_OPS.items():
+    SEMANTICS[f"{_op}.d"] = _double(_fn)
+for _cond, _fn in _CONDITIONS.items():
+    _forms = (f"b{_cond}.i", f"b{_cond}u.i", f"b{_cond}i.i", f"b{_cond}ui.i",
+              f"b{_cond}.d")
+    SEMANTICS.update(zip(_forms, _branches(_fn)))
+for _suffix, (_size, _signed) in _WIDTHS.items():
+    _forms = (f"ld.{_suffix}", f"ldx.{_suffix}", f"st.{_suffix}",
+              f"stx.{_suffix}")
+    SEMANTICS.update(zip(_forms, _int_memory(_size, _signed)))
+# The frame macros are the displacement word load/store and the
+# immediate subtract/add under their own opcodes.
+SEMANTICS.update({"spill.i": SEMANTICS["st.iw"], "reload.i": SEMANTICS["ld.iw"],
+                  "enter": SEMANTICS["subi.i"], "exit": SEMANTICS["addi.i"]})
+# Drop the forms the ISA does not have (divi.i, bequ.i, st.iub, ...).
+SEMANTICS = {name: SEMANTICS[name] for name in SPEC}
 
 
 def run_program(
@@ -594,9 +575,7 @@ def run_program(
     args: Tuple[int, ...] = (),
     max_steps: int = 50_000_000,
     stdin: str = "",
-    count_opcodes: bool = False,
 ) -> ExecutionResult:
     """Convenience wrapper: build an interpreter and run to completion."""
-    interp = Interpreter(program, max_steps=max_steps, stdin=stdin,
-                         count_opcodes=count_opcodes)
+    interp = Interpreter(program, max_steps=max_steps, stdin=stdin)
     return interp.run(entry, args)

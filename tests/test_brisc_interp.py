@@ -100,3 +100,24 @@ class TestEquivalence:
         assert slot_context(fn, 1, None) is None  # offset 1 is mid-slot
         with pytest.raises(VMError):
             interp._fetch_slot(0, 1, None)  # reached by a jump
+
+
+class TestNonfiniteConversion:
+    """C leaves converting an infinity or a NaN to an integer undefined:
+    every interpreter raises the typed ``VMError``, not Python's own
+    ``OverflowError``/``ValueError``."""
+
+    @pytest.mark.parametrize("make", ["x=x*10.0;", "x=x*10.0; x=x-x;"],
+                             ids=["inf", "nan"])
+    def test_raises_vm_error_everywhere(self, make):
+        from repro.vm.interp import VMError
+
+        prog = repro.compile_c(
+            "int main(void){double x=1e308; int i; " + make +
+            " i=(int)x; print_int(i); return 0;}")
+        with pytest.raises(VMError, match="cannot convert"):
+            run_program(prog)
+        image = compress(prog).image.blob
+        for cached in (True, False):
+            with pytest.raises(VMError, match="cannot convert"):
+                run_image(image, cache_decoded=cached)

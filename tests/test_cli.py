@@ -90,6 +90,19 @@ def test_wire_output(hello_c, tmp_path, capsys):
     assert blob[:4] == b"WIR2"
 
 
+def test_wire_blob_independent_of_directory(tmp_path, capsys):
+    """The blob stores the unit's name: the CLI names a unit after the
+    file's basename, so the same source gives the same bytes anywhere."""
+    blobs = []
+    for directory in (tmp_path / "a", tmp_path / "b" / "c"):
+        directory.mkdir(parents=True)
+        (directory / "hello.c").write_text(HELLO)
+        out = directory / "hello.wire"
+        assert main(["wire", str(directory / "hello.c"), "-o", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_brisc_roundtrip_via_cli(hello_c, tmp_path, capsys):
     image = str(tmp_path / "out.brisc")
     assert main(["brisc", hello_c, "-o", image]) == 0
@@ -114,6 +127,19 @@ def test_run_exit_code_propagates(tmp_path):
     src = tmp_path / "exit3.c"
     src.write_text("int main(void) { return 3; }")
     assert main(["run", str(src)]) == 3
+
+
+def test_tables_refuses_cache_flags(tmp_path, capsys):
+    """``tables`` measures through the shared toolchain, which the
+    top-level cache flags do not reach: it refuses them rather than
+    ignore them."""
+    cache, results = tmp_path / "cache", tmp_path / "results"
+    for flags in (["--disk-cache"], ["--cache-dir", str(cache)]):
+        assert main(flags + ["tables", "--units", "wc", "--skip-interp",
+                             "--results-dir", str(results)]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_DISK_CACHE=1" in err and "REPRO_CACHE_DIR" in err
+    assert not cache.exists() and not results.exists()
 
 
 # ---------------------------------------------------------------------------

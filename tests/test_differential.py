@@ -17,7 +17,6 @@ Tier-1 runs the seeds in ``SEEDS``; a wider sweep selects its own with
 
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -30,7 +29,7 @@ from repro.corpus.generator import generate_program_source
 from repro.jit import jit_compile
 from repro.pipeline import Toolchain
 from repro.vm import run_program
-from repro.wire import decode_module
+from repro.wire import decode_module, encode_module
 
 #: The tier-1 seeds.
 SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -133,9 +132,8 @@ def test_vm_reference_prints_both_zeros(unit):
 @pytest.mark.parametrize("compress", [True, False],
                          ids=["deflate", "stored"])
 def test_wire_round_trip(unit, compress):
-    blob = unit.toolchain.compile(
-        unit.source, name=f"gen{unit.seed}", stages=["wire"],
-        config=replace(unit.config, wire_compress=compress)).wire_blob
+    blob = (unit.result.wire_blob if compress
+            else encode_module(unit.result.module, compress=False))
     program = generate_program(decode_module(blob))
     assert outcome(run_program(program, max_steps=MAX_STEPS)) == \
         unit.expected

@@ -150,14 +150,6 @@ def test_default_stage_keys_are_pinned():
     assert tc.stage_keys(source, "wc", config=minus_both) == WC_MINUS_BOTH_KEYS
 
 
-def test_with_brisc_keeps_unrelated_knobs():
-    tc = Toolchain()
-    config = tc.config.with_brisc(k=7).with_brisc(max_passes=3)
-    assert config.brisc_k == 7 and config.brisc_max_passes == 3
-    # Omitting max_passes leaves the current value in place.
-    assert config.with_brisc(k=9).brisc_max_passes == 3
-
-
 def test_brisc_meta_records_builder_pass_stats():
     tc = Toolchain()
     res = tc.compile(SMALL, name="u", stages=("brisc",))

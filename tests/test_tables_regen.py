@@ -76,6 +76,16 @@ class TestRendering:
         names = [p.rsplit("/", 1)[1] for p in written]
         assert names == ["table1.txt", "table2.txt"]  # no ablation row
 
+    def test_table2_not_rendered_without_its_units(self, tmp_path, measured):
+        report = regen.regenerate_tables(["gcc"])
+        written = regen.write_results(report, str(tmp_path / "out"))
+        assert [p.rsplit("/", 1)[1] for p in written] == ["table1.txt"]
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text("# header\n")
+        assert regen.patch_experiments(report, str(doc)) is True
+        text = doc.read_text()
+        assert "Table 1" in text and "Table 2" not in text
+
     def test_patch_experiments_is_idempotent(self, tmp_path, measured):
         doc = tmp_path / "EXPERIMENTS.md"
         doc.write_text("# header\n\nbody text\n")

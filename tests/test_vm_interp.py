@@ -326,10 +326,6 @@ class TestAccounting:
         res = run_asm("li n0,1\nli n0,2\nhlt")
         assert res.steps == 3
 
-    def test_opcode_counts(self):
-        res = run_asm("li n0,1\nli n0,2\nhlt", count_opcodes=True)
-        assert res.opcode_counts["li"] == 2
-
     def test_entry_args_passed(self):
         assert run_asm("ld.iw n0,-8(sp)\nhlt", args=(5, 6)).exit_code == 5
         assert run_asm("ld.iw n0,-4(sp)\nhlt", args=(5, 6)).exit_code == 6
