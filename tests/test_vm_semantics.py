@@ -92,9 +92,12 @@ FKEYS = [_dkey(v) for v in FREGS]
 
 
 def _dims(name, aliased):
-    """(operand plan, value grids): each operand is ``("i", reg)``,
-    ``("f", reg)`` or ``("lit", dim)``; a register's value and a literal
-    each take one grid dimension."""
+    """(operand plan, value grids) for ``name``.  Each operand of the plan
+    is ``(bank, register, dim)``: an integer (``"i"``) or double (``"f"``)
+    register holding grid dimension ``dim``'s value, or a literal
+    (``"lit"``) that is that value.  Distinct operands use registers 1-3
+    of their bank; ``aliased`` puts every integer operand in ``ra`` and
+    every double operand in ``f1``, so one value feeds them all."""
     spec = SPEC[name]
     fresh = {"i": iter((1, 2, 3)), "f": iter((1, 2, 3))}
     plan, grids, reg_dim = [], [], {}
