@@ -22,8 +22,9 @@ The paper's two compressors and everything they stand on, from scratch:
 * :mod:`repro.corpus` — benchmark programs and a synthetic generator;
 * :mod:`repro.system` — delivery-latency and paging scenario models;
 * :mod:`repro.bench` — the measurement runners behind every table;
-* :mod:`repro.errors` — the typed decode-error taxonomy and resource
-  limits every container decoder enforces;
+* :mod:`repro.errors` — the one error root, its decode, compile, run
+  and service families, and the resource limits every container decoder
+  enforces;
 * :mod:`repro.faults` — the deterministic fault-injection harness behind
   ``python -m repro fuzz``.
 
@@ -45,8 +46,8 @@ from . import (
 from .cfront import compile_to_ast
 from .codegen import generate_program
 from .errors import (
-    CorruptStreamError, DecodeError, ResourceLimitError, ResourceLimits,
-    TruncatedStreamError, UnsupportedFormatError,
+    CorruptStreamError, DecodeError, ReproError, ResourceLimitError,
+    ResourceLimits, TruncatedStreamError, UnsupportedFormatError,
 )
 from .ir import lower_unit
 from .pipeline import Toolchain, default_toolchain
@@ -56,7 +57,7 @@ from .vm.instr import VMProgram
 __version__ = "1.0.0"
 
 __all__ = [
-    "CorruptStreamError", "DecodeError", "ResourceLimitError",
+    "CorruptStreamError", "DecodeError", "ReproError", "ResourceLimitError",
     "ResourceLimits", "Toolchain", "TruncatedStreamError",
     "UnsupportedFormatError", "VMProgram", "bench", "brisc", "cfront",
     "codegen", "compile_c", "compress", "corpus", "default_toolchain",

@@ -35,7 +35,7 @@ import os
 import sys
 
 from .brisc import run_image
-from .cfront import CompileError
+from .errors import ReproError
 from .ir import dump_module
 from .native import PentiumLike, SparcLike
 from .pipeline import Toolchain, default_toolchain
@@ -342,7 +342,6 @@ def cmd_client(args) -> int:
     before giving up; a spent budget still exits 75 so callers can keep
     distinguishing "try later" from "broken request".
     """
-    from .errors import DecodeError, ServiceError
     from .service import ServiceClient
 
     op = args.op
@@ -381,12 +380,6 @@ def cmd_client(args) -> int:
                 result = client.request(op, deadline=args.deadline)
                 print(json.dumps(result, indent=2, sort_keys=True))
         return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 75 if getattr(exc, "retryable", False) else 1
-    except DecodeError as exc:
-        print(f"error: transport: {exc}", file=sys.stderr)
-        return 1
     except ConnectionError as exc:
         print(f"error: cannot reach {args.host}:{args.port}: {exc}",
               file=sys.stderr)
@@ -403,7 +396,6 @@ def cmd_fetch(args) -> int:
     decoded-address-space span.  Exits like ``client``: structured
     errors exit 1 (75 when retryable).
     """
-    from .errors import DecodeError, ServiceError
     from .service import ServiceClient
 
     if (args.function is None) == (args.start is None):
@@ -441,12 +433,6 @@ def cmd_fetch(args) -> int:
               f"container bytes ({hit} store)"
               + (f" -> {args.output}" if args.output else ""))
         return 0
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 75 if getattr(exc, "retryable", False) else 1
-    except DecodeError as exc:
-        print(f"error: transport: {exc}", file=sys.stderr)
-        return 1
     except ConnectionError as exc:
         print(f"error: cannot reach {args.host}:{args.port}: {exc}",
               file=sys.stderr)
@@ -673,9 +659,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CompileError as exc:
+    except ReproError as exc:  # 75 is EX_TEMPFAIL: try again later
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 75 if exc.retryable else 1
     except BrokenPipeError:  # output piped into head etc.
         return 0
     except OSError as exc:  # unreadable input / unwritable output

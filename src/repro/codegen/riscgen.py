@@ -23,16 +23,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..errors import CodegenError
 from ..ir.tree import IRFunction, IRModule, Tree
 from ..vm.instr import Instr, VMFunction, VMProgram
 from ..vm.isa import ISA, REG_RA, REG_SP, SYSCALL_BY_NAME
 from .peephole import peephole_function
 
 __all__ = ["CodegenError", "generate_program", "generate_function"]
-
-
-class CodegenError(Exception):
-    """Raised when a tree cannot be translated (e.g. register pressure)."""
 
 
 def _align(n: int, a: int) -> int:

@@ -1,16 +1,22 @@
-"""Typed decode-error taxonomy and decoder resource limits.
+"""The toolchain's one error root, its four families, and decoder limits.
 
 The paper's representations exist to be *shipped*: wire blobs stream over
 28.8k modems, BRISC images demand-page from disk and JIT on arrival.  A
-receiver therefore decodes bytes it does not control, and every decoder in
-this reproduction reports malformed input through one typed hierarchy
-rooted at :class:`DecodeError` instead of leaking ``struct.error``,
-``IndexError`` or a silent wrong answer.
+receiver therefore decodes, compiles and runs input it does not control,
+and every failure the toolchain raises on purpose is a
+:class:`ReproError`, never a leaked ``struct.error``, ``IndexError`` or a
+silent wrong answer.  Each family names itself in a ``taxonomy`` class
+attribute: :class:`DecodeError` (``decode``), :class:`ServiceError`
+(``service``), :class:`CompileError` (``compile``, including the back
+end's :class:`CodegenError`) and :class:`VMError` (``run``); anything
+outside the root is ``internal``.  ``outcome`` is the service metrics'
+label and ``retryable`` / ``retry_after`` a client's hints, so the
+service and the CLI read attributes instead of re-classifying.
 
-Compatibility: the concrete classes double-inherit from the built-in
-exception a pre-taxonomy caller would have seen (``ValueError`` for
-malformed content, ``EOFError`` for exhausted buffers), the same trick the
-stdlib uses for ``json.JSONDecodeError(ValueError)`` — existing
+Compatibility: the concrete decode classes double-inherit from the
+built-in exception a pre-taxonomy caller would have seen (``ValueError``
+for malformed content, ``EOFError`` for exhausted buffers), the same trick
+the stdlib uses for ``json.JSONDecodeError(ValueError)`` — existing
 ``except ValueError`` / ``except EOFError`` call sites keep working while
 new code catches :class:`DecodeError` alone.
 
@@ -24,8 +30,13 @@ from __future__ import annotations
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # repro.cfront imports this module
+    from .cfront.errors import Location
 
 __all__ = [
+    "ReproError",
     "DecodeError",
     "CorruptStreamError",
     "TruncatedStreamError",
@@ -39,15 +50,32 @@ __all__ = [
     "OverloadedError",
     "CircuitOpenError",
     "CancelledWorkError",
+    "CompileError",
+    "CodegenError",
+    "VMError",
 ]
 
 
-class DecodeError(Exception):
-    """Root of the decode-side error taxonomy.
+class ReproError(Exception):
+    """Root of every failure the toolchain raises on purpose.
 
-    Anything a decoder raises because of the *input bytes* (rather than a
-    bug or an environmental failure) is a ``DecodeError``.
+    ``retryable`` tells a client whether re-sending the same request later
+    can succeed; ``retry_after`` (seconds, optional) is the server's hint
+    for how long to wait first.  The root itself names no family.
     """
+
+    taxonomy = "internal"
+    outcome = "internal_error"
+    retryable = False
+    retry_after: Optional[float] = None
+
+
+class DecodeError(ReproError):
+    """The decode family: anything a decoder raises because of the *input
+    bytes* (rather than a bug or an environmental failure)."""
+
+    taxonomy = "decode"
+    outcome = "decode_error"
 
 
 class CorruptStreamError(DecodeError, ValueError):
@@ -103,28 +131,12 @@ class ResourceLimits:
 DEFAULT_LIMITS = ResourceLimits()
 
 
-# ---------------------------------------------------------------------------
-# Service-side taxonomy
-# ---------------------------------------------------------------------------
-#
-# The long-lived front end (:mod:`repro.service`) replies to every failed
-# request with a structured error naming one of these classes (or one of
-# the decode classes above, for corrupt frames and containers).  They
-# mirror the decode taxonomy's design: typed, catchable at one root, and
-# carrying enough machine-readable state (``retryable``, ``retry_after``)
-# for a client to act sensibly without parsing message strings.
+class ServiceError(ReproError):
+    """The service family: the long-lived front end (:mod:`repro.service`)
+    refused or abandoned a request."""
 
-
-class ServiceError(Exception):
-    """Root of the service-side error taxonomy.
-
-    ``retryable`` tells a client whether re-sending the same request later
-    can succeed; ``retry_after`` (seconds, optional) is the server's hint
-    for how long to wait first.
-    """
-
-    retryable: bool = False
-    retry_after: "float | None" = None
+    taxonomy = "service"
+    outcome = "service_error"
 
 
 class DeadlineExceededError(ServiceError):
@@ -132,11 +144,14 @@ class DeadlineExceededError(ServiceError):
     in-flight work was cancelled.  Not retryable as-is — the same request
     with the same deadline will most likely time out again."""
 
+    outcome = "deadline"
+
 
 class OverloadedError(ServiceError):
     """Load shedding: the admission queue was full, so the request was
     rejected *before* consuming pipeline resources.  Always retryable."""
 
+    outcome = "shed"
     retryable = True
 
     def __init__(self, message: str, retry_after: float = 0.05) -> None:
@@ -149,6 +164,7 @@ class CircuitOpenError(ServiceError):
     the request was rejected without running.  Retryable once the breaker
     half-opens (``retry_after`` seconds)."""
 
+    outcome = "breaker_open"
     retryable = True
 
     def __init__(self, message: str, retry_after: float = 1.0) -> None:
@@ -162,7 +178,37 @@ class CancelledWorkError(ServiceError):
     unit was still compiling.  Retryable: finished stages stay cached,
     so a retry resumes where the cancelled attempt stopped."""
 
+    outcome = "cancelled"
     retryable = True
+
+
+class CompileError(ReproError):
+    """The compile family: the source cannot be compiled.  The front end
+    raises it for lexical, syntactic and semantic errors, at the source
+    ``location`` when one is known; the back end raises its subclass."""
+
+    taxonomy = "compile"
+    outcome = "compile_error"
+
+    def __init__(self, message: str,
+                 location: Optional["Location"] = None) -> None:
+        self.message = message
+        self.location = location
+        prefix = f"{location}: " if location else ""
+        super().__init__(f"{prefix}{message}")
+
+
+class CodegenError(CompileError):
+    """The back end cannot translate a tree (e.g. register pressure)."""
+
+
+class VMError(ReproError):
+    """The run family: any runtime fault (bad memory access, bad opcode,
+    step overrun) of the VM or of BRISC interpreted in place."""
+
+    taxonomy = "run"
+    outcome = "run_error"
+
 
 # Exceptions a decode boundary converts into the typed taxonomy.  TypeError
 # and arithmetic errors are included deliberately: a malformed blob can

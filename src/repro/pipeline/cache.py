@@ -28,7 +28,6 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..errors import DecodeError
 from .artifacts import Artifact
 
 __all__ = [
@@ -137,16 +136,9 @@ class DiskCache(ArtifactCache):
         try:
             with open(path, "rb") as f:
                 artifact = pickle.load(f)
-        except DecodeError:
-            # A payload's own integrity checks fired while materializing
-            # (e.g. a CRC-framed container embedded in the artifact): the
-            # entry is corrupt on disk, so remove it and recompile.
-            self._drop(path)
-            self._miss()
-            return None
         # Unpickling arbitrary corrupt bytes can raise nearly anything
-        # (UnpicklingError, ValueError, EOFError, ImportError, ...); any
-        # unreadable entry is simply a miss.
+        # (UnpicklingError, ValueError, EOFError, ImportError, a payload's
+        # own DecodeError, ...); any unreadable entry is simply a miss.
         except Exception:
             if path.exists():
                 self._drop(path)

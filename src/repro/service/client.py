@@ -46,7 +46,7 @@ class RemoteServiceError(ServiceError):
 
     ``error_type`` is the server-side exception class name (e.g.
     ``"DeadlineExceededError"``, ``"CorruptStreamError"``), ``taxonomy``
-    the family (``service`` / ``decode`` / ``compile`` / ``internal``).
+    its family (see :mod:`repro.errors`).
     """
 
     def __init__(self, error: Dict[str, Any]) -> None:

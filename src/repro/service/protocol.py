@@ -22,10 +22,10 @@ Error classification drives the server's connection policy:
   stream cannot be resynchronized: reply, then close;
 * :class:`TruncatedStreamError` — the peer vanished mid-frame: close.
 
-``error_payload`` maps any exception from the :mod:`repro.errors`
-taxonomies (plus :class:`repro.cfront.CompileError`) to the structured
-reply dict, carrying ``retryable`` / ``retry_after`` so clients can act
-without parsing message strings.
+``error_payload`` turns any exception into the structured reply dict: a
+:class:`~repro.errors.ReproError` names its own family, and carries
+``retryable`` / ``retry_after`` so clients can act without parsing
+message strings.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import zlib
 from typing import Any, Dict, Optional
 
 from ..errors import (
-    CorruptStreamError, ResourceLimitError, ServiceError,
-    TruncatedStreamError, UnsupportedFormatError, decode_guard,
+    CorruptStreamError, ReproError, ResourceLimitError, TruncatedStreamError,
+    UnsupportedFormatError, decode_guard,
 )
 
 __all__ = [
@@ -211,28 +211,17 @@ async def read_frame_async(reader, max_frame: int = MAX_FRAME_BYTES
 def error_payload(exc: Exception) -> Dict[str, Any]:
     """The structured ``error`` object for a failed request.
 
-    ``type`` is the exception class name (stable across the taxonomies),
-    ``taxonomy`` names the family, and ``retryable`` / ``retry_after``
-    carry the service hierarchy's retry hints.
+    ``type`` is the exception class name, ``taxonomy`` its class's family
+    (``internal`` outside :class:`~repro.errors.ReproError`), and
+    ``retryable`` / ``retry_after`` carry the error's retry hints.
     """
-    from ..cfront import CompileError
-    from ..errors import DecodeError
-
-    if isinstance(exc, ServiceError):
-        taxonomy = "service"
-    elif isinstance(exc, DecodeError):
-        taxonomy = "decode"
-    elif isinstance(exc, CompileError):
-        taxonomy = "compile"
-    else:
-        taxonomy = "internal"
+    typed = isinstance(exc, ReproError)
     payload: Dict[str, Any] = {
         "type": type(exc).__name__,
-        "taxonomy": taxonomy,
+        "taxonomy": type(exc).taxonomy if typed else "internal",
         "message": str(exc),
-        "retryable": bool(getattr(exc, "retryable", False)),
+        "retryable": typed and exc.retryable,
     }
-    retry_after = getattr(exc, "retry_after", None)
-    if retry_after is not None:
-        payload["retry_after"] = retry_after
+    if typed and exc.retry_after is not None:
+        payload["retry_after"] = exc.retry_after
     return payload

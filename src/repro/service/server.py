@@ -40,10 +40,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from ..cfront import CompileError
 from ..errors import (
-    CancelledWorkError, CircuitOpenError, CorruptStreamError,
-    DeadlineExceededError, DecodeError, OverloadedError, ServiceError,
+    CancelledWorkError, CircuitOpenError, CompileError, CorruptStreamError,
+    DeadlineExceededError, DecodeError, OverloadedError, ReproError,
     TruncatedStreamError,
 )
 from ..pipeline import Toolchain
@@ -208,20 +207,8 @@ class _Metrics:
 def _outcome_of(exc: Optional[BaseException]) -> str:
     if exc is None:
         return "ok"
-    if isinstance(exc, DeadlineExceededError):
-        return "deadline"
-    if isinstance(exc, OverloadedError):
-        return "shed"
-    if isinstance(exc, CircuitOpenError):
-        return "breaker_open"
-    if isinstance(exc, CancelledWorkError):
-        return "cancelled"
-    if isinstance(exc, ServiceError):
-        return "service_error"
-    if isinstance(exc, CompileError):
-        return "compile_error"
-    if isinstance(exc, DecodeError):
-        return "decode_error"
+    if isinstance(exc, ReproError):
+        return type(exc).outcome
     return "internal_error"
 
 
@@ -480,7 +467,7 @@ class CompressionService:
             result = await self._admit_and_execute(op, message, unit,
                                                    deadline)
         except (DeadlineExceededError, CompileError):
-            # Unit-health signals: repeated timeouts or front-end failures
+            # Unit-health signals: repeated timeouts or compile failures
             # trip the breaker.  Decode errors (the client's blob was bad)
             # and shedding (we never ran) deliberately do not.
             breaker.record_failure()

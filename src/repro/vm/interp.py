@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import VMError
 from ..ir.tree import PtrInit, ScalarInit
 from .instr import VMFunction, VMProgram
 from .isa import NUM_FREGS, NUM_IREGS, Operand, REG_RA, REG_SP, SPEC, SYSCALLS
@@ -42,10 +43,6 @@ def _s32(value: int) -> int:
 
 def _u32(value: int) -> int:
     return value & _U32
-
-
-class VMError(Exception):
-    """Any runtime fault: bad memory access, bad opcode, step overrun."""
 
 
 @dataclass
@@ -146,7 +143,7 @@ class Interpreter:
     # -- memory helpers ------------------------------------------------------
 
     def _check(self, address: int, size: int) -> None:
-        if address < GLOBAL_BASE or address + size > len(self.memory):
+        if not GLOBAL_BASE <= address <= address + size <= len(self.memory):
             raise VMError(f"memory access out of range: {address:#x}+{size}")
 
     def load(self, address: int, size: int, signed: bool) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.brisc import compress
-from repro.cfront.errors import CompileError, Diagnostics, Location
+from repro.cfront.errors import CompileError, Location
 from repro.vm.instr import Instr, VMFunction, VMProgram
 
 
@@ -66,19 +66,19 @@ class TestErrors:
         err = CompileError("boom")
         assert str(err) == "boom"
 
-    def test_diagnostics_accumulates(self):
-        d = Diagnostics(limit=5)
-        d.error("one")
-        d.error("two")
-        assert not d.ok
-        with pytest.raises(CompileError):
-            d.check()
+    def test_families_share_one_root_under_their_old_paths(self):
+        from repro import cfront, codegen, errors, vm
+        from repro.codegen import riscgen
+        from repro.vm import interp
 
-    def test_diagnostics_limit_raises(self):
-        d = Diagnostics(limit=2)
-        d.error("one")
-        with pytest.raises(CompileError):
-            d.error("two")
+        assert CompileError is cfront.CompileError is errors.CompileError
+        assert codegen.CodegenError is riscgen.CodegenError \
+            is errors.CodegenError
+        assert vm.VMError is interp.VMError is errors.VMError
+        for family in (errors.DecodeError, errors.ServiceError,
+                       errors.CompileError, errors.VMError):
+            assert issubclass(family, errors.ReproError)
+        assert issubclass(errors.CodegenError, errors.CompileError)
 
 
 class TestVMProgramAPI:

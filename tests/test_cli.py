@@ -111,11 +111,36 @@ def test_brisc_roundtrip_via_cli(hello_c, tmp_path, capsys):
     assert capsys.readouterr().out == "49\n"
 
 
-def test_compile_error_reported(tmp_path, capsys):
+#: Sources that fail in the front end, at run time, and in the back end.
+FAILING = {
+    "undeclared": "int main(void) { return undeclared; }",
+    "division-by-zero":
+        "int main(void){int a=1; int b=0; print_int(a/b); return 0;}",
+    "register-pressure": (
+        "double d=3.0; int main(void){ return (int)(d*9.0 + (d*8.0 + "
+        "(d*7.0 + (d*6.0 + (d*5.0 + (d*4.0 + (d*3.0 + (d*2.0 + d)))))))); }"),
+}
+
+
+@pytest.mark.parametrize("source", FAILING.values(), ids=FAILING.keys())
+def test_compile_error_reported(tmp_path, capsys, source):
     bad = tmp_path / "bad.c"
-    bad.write_text("int main(void) { return undeclared; }")
+    bad.write_text(source)
     assert main(["run", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_corrupt_image_reported(hello_c, tmp_path, capsys):
+    image = tmp_path / "hello.brisc"
+    assert main(["brisc", hello_c, "-o", str(image)]) == 0
+    blob = bytearray(image.read_bytes())
+    blob[8] ^= 1  # the first payload bit: the CRC no longer matches
+    image.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["exec-brisc", str(image)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_input_reported(capsys):

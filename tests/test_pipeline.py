@@ -40,6 +40,11 @@ int main(void) { print_int(cube(3)); return 0; }
 
 BAD = "int main(void) { return undeclared; }"
 
+#: Valid C that needs more double scratch registers than codegen has.
+REGISTER_PRESSURE = (
+    "double d=3.0; int main(void){ return (int)(d*9.0 + (d*8.0 + (d*7.0 + "
+    "(d*6.0 + (d*5.0 + (d*4.0 + (d*3.0 + (d*2.0 + d)))))))); }")
+
 
 def nested_parens(depth):
     return f"int main(void) {{ return {'(' * depth}1{')' * depth}; }}"
@@ -243,27 +248,33 @@ def test_batch_serial_error_isolation():
     tc = Toolchain()
     items = tc.compile_many(
         [("a", SMALL), ("bad", BAD), ("b", OTHER),
-         ("deep", TOO_DEEP["parens-64"])],
+         ("deep", TOO_DEEP["parens-64"]), ("regs", REGISTER_PRESSURE),
+         ("c", SMALL)],
         stages=CHEAP_STAGES)
-    assert [it.unit for it in items] == ["a", "bad", "b", "deep"]
-    assert items[0].ok and items[2].ok
+    assert [it.unit for it in items] == ["a", "bad", "b", "deep", "regs", "c"]
+    assert items[0].ok and items[2].ok and items[5].ok
     assert not items[1].ok
     assert items[1].error_type == "CompileError"
     assert "undeclared" in items[1].error
     assert items[3].error_type == "CompileError"
     assert "nests too deeply" in items[3].error
+    assert items[4].error_type == "CodegenError"
+    assert "scratch registers" in items[4].error
 
 
 def test_batch_parallel_error_isolation_and_order():
     tc = Toolchain()
     items = tc.compile_many(
         [("a", SMALL), ("bad", BAD), ("b", OTHER),
-         ("deep", TOO_DEEP["parens-64"])],
+         ("deep", TOO_DEEP["parens-64"]), ("regs", REGISTER_PRESSURE),
+         ("c", SMALL)],
         workers=2)
-    assert [it.index for it in items] == [0, 1, 2, 3]
+    assert [it.index for it in items] == [0, 1, 2, 3, 4, 5]
     assert items[0].ok and items[2].ok and not items[1].ok
     assert items[1].error_type == "CompileError"
     assert items[3].error_type == "CompileError"
+    assert items[4].error_type == "CodegenError"
+    assert items[5].ok
 
 
 def test_batch_parallel_matches_serial_bytes():

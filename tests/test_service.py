@@ -30,6 +30,7 @@ from random import Random
 
 import pytest
 
+from repro import errors
 from repro.errors import (
     CircuitOpenError, CorruptStreamError, ResourceLimitError,
     TruncatedStreamError, UnsupportedFormatError,
@@ -40,7 +41,7 @@ from repro.service import (
     ServiceClient, ServiceConfig,
 )
 from repro.service import protocol
-from repro.service.server import CircuitBreaker
+from repro.service.server import CircuitBreaker, _outcome_of
 
 HELLO = """
 int sq(int x) { return x * x; }
@@ -48,6 +49,11 @@ int main(void) { print_int(sq(7)); putchar('\\n'); return 0; }
 """
 
 BAD = "int main(void) { return undeclared; }"
+
+#: Valid C that needs more double scratch registers than codegen has.
+REGISTER_PRESSURE = (
+    "double d=3.0; int main(void){ return (int)(d*9.0 + (d*8.0 + (d*7.0 + "
+    "(d*6.0 + (d*5.0 + (d*4.0 + (d*3.0 + (d*2.0 + d)))))))); }")
 
 #: A superscript two is a Unicode digit but not a C one.
 NOT_A_DIGIT = "int main(void) { int x = \u00b2; return 0; }"
@@ -151,6 +157,39 @@ def test_error_payload_carries_retry_hints():
     assert decode["taxonomy"] == "decode" and not decode["retryable"]
 
 
+#: What the service makes of each class in ``repro.errors``: the reply's
+#: taxonomy, the metrics outcome, and the reply's retryable flag.
+CLASSIFICATION = {
+    "ReproError": ("internal", "internal_error", False),
+    "DecodeError": ("decode", "decode_error", False),
+    "CorruptStreamError": ("decode", "decode_error", False),
+    "TruncatedStreamError": ("decode", "decode_error", False),
+    "UnsupportedFormatError": ("decode", "decode_error", False),
+    "ResourceLimitError": ("decode", "decode_error", False),
+    "ServiceError": ("service", "service_error", False),
+    "DeadlineExceededError": ("service", "deadline", False),
+    "OverloadedError": ("service", "shed", True),
+    "CircuitOpenError": ("service", "breaker_open", True),
+    "CancelledWorkError": ("service", "cancelled", True),
+    "CompileError": ("compile", "compile_error", False),
+    "CodegenError": ("compile", "compile_error", False),
+    "VMError": ("run", "run_error", False),
+}
+
+
+def test_every_error_class_is_classified_by_its_attributes():
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert set(classes) == set(CLASSIFICATION)
+    cases = [(classes[name]("boom"), row)
+             for name, row in CLASSIFICATION.items()]
+    cases.append((RuntimeError("boom"), ("internal", "internal_error", False)))
+    for exc, row in cases:
+        payload = protocol.error_payload(exc)
+        got = (payload["taxonomy"], _outcome_of(exc), payload["retryable"])
+        assert got == row, type(exc).__name__
+
+
 # ---------------------------------------------------------------------------
 # circuit breaker (unit)
 # ---------------------------------------------------------------------------
@@ -225,14 +264,21 @@ def test_wire_blob_round_trips_through_verify():
 def test_compile_error_is_structured_compile_taxonomy():
     with make_service() as bg:
         with ServiceClient(port=bg.port, timeout=10.0) as client:
-            # An undeclared name, and nesting past the parser's limit.
-            for name, source in (("bad.c", BAD), ("deep.c", TOO_DEEP)):
+            # An undeclared name, nesting past the parser's limit, and a
+            # back-end failure (out of double scratch registers).
+            for name, source, error_type in (
+                    ("bad.c", BAD, "CompileError"),
+                    ("deep.c", TOO_DEEP, "CompileError"),
+                    ("regs.c", REGISTER_PRESSURE, "CodegenError")):
                 with pytest.raises(RemoteServiceError) as exc_info:
                     client.compile(source, name=name)
-                assert exc_info.value.error_type == "CompileError"
+                assert exc_info.value.error_type == error_type
                 assert exc_info.value.taxonomy == "compile"
                 assert not exc_info.value.retryable
                 assert client.ping() == {"pong": True}  # connection survives
+            service = client.stats()["service"]
+            assert service["outcomes"]["compile_error"] == 3
+            assert service["breakers"]["regs.c"]["failures"] == 1
 
 
 def test_non_c_digit_is_a_compile_error():

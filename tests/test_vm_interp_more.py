@@ -123,6 +123,15 @@ class TestBlockCopy:
         with pytest.raises(VMError):
             run_value("li n1,16\nli n2,0\nblkcpy n1,n2,8")
 
+    @pytest.mark.parametrize("length", [-1, -0x8000_0000])
+    def test_negative_length_faults(self, length):
+        with pytest.raises(VMError, match="out of range"):
+            run_value(f"""
+                mov.i n2,sp
+                addi.i n2,n2,-8
+                blkcpy n2,n2,{length}
+            """)
+
 
 class TestAccounting:
     def test_interpreter_reusable_state_isolated(self):

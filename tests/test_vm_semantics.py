@@ -10,6 +10,9 @@ output and heap, and either the returned ``(func, pc, halt)`` or the
 sha256 of those records per mnemonic; it was generated from the
 interpreter's ``if``/``elif`` dispatch at commit e5dd36c, and the
 per-mnemonic table that replaced the chain reproduces it unchanged.
+Only ``blkcpy``'s line has changed since: a negative length (−1 or
+INT_MIN on the grid) now faults as out of range instead of copying
+nothing.
 
 Regenerate it only for an intended change of semantics::
 
