@@ -1,8 +1,8 @@
 """Diagnostics for the C front end.
 
-All front-end phases raise :class:`CompileError` with a source location;
-the driver converts locations to ``file:line:col`` text.  The class is
-the compile family of :mod:`repro.errors`, re-exported here.
+All front-end phases raise :class:`CompileError` with a source location,
+which prints as ``file:line:col``.  The class is the compile family of
+:mod:`repro.errors`, re-exported here.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ import pytest
 import repro.__main__
 from repro.__main__ import main
 
+from .test_pipeline import REGISTER_PRESSURE
+
 HELLO = """
 int sq(int x) { return x * x; }
 int main(void) { print_int(sq(7)); putchar('\\n'); return 0; }
@@ -116,9 +118,7 @@ FAILING = {
     "undeclared": "int main(void) { return undeclared; }",
     "division-by-zero":
         "int main(void){int a=1; int b=0; print_int(a/b); return 0;}",
-    "register-pressure": (
-        "double d=3.0; int main(void){ return (int)(d*9.0 + (d*8.0 + "
-        "(d*7.0 + (d*6.0 + (d*5.0 + (d*4.0 + (d*3.0 + (d*2.0 + d)))))))); }"),
+    "register-pressure": REGISTER_PRESSURE,
 }
 
 

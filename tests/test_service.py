@@ -43,17 +43,14 @@ from repro.service import (
 from repro.service import protocol
 from repro.service.server import CircuitBreaker, _outcome_of
 
+from .test_pipeline import REGISTER_PRESSURE
+
 HELLO = """
 int sq(int x) { return x * x; }
 int main(void) { print_int(sq(7)); putchar('\\n'); return 0; }
 """
 
 BAD = "int main(void) { return undeclared; }"
-
-#: Valid C that needs more double scratch registers than codegen has.
-REGISTER_PRESSURE = (
-    "double d=3.0; int main(void){ return (int)(d*9.0 + (d*8.0 + (d*7.0 + "
-    "(d*6.0 + (d*5.0 + (d*4.0 + (d*3.0 + (d*2.0 + d)))))))); }")
 
 #: A superscript two is a Unicode digit but not a C one.
 NOT_A_DIGIT = "int main(void) { int x = \u00b2; return 0; }"
