@@ -8,7 +8,9 @@ from repro.brisc.encode import parse_image
 from repro.brisc.markov import CTX_BB, CTX_ENTRY, build_markov
 from repro.brisc.slots import build_slots
 from repro.corpus.samples import SAMPLES
+from repro.errors import CorruptStreamError, TruncatedStreamError
 from repro.vm import run_program
+from repro.vm.instr import Instr
 
 
 def compile_sample(name):
@@ -196,6 +198,71 @@ class TestForgedImages:
             decompress(forged)
         with pytest.raises(CorruptStreamError, match="alignment 0"):
             run_image(forged)
+
+
+_MOV = Instr("mov.i", (1, 2))
+_HLT = Instr("hlt", ())
+_LI_H = Instr("li", (1, 1000))  # an ``h`` operand: e8 03
+
+#: One forged slot per check of the slot reader: the instructions of a
+#: ``single_function_image``, its code bytes forged (same length), the
+#: error and a substring of its message, and the substring the JIT raises
+#: where it reads those bytes (it splices operands raw, so it never reads
+#: a symbol index).
+_FORGED_SLOTS = [
+    # mov.i's opcode byte 00 in the entry context (-1) becomes 05.
+    pytest.param((_MOV, _HLT), "051200", CorruptStreamError,
+                 "invalid opcode byte 5 in context -1",
+                 "invalid opcode byte 5 in context -1", id="opcode-byte"),
+    pytest.param((_LI_H, _HLT), "ff341203" "00", CorruptStreamError,
+                 "slot references pattern 4660 of 2",
+                 "slot references pattern 4660 of 2", id="escaped-id"),
+    pytest.param((_MOV, _HLT), "0012" "ff", TruncatedStreamError,
+                 "image ends before escaped pattern id",
+                 "image ends before escaped pattern id", id="escape-cut"),
+    # The last byte, hlt's opcode, becomes mov.i's, whose nibbles are cut.
+    pytest.param((_MOV, Instr("mov.i", (3, 4)), _HLT), "0012003400",
+                 TruncatedStreamError, "image ends before operand nibbles",
+                 "image ends before the operands of a slot in main",
+                 id="nibbles-cut"),
+    # An escape to li's pattern; its nibble byte fits, its ``h`` does not.
+    pytest.param((_LI_H, _HLT), "ff0000" "10e8", TruncatedStreamError,
+                 "image ends before 'h' operand",
+                 "image ends before the operands of a slot in main",
+                 id="wide-cut"),
+    pytest.param((Instr("jmp", ("L0",)),), "00" "0300", CorruptStreamError,
+                 "label offset 3 beyond code of 3 bytes in 'main'",
+                 "branch to mid-slot offset 3 in main", id="label-past-code"),
+    # The symbol table holds one name, main; index 1 is past it.
+    pytest.param((Instr("la", (1, "main")), _HLT), "0010" "0100" "00",
+                 CorruptStreamError, "symbol index 1 of 1", None,
+                 id="symbol-past-table"),
+]
+
+
+@pytest.mark.parametrize("insns, code, error, message, jit_message",
+                         _FORGED_SLOTS)
+def test_every_slot_reader_check_raises_typed(insns, code, error, message,
+                                              jit_message):
+    """Each check of the slot reader, on one forged slot, through every
+    consumer that reads it: decompression, in-place interpretation with
+    and without the decode cache, and the JIT."""
+    import re
+
+    from repro.brisc import run_image
+    from repro.jit import jit_compile
+
+    blob = single_function_image(*insns)
+    decompress(blob)  # the image is sound before the forgery
+    forged = with_code(blob, bytes.fromhex(code))
+    with pytest.raises(error, match=re.escape(message)):
+        decompress(forged)
+    for cached in (True, False):
+        with pytest.raises(error, match=re.escape(message)):
+            run_image(forged, cache_decoded=cached)
+    if jit_message is not None:
+        with pytest.raises(error, match=re.escape(jit_message)):
+            jit_compile(forged)
 
 
 class TestContainerIntegrity:

@@ -89,17 +89,64 @@ class TestEquivalence:
         assert result.exit_code == 81
 
     def test_jump_into_mid_block_rejected(self):
-        from repro.brisc.encode import slot_context
+        """A jump lands on a slot that is no block start, so no context
+        decodes it: ``jmp L0; mov.i; hlt`` with the label forged to hlt's
+        offset, 5."""
+        from repro.brisc.encode import parse_image, slot_context
+        from repro.vm.instr import Instr
         from repro.vm.interp import VMError
+        from .test_brisc_encode import single_function_image, with_code
 
-        prog = compile_sample("wc")
-        cp = compress(prog)
-        interp = BriscInterpreter(cp.image.blob)
-        fn = interp._image.functions[0]
-        assert 1 not in fn.bb_offsets
-        assert slot_context(fn, 1, None) is None  # offset 1 is mid-slot
-        with pytest.raises(VMError):
-            interp._fetch_slot(0, 1, None)  # reached by a jump
+        blob = single_function_image(Instr("jmp", ("L0",)),
+                                     Instr("mov.i", (1, 2)), Instr("hlt", ()))
+        forged = with_code(blob, bytes.fromhex("00" "0500" "0012" "00"))
+        fn = parse_image(forged).functions[0]
+        assert 5 not in fn.bb_offsets
+        assert slot_context(fn, 5, None) is None  # reached by a jump
+        for cached in (True, False):
+            with pytest.raises(VMError, match="jump into mid-block offset 5"):
+                run_image(forged, cache_decoded=cached)
+
+
+class TestStepAccounting:
+    """Both interpreters count steps exactly as ``Interpreter._exec``
+    does, and every slot decode goes through the ``decode_slot`` name
+    that the benchmark's tracer wraps."""
+
+    def test_overrun_counts_the_step_that_overran(self):
+        from repro.vm.interp import Interpreter, VMError
+
+        prog = repro.compile_c("int main(void) { for (;;) ; return 0; }")
+        blob = compress(prog).image.blob
+        interps = [Interpreter(prog, max_steps=1000)] + [
+            BriscInterpreter(blob, max_steps=1000, cache_decoded=cached)
+            for cached in (True, False)]
+        for interp in interps:
+            with pytest.raises(VMError, match="^exceeded 1000 steps$"):
+                interp.run()
+            assert interp.steps == 1001
+
+    def test_decodes_counted_through_the_traced_name(self, monkeypatch):
+        import repro.brisc.interp
+
+        real = repro.brisc.interp.decode_slot
+        calls = []
+
+        def counting(*args):
+            calls.append((args[1].name, args[2]))  # (function, offset)
+            return real(*args)
+
+        monkeypatch.setattr(repro.brisc.interp, "decode_slot", counting)
+        blob = compress(compile_sample("wc")).image.blob
+        visited = {}
+        for cached in (False, True):
+            calls.clear()
+            interp = BriscInterpreter(blob, cache_decoded=cached)
+            assert interp.run().output == _EXPECTED["wc"]
+            assert len(calls) == interp.slots_decoded
+            visited[cached] = set(calls)
+        assert interp.slots_decoded == len(visited[True])  # once per slot
+        assert visited[True] == visited[False]
 
 
 class TestNonfiniteConversion:
