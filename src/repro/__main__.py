@@ -33,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+from typing import List
 
 from .brisc import run_image
 from .errors import ReproError
@@ -137,6 +138,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _names(text: str) -> List[str]:
+    """The names of a comma-separated option value such as ``wc,gcc``."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def cmd_tables(args) -> int:
     # The bench measurement helpers compile through default_toolchain(),
     # which the top-level cache flags do not reach.
@@ -148,8 +154,9 @@ def cmd_tables(args) -> int:
     from .bench import regen
 
     try:
-        report = regen.regenerate_tables(units=args.units,
-                                         skip_interp=args.skip_interp)
+        report = regen.regenerate_tables(
+            units=None if args.units is None else _names(args.units),
+            skip_interp=args.skip_interp)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -230,8 +237,8 @@ def cmd_fuzz(args) -> int:
     from .ir import dump_module
     from .wire import decode_module
 
-    units = [u.strip() for u in args.units.split(",") if u.strip()]
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    units = _names(args.units)
+    formats = _names(args.formats)
     unknown = set(formats) - {"wire", "brisc", "wire3", "brisc3"}
     if unknown:
         print(f"error: unknown formats {sorted(unknown)}", file=sys.stderr)
@@ -513,8 +520,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "tables", help="measure and regenerate the EXPERIMENTS.md tables")
-    p.add_argument("--units", nargs="+", metavar="UNIT", default=None,
-                   help="suite units to rebuild (default: the full suite)")
+    p.add_argument("--units", default=None,
+                   help="comma-separated suite units to rebuild (default: "
+                        "the full suite)")
     p.add_argument("--results-dir", default="benchmarks/results",
                    help="directory receiving table1.txt..table3.txt")
     p.add_argument("--skip-interp", action="store_true",

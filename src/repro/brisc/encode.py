@@ -12,9 +12,11 @@ semantics are preserved exactly (labels are regenerated as ``L<offset>``).
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..compress.bitio import (
     DOUBLE, read_name, read_uvarint, take_bytes, unzigzag, write_name,
@@ -246,6 +248,12 @@ class DecodedImage:
     functions: List["DecodedFunction"] = field(default_factory=list)
     _symbols: Optional[Tuple[List[str], Dict[str, int]]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: Each pattern's :class:`SlotPlan`, built by its first decode.
+    _plans: List[Optional["SlotPlan"]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._plans = [None] * len(self.patterns)
 
     def symbol_table(self) -> Tuple[List[str], Dict[str, int]]:
         """The symbol index space, function names first and then the
@@ -475,6 +483,90 @@ def resolve_opcode(image: DecodedImage, fn: DecodedFunction, offset: int,
     return pid, offset
 
 
+#: Each wide operand class's code in the little-endian, unpadded ``struct``
+#: format that reads all of a slot's wide operands at once.
+_WIDE_CODES = {"b": "b", "h": "h", "w": "i", "l": "H", "s": "H", "d": "d"}
+#: Compiled wide formats, shared by every plan that reads the same classes.
+_WIDE_STRUCTS: Dict[str, struct.Struct] = {}
+#: Every byte's (high, low) nibbles: the order nibble operands pack in.
+_NIBBLE_PAIRS = [(byte >> 4, byte & 0xF) for byte in range(256)]
+
+
+class SlotPlan(NamedTuple):
+    """How the slots of one pattern decode, built on the pattern's first
+    decode and then indexed on every visit.
+
+    A slot's *values* are its nibbles (padding included), then its wide
+    operands, then the pattern's burned fields.  ``fixes`` lists, in
+    operand class order, the values to check or convert — ``n4`` scales,
+    ``f`` checks a register, ``l`` a label offset, ``s`` a symbol index —
+    and then each burned symbol's ``name``.  Each part's getter picks its
+    operands out of the values.  A plan holds no caller's symbol table.
+    """
+
+    nibble_bytes: int
+    wide: Optional[struct.Struct]
+    wide_bytes: int
+    #: (end within the wide operands, class) per wide operand.
+    cuts: Tuple[Tuple[int, str], ...]
+    burned: tuple
+    fixes: Tuple[Tuple[str, int], ...]
+    parts: Tuple[Tuple[str, Callable[[list], tuple]], ...]
+
+
+def _operand_getter(indices: List[int]) -> Callable[[list], tuple]:
+    """A function returning the tuple of ``values[i]`` for ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        index = indices[0]
+        return lambda values: (values[index],)
+    return lambda values: ()
+
+
+def _slot_plan(pattern: DictPattern) -> SlotPlan:
+    """Lay out one pattern's operand bytes and where each operand lands."""
+    _, classes, nnib = pattern.operand_layout()
+    nibble_bytes = (nnib + 1) // 2
+    nibble_at, wide_at = 0, 2 * nibble_bytes  # the next value of each kind
+    fmt, wide_bytes = "<", 0
+    cuts, fixes, wildcards = [], [], []
+    for cls in classes:
+        if cls in _NIBBLE_CLASSES:
+            index, nibble_at = nibble_at, nibble_at + 1
+            if cls != "r":
+                fixes.append((cls, index))
+        else:
+            index, wide_at = wide_at, wide_at + 1
+            fmt += _WIDE_CODES[cls]
+            wide_bytes += _BYTE_SIZES[cls]
+            cuts.append((wide_bytes, cls))
+            if cls in ("l", "s"):
+                fixes.append((cls, index))
+        wildcards.append(index)
+    taken = iter(wildcards)
+    burned: List[object] = []
+    parts = []
+    for part in pattern.parts:
+        indices = []
+        for f in part.fields:
+            if f.__class__ is not Burned:
+                indices.append(next(taken))
+                continue
+            indices.append(wide_at + len(burned))
+            if f.value.__class__ is str:  # a burned symbol name
+                fixes.append(("name", indices[-1]))
+            burned.append(f.value)
+        parts.append((part.name, _operand_getter(indices)))
+    reader = None
+    if wide_bytes:
+        reader = _WIDE_STRUCTS.get(fmt)
+        if reader is None:
+            reader = _WIDE_STRUCTS[fmt] = struct.Struct(fmt)
+    return SlotPlan(nibble_bytes, reader, wide_bytes, tuple(cuts),
+                    tuple(burned), tuple(fixes), tuple(parts))
+
+
 def decode_slot(
     image: DecodedImage,
     fn: DecodedFunction,
@@ -489,74 +581,63 @@ def decode_slot(
     in ``fn``; a symbol operand, wildcard or burned, is looked up by its
     index in :meth:`DecodedImage.symbol_table` as ``symbols[index]``
     (default: the names themselves), so each caller names both its own
-    way.  Every operand is range-checked.
+    way.  Every operand is range-checked, through the pattern's
+    :class:`SlotPlan`.
     """
     pid, offset = resolve_opcode(image, fn, offset, ctx)
-    pattern = image.patterns[pid]
-    _, classes, nnib = pattern.operand_layout()
-    names, ids = image.symbol_table()
-    if symbols is None:
-        symbols = names
+    plan = image._plans[pid]
+    if plan is None:
+        plan = image._plans[pid] = _slot_plan(image.patterns[pid])
+    nibble_bytes, wide, wide_bytes, cuts, burned, fixes, parts = plan
     code = fn.code
-    end = offset + (nnib + 1) // 2
+    mid = offset + nibble_bytes
+    end = mid + wide_bytes
     if end > len(code):
-        raise TruncatedStreamError("image ends before operand nibbles")
-    nibbles: List[int] = []
-    for byte in code[offset:end]:
-        nibbles += (byte >> 4, byte & 0xF)
-    offset = end
-    values: List[object] = []
-    ni = 0
-    for cls in classes:
-        if cls in _NIBBLE_CLASSES:
-            value = nibbles[ni]
-            ni += 1
-            if cls == "n4":
-                value *= 4
-            elif cls == "f" and value >= NUM_FREGS:
+        if mid > len(code):
+            raise TruncatedStreamError("image ends before operand nibbles")
+        cls = next(cls for cut, cls in cuts if mid + cut > len(code))
+        raise TruncatedStreamError(f"image ends before {cls!r} operand")
+    if nibble_bytes == 1:
+        values = [*_NIBBLE_PAIRS[code[offset]]]
+    else:
+        values = []
+        for byte in code[offset:mid]:
+            values += _NIBBLE_PAIRS[byte]
+    if wide is not None:
+        values += wide.unpack_from(code, mid)
+    values += burned
+    for check, index in fixes:
+        value = values[index]
+        if check == "n4":
+            values[index] = value * 4
+        elif check == "f":
+            if value >= NUM_FREGS:
                 raise CorruptStreamError(f"register f{value} of {NUM_FREGS}")
-            values.append(value)
-            continue
-        end = offset + _BYTE_SIZES[cls]
-        if end > len(code):
-            raise TruncatedStreamError(f"image ends before {cls!r} operand")
-        if cls == "d":
-            values.append(DOUBLE.unpack_from(code, offset)[0])
-        elif cls == "l":
-            target = code[offset] | code[offset + 1] << 8
-            if target >= len(code):
+        elif check == "l":
+            if value >= len(code):
                 raise CorruptStreamError(
-                    f"label offset {target} beyond code of {len(code)} "
+                    f"label offset {value} beyond code of {len(code)} "
                     f"bytes in {fn.name!r}")
-            values.append(target)
-        elif cls == "s":
-            index = code[offset] | code[offset + 1] << 8
-            if index >= len(names):
-                raise CorruptStreamError(
-                    f"symbol index {index} of {len(names)}")
-            values.append(symbols[index])
-        else:
-            values.append(int.from_bytes(code[offset:end], "little",
-                                         signed=True))
-        offset = end
-    parts = []
-    vi = 0
-    for part in pattern.parts:
-        ops: List[object] = []
-        for f in part.fields:
-            if f.__class__ is not Burned:
-                ops.append(values[vi])
-                vi += 1
-            elif f.value.__class__ is str:  # a burned symbol name
-                index = ids.get(f.value)  # type: ignore[arg-type]
-                if index is None:
+        else:  # a symbol: its index or a burned name
+            names, ids = image.symbol_table()
+            if check == "s":
+                if value >= len(names):
                     raise CorruptStreamError(
-                        f"burned symbol {f.value!r} is not in the image")
-                ops.append(symbols[index])
+                        f"symbol index {value} of {len(names)}")
             else:
-                ops.append(f.value)
-        parts.append((part.name, tuple(ops)))
-    return pid, tuple(parts), offset
+                value = ids.get(value)
+                if value is None:
+                    raise CorruptStreamError(
+                        f"burned symbol {values[index]!r} is not in the "
+                        f"image")
+            values[index] = (names if symbols is None else symbols)[value]
+    if len(parts) == 1:
+        name, get = parts[0]
+        return pid, ((name, get(values)),), end
+    group: tuple = ()
+    for name, get in parts:
+        group += ((name, get(values)),)
+    return pid, group, end
 
 
 def slot_start(starts: Dict[int, int], fn: DecodedFunction,

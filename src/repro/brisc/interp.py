@@ -2,10 +2,12 @@
 
 The interpreter fetches at byte offsets inside the compressed code
 through the image's slot reader (:func:`repro.brisc.encode.decode_slot`,
-which resolves the opcode byte through its Markov context and unpacks the
-operand bytes), and executes the pattern's parts through the same
-instruction semantics as the plain VM interpreter
-(:meth:`repro.vm.interp.Interpreter._exec`).
+which resolves the opcode byte through its Markov context and reads the
+operand bytes through the pattern's decode plan), and executes each
+pattern part through the plain VM's instruction semantics
+(:data:`repro.vm.interp.SEMANTICS`).  Its loop takes a step exactly as
+:meth:`repro.vm.interp.Interpreter._exec` does, inlined: count the step,
+enforce ``max_steps``, call the mnemonic's handler.
 
 Two modes:
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..vm.instr import VMFunction, VMProgram
-from ..vm.interp import Interpreter, VMError
+from ..vm.interp import SEMANTICS, Interpreter, VMError
 from .encode import decode_slot, parse_image, slot_context
 
 __all__ = ["BriscInterpreter", "run_image"]
@@ -65,49 +67,47 @@ class BriscInterpreter(Interpreter):
     def _resolve_function(self, fn: VMFunction):
         return []  # execution decodes from the image instead
 
-    # -- fetch/decode --------------------------------------------------------
-
-    def _fetch_slot(self, func: int, offset: int,
-                    prev_pid: Optional[int]) -> Tuple[_Group, int, int]:
-        """Decode the slot at ``offset``, reached from a slot of pattern
-        ``prev_pid`` (``None`` after a control transfer): (group,
-        next_offset, pattern_id)."""
-        if self._cache_decoded:
-            cached = self._slot_cache.get((func, offset))
-            if cached is not None:
-                return cached
-        fn = self._image.functions[func]
-        ctx = slot_context(fn, offset, prev_pid)
-        if ctx is None:
-            raise VMError(f"jump into mid-block offset {offset}")
-        pid, group, next_offset = decode_slot(self._image, fn, offset, ctx,
-                                              self._symbol_table)
-        self.slots_decoded += 1
-        result = (group, next_offset, pid)
-        if self._cache_decoded:
-            self._slot_cache[(func, offset)] = result
-        return result
-
-    # -- execution -----------------------------------------------------------
-
     def _loop(self, func: int, pc: int) -> int:
+        if self.exit_code is not None:
+            return self.exit_code
+        image = self._image
+        fn = image.functions[func]
+        cache = self._slot_cache if self._cache_decoded else None
         prev_pid: Optional[int] = None
         while True:
-            if self.exit_code is not None:
-                return self.exit_code
-            fn = self._image.functions[func]
             if pc >= len(fn.code):
                 raise VMError(f"fell off the end of {fn.name}")
-            group, next_pc, pid = self._fetch_slot(func, pc, prev_pid)
+            slot = None if cache is None else cache.get((func, pc))
+            if slot is None:
+                # Fall-through decodes in the previous slot's context; a
+                # control transfer must land on a block start, which has
+                # its own.
+                ctx = slot_context(fn, pc, prev_pid)
+                if ctx is None:
+                    raise VMError(f"jump into mid-block offset {pc}")
+                pid, group, next_pc = decode_slot(image, fn, pc, ctx,
+                                                  self._symbol_table)
+                self.slots_decoded += 1
+                slot = (group, next_pc, pid)
+                if cache is not None:
+                    cache[(func, pc)] = slot
+            group, next_pc, pid = slot
             start_func = func
             pc = next_pc
             for name, ops in group:
-                func, pc, halt = self._exec(name, ops, func, pc)
-                if halt is not None:
-                    return halt
-            # Fall-through decodes in this slot's context; a control
-            # transfer lands on a block start, which has its own.
-            prev_pid = pid if (func == start_func and pc == next_pc) else None
+                self.steps += 1
+                if self.steps > self.max_steps:
+                    raise VMError(f"exceeded {self.max_steps} steps")
+                moved = SEMANTICS[name](self, ops, func, pc)
+                if moved is not None:
+                    func, pc, halt = moved
+                    if halt is not None:
+                        return halt
+            if func == start_func and pc == next_pc:
+                prev_pid = pid
+            else:
+                prev_pid = None
+                fn = image.functions[func]
 
 
 def run_image(

@@ -28,6 +28,9 @@ __all__ = ["VMError", "ExecutionResult", "Interpreter", "run_program",
            "GLOBAL_BASE", "FUNC_ADDR_BASE"]
 
 GLOBAL_BASE = 0x1000
+#: Bytes at the top of memory kept for the stack: neither the globals nor
+#: the heap may reach into them.
+STACK_RESERVE = 1 << 16
 FUNC_ADDR_BASE = 0x4000_0000
 RET_ADDR_BASE = 0x5000_0000
 HALT_ADDR = 0x5FFF_FFFF
@@ -87,37 +90,38 @@ class Interpreter:
             address = (address + g.align - 1) // g.align * g.align
             self.symbols[g.name] = address
             address += max(1, g.size)
+        limit = len(self.memory) - STACK_RESERVE
+        if self.program.globals and address > limit:
+            raise VMError(f"globals end at {address:#x}, past {limit:#x}, "
+                          f"where the {STACK_RESERVE}-byte stack reserve "
+                          f"begins")
         self.heap_base = (address + 7) // 8 * 8
         self.heap_ptr = self.heap_base
         # Function "addresses" for function pointers.
         for i, fn in enumerate(self.program.functions):
             self.symbols[fn.name] = FUNC_ADDR_BASE + i
-        # Apply initializers (after all symbols exist, for PtrInit).
+        # Apply initializers (after all symbols exist, for PtrInit), each
+        # through the checked stores, so none can write past memory.
         for g in self.program.globals:
             base = self.symbols[g.name]
             for item in g.items:
                 if isinstance(item, ScalarInit):
                     if isinstance(item.value, float) or item.size == 8:
-                        self.memory[base + item.offset : base + item.offset + 8] = (
-                            struct.pack("<d", float(item.value))
-                        )
+                        self.store_double(base + item.offset, float(item.value))
                     else:
-                        raw = int(item.value) & ((1 << (item.size * 8)) - 1)
-                        self.memory[base + item.offset : base + item.offset + item.size] = (
-                            raw.to_bytes(item.size, "little")
-                        )
+                        self.store(base + item.offset, item.size, int(item.value))
                 else:
                     assert isinstance(item, PtrInit)
                     target = self.symbols.get(item.symbol)
                     if target is None:
                         raise VMError(f"undefined symbol {item.symbol!r} in "
                                       f"initializer of {g.name}")
-                    self.memory[base + item.offset : base + item.offset + 4] = (
-                        target.to_bytes(4, "little")
-                    )
+                    self.store(base + item.offset, 4, target)
 
     def _resolve_function(self, fn: VMFunction):
-        """Pre-resolve labels and symbols to numbers for fast dispatch."""
+        """Each instruction's ``(handler, operands)``: its handler from
+        :data:`SEMANTICS`, and its labels and symbols resolved to
+        numbers."""
         resolved = []
         for instr in fn.code:
             ops: List[object] = []
@@ -137,7 +141,7 @@ class Interpreter:
                         raise VMError(f"undefined symbol {value!r} in {fn.name}")
                 else:
                     ops.append(value)
-            resolved.append((instr.name, tuple(ops)))
+            resolved.append((SEMANTICS[instr.name], tuple(ops)))
         return resolved
 
     # -- memory helpers ------------------------------------------------------
@@ -212,7 +216,7 @@ class Interpreter:
             size = max(1, int(args[0]))  # type: ignore[arg-type]
             aligned = (size + 7) // 8 * 8
             address = self.heap_ptr
-            if address + aligned > len(self.memory) - (1 << 16):
+            if address + aligned > len(self.memory) - STACK_RESERVE:
                 raise VMError("out of heap memory")
             self.heap_ptr += aligned
             result = address
@@ -256,30 +260,37 @@ class Interpreter:
         )
 
     def _loop(self, func: int, pc: int) -> int:
+        # A step is _exec's, inlined: count it, enforce max_steps, run the
+        # handler.  Only a halt sets exit_code, and a halt returns.
+        if self.exit_code is not None:
+            return self.exit_code
         code = self._resolved[func]
         while True:
-            if self.exit_code is not None:
-                return self.exit_code
-            if pc >= len(code):
-                raise VMError(
-                    f"fell off the end of {self.program.functions[func].name}")
-            name, ops = code[pc]
+            try:
+                handler, ops = code[pc]
+            except IndexError:
+                raise VMError(f"fell off the end of "
+                              f"{self.program.functions[func].name}") from None
             pc += 1
-            new_func, pc, halt = self._exec(name, ops, func, pc)
-            if halt is not None:
-                return halt
-            if new_func != func:
-                func = new_func
-                code = self._resolved[func]
+            self.steps += 1
+            if self.steps > self.max_steps:
+                raise VMError(f"exceeded {self.max_steps} steps")
+            moved = handler(self, ops, func, pc)
+            if moved is not None:
+                new_func, pc, halt = moved
+                if halt is not None:
+                    return halt
+                if new_func != func:
+                    func = new_func
+                    code = self._resolved[func]
 
     def _exec(self, name: str, ops, func: int, pc: int):
         """Execute one instruction; returns (func, pc, halt_value_or_None).
 
         ``pc`` is the fall-through continuation (already advanced); control
-        transfers overwrite it.  The one entry both the plain interpreter
-        and the BRISC in-place interpreter execute through: it counts the
-        step, enforces ``max_steps``, then runs the mnemonic's handler from
-        :data:`SEMANTICS`.
+        transfers overwrite it.  One step exactly as both interpreters'
+        loops take it: count the step, enforce ``max_steps``, then run the
+        mnemonic's handler from :data:`SEMANTICS`.
         """
         self.steps += 1
         if self.steps > self.max_steps:

@@ -118,6 +118,8 @@ FAILING = {
     "undeclared": "int main(void) { return undeclared; }",
     "division-by-zero":
         "int main(void){int a=1; int b=0; print_int(a/b); return 0;}",
+    "globals-overflow":
+        "int big[1000000]; int y = 5; int main(void) { return y; }",
     "register-pressure": REGISTER_PRESSURE,
 }
 
@@ -165,6 +167,18 @@ def test_tables_refuses_cache_flags(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "REPRO_DISK_CACHE=1" in err and "REPRO_CACHE_DIR" in err
     assert not cache.exists() and not results.exists()
+
+
+def test_tables_units_is_one_comma_separated_list(tmp_path, monkeypatch):
+    """``tables --units`` takes its list the way ``fuzz --units`` does."""
+    from repro.bench import regen
+
+    asked = []
+    monkeypatch.setattr(regen, "regenerate_tables",
+                        lambda units, skip_interp: asked.append(units) or {})
+    assert main(["tables", "--units", "wc,gcc", "--skip-interp",
+                 "--results-dir", str(tmp_path)]) == 0
+    assert asked == [["wc", "gcc"]]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,31 @@ class TestMemory:
             hlt
         """, globals_=[a, p]).exit_code == 7
 
+    def test_globals_past_the_stack_reserve_fault_at_load(self):
+        """``big`` leaves ``y`` no room below the stack: loading faults on
+        the VM and on BRISC in place, before any initializer can write
+        past memory and grow it."""
+        import repro
+        from repro.brisc import BriscInterpreter, compress, run_image
+        from repro.vm.interp import Interpreter
+
+        program = repro.compile_c(
+            "int big[1000000]; int y = 5; int main(void) { return y; }")
+        blob = compress(program).image.blob
+        loads = [(Interpreter, (program,), {})] + [
+            (BriscInterpreter, (blob,), {"cache_decoded": cached})
+            for cached in (True, False)]
+        for cls, args, kwargs in loads:
+            interp = cls.__new__(cls)
+            with pytest.raises(VMError, match="globals end at 0x3d1904"):
+                interp.__init__(*args, memory_size=1 << 20, **kwargs)
+            assert len(interp.memory) == 1 << 20
+        with pytest.raises(VMError, match="globals end"):
+            run_program(program)
+        for cached in (True, False):
+            with pytest.raises(VMError, match="globals end"):
+                run_image(blob, cache_decoded=cached)
+
 
 class TestControlFlow:
     def test_branch_taken(self):
