@@ -68,10 +68,8 @@ def test_one_function_edit_speedup(results_dir):
     assert delta.artifacts["codegen"].meta.get("derived") is True
 
     speedup = fresh_seconds / delta_seconds
-    assert speedup >= 5.0, (
-        f"incremental rebuild only {speedup:.1f}x faster "
-        f"({delta_seconds:.2f}s vs {fresh_seconds:.2f}s cold)")
-
+    # The table is written before the speed gate, so a failing run still
+    # leaves what it measured.
     save_table(results_dir, "incremental", render_table(
         ["build", "seconds", "speedup", "identical"],
         [
@@ -81,3 +79,6 @@ def test_one_function_edit_speedup(results_dir):
              f"{speedup:.1f}x", "yes"],
         ],
     ))
+    assert speedup >= 5.0, (
+        f"incremental rebuild only {speedup:.1f}x faster "
+        f"({delta_seconds:.2f}s vs {fresh_seconds:.2f}s cold)")

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from ..compress.bitio import (
-    DOUBLE, literal_key, read_byte, read_name, read_uvarint, take_bytes,
-    unzigzag, uvarint, write_name, write_uvarint, zigzag,
+    DOUBLE, literal_key, read_name, read_uvarint, take_bytes, unzigzag,
+    uvarint, write_name, write_uvarint, zigzag,
 )
-from ..errors import CorruptStreamError
+from ..errors import CorruptStreamError, TruncatedStreamError
 from ..vm.instr import Instr
 from ..vm.isa import MNEMONIC, NUM_FREGS, NUM_IREGS, Operand, SPEC
 
@@ -389,6 +389,36 @@ def _write_part(out: bytearray, part: InsnPattern) -> None:
             write_name(out, str(value))
 
 
+#: What a field tag reads as, by operand kind and then tag byte: the one
+#: shared wildcard of each class that can carry the kind (no class
+#: carries two kinds), or, for the tag of a burned value, the tag itself
+#: (the value follows it).  A tag not listed is one no encoder writes
+#: for that kind.
+_FIELD_TAGS = {kind: {0x80 | _CLS_ID[cls]: Wildcard(cls) for cls in classes}
+               for kind, classes in _KIND_CLASSES.items()}
+for _kind, _tag in _BURNED_TAG.items():
+    _FIELD_TAGS[_kind][_tag] = _tag
+#: Per mnemonic id: its name and, per operand, its kind and tag table.
+_PART_READERS = [
+    (name, tuple((kind, _FIELD_TAGS[kind]) for kind in SPEC[name].signature))
+    for name in MNEMONIC
+]
+
+
+def _tag_error(tag: int, kind: Operand, name: str) -> CorruptStreamError:
+    """The error for a field tag no encoder writes for ``kind``."""
+    if tag & 0x80:
+        cls = _CLS_BY_ID.get(tag & 0x7F)
+        if cls is None:
+            return CorruptStreamError(
+                f"unknown wildcard class id {tag & 0x7F}")
+        return CorruptStreamError(
+            f"wildcard class {cls!r} cannot carry a {kind.value} "
+            f"operand of {name}")
+    return CorruptStreamError(
+        f"field tag {tag:#x} cannot carry a {kind.value} operand of {name}")
+
+
 def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
     """Inverse of :func:`serialize_pattern`; returns (pattern, new_pos).
 
@@ -398,35 +428,29 @@ def deserialize_pattern(data: bytes, pos: int) -> Tuple[DictPattern, int]:
     every form no encoder writes: a wildcard class or burned tag that
     does not fit the field's operand kind, a burned label, a burned
     register outside its register file, or a burned immediate wider than
-    32 bits.
+    32 bits.  Wildcard fields are the shared objects of ``_FIELD_TAGS``.
     """
     nparts, pos = read_uvarint(data, pos)
-    if nparts < 1 or nparts > len(data) - pos:
+    end = len(data)
+    if nparts < 1 or nparts > end - pos:
         raise CorruptStreamError(f"pattern with impossible part count {nparts}")
     parts: List[InsnPattern] = []
     for _ in range(nparts):
         mid, pos = read_uvarint(data, pos)
         if mid >= len(MNEMONIC):
             raise CorruptStreamError(f"unknown mnemonic id {mid}")
-        name = MNEMONIC[mid]
-        spec = SPEC[name]
+        name, readers = _PART_READERS[mid]
         fields: List[Field] = []
-        for kind in spec.signature:
-            tag, pos = read_byte(data, pos, "field tag")
-            if tag & 0x80:
-                cls = _CLS_BY_ID.get(tag & 0x7F)
-                if cls is None:
-                    raise CorruptStreamError(
-                        f"unknown wildcard class id {tag & 0x7F}")
-                if cls not in _KIND_CLASSES[kind]:
-                    raise CorruptStreamError(
-                        f"wildcard class {cls!r} cannot carry a {kind.value} "
-                        f"operand of {name}")
-                fields.append(Wildcard(cls))
-            elif tag != _BURNED_TAG.get(kind):
-                raise CorruptStreamError(
-                    f"field tag {tag:#x} cannot carry a {kind.value} operand "
-                    f"of {name}")
+        for kind, tags in readers:
+            if pos >= end:
+                raise TruncatedStreamError("data ends before field tag")
+            tag = data[pos]
+            pos += 1
+            field = tags.get(tag)
+            if field.__class__ is Wildcard:
+                fields.append(field)
+            elif field is None:
+                raise _tag_error(tag, kind, name)
             elif tag == 0x00:
                 raw, pos = take_bytes(data, pos, 1, "burned register")
                 if raw[0] >= _REGISTERS[kind]:

@@ -61,13 +61,16 @@ def read_globals(data: bytes, pos: int) -> Tuple[List[GlobalData], int]:
 
     Every count is checked against the bytes left, and alignment 0,
     which would divide by zero when a loader lays the globals out, is
-    rejected.
+    rejected.  An item's tag byte and its one-byte uvarints, the bulk of
+    a string's cells, are read inline; a wider uvarint, or one cut
+    short, goes through :func:`read_uvarint`.
     """
     count, pos = read_uvarint(data, pos)
-    if count > len(data) - pos:  # each global costs several bytes
+    end = len(data)
+    if count > end - pos:  # each global costs several bytes
         raise TruncatedStreamError(
             f"data section promises {count} globals, "
-            f"only {len(data) - pos} bytes remain")
+            f"only {end - pos} bytes remain")
     globals_: List[GlobalData] = []
     for _ in range(count):
         name, pos = read_name(data, pos, "global name")
@@ -83,11 +86,25 @@ def read_globals(data: bytes, pos: int) -> Tuple[List[GlobalData], int]:
                 f"only {len(data) - pos} bytes remain")
         g = GlobalData(name, size, align, is_string=bool(flag))
         for _ in range(nitems):
-            tag, pos = read_byte(data, pos, "initializer tag")
-            offset, pos = read_uvarint(data, pos)
+            if pos >= end:
+                raise TruncatedStreamError("data ends before initializer tag")
+            tag = data[pos]
+            offset = data[pos + 1] if pos + 1 < end else 0x80
+            if offset < 0x80:
+                pos += 2
+            else:
+                offset, pos = read_uvarint(data, pos + 1)
             if tag == 0:
-                isize, pos = read_uvarint(data, pos)
-                z, pos = read_uvarint(data, pos)
+                isize = data[pos] if pos < end else 0x80
+                if isize < 0x80:
+                    pos += 1
+                else:
+                    isize, pos = read_uvarint(data, pos)
+                z = data[pos] if pos < end else 0x80
+                if z < 0x80:
+                    pos += 1
+                else:
+                    z, pos = read_uvarint(data, pos)
                 g.items.append(ScalarInit(offset, isize, unzigzag(z)))
             elif tag == 1:
                 raw, pos = take_bytes(data, pos, 8, "double initializer")

@@ -12,6 +12,17 @@ __all__ = ["Instr", "VMFunction", "VMProgram"]
 
 OperandValue = Union[int, float, str]
 
+#: Per operand kind: the Python types its values may have, and how a
+#: rejection names them.
+_KIND_TYPES = {
+    Operand.REG: (int, "int"), Operand.FREG: (int, "int"),
+    Operand.IMM: (int, "int"), Operand.DIMM: ((int, float), "a number"),
+    Operand.LABEL: (str, "str"), Operand.SYM: (str, "str"),
+}
+#: Per mnemonic, the accepted types of each operand, in order.
+_ACCEPTS = {name: tuple(_KIND_TYPES[kind][0] for kind in spec.signature)
+            for name, spec in SPEC.items()}
+
 
 @dataclass(frozen=True)
 class Instr:
@@ -26,22 +37,24 @@ class Instr:
     operands: Tuple[OperandValue, ...] = ()
 
     def __post_init__(self) -> None:
-        spec = self.spec  # raises KeyError for unknown mnemonics
+        accepts = _ACCEPTS[self.name]  # raises KeyError for unknown mnemonics
+        if (len(self.operands) != len(accepts)
+                or not all(map(isinstance, self.operands, accepts))):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the ``ValueError`` naming the first operand mismatch."""
+        spec = self.spec
         if len(self.operands) != len(spec.signature):
             raise ValueError(
                 f"{self.name} takes {len(spec.signature)} operands, "
                 f"got {len(self.operands)}"
             )
         for kind, value in zip(spec.signature, self.operands):
-            if kind in (Operand.REG, Operand.FREG, Operand.IMM):
-                if not isinstance(value, int):
-                    raise ValueError(f"{self.name}: {kind.value} operand must be int")
-            elif kind is Operand.DIMM:
-                if not isinstance(value, (int, float)):
-                    raise ValueError(f"{self.name}: dimm operand must be a number")
-            else:  # LABEL, SYM
-                if not isinstance(value, str):
-                    raise ValueError(f"{self.name}: {kind.value} operand must be str")
+            types, noun = _KIND_TYPES[kind]
+            if not isinstance(value, types):
+                raise ValueError(
+                    f"{self.name}: {kind.value} operand must be {noun}")
 
     @property
     def spec(self) -> InsnSpec:

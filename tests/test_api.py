@@ -1,5 +1,7 @@
 """Public API surface tests: determinism, error reporting, conveniences."""
 
+import re
+
 import pytest
 
 import repro
@@ -90,12 +92,25 @@ class TestVMProgramAPI:
             program.function_index("g")
 
     def test_instr_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mov.i takes 2 operands, got 1"):
             Instr("mov.i", (1,))  # wrong arity
         with pytest.raises(ValueError):
             Instr("mov.i", (1, "x"))  # wrong operand type
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="bogus"):
             Instr("bogus", ())
+        # One accepted and one rejected value per operand kind.
+        for name, good, bad, message in [
+            ("mov.i", (1, 2), (1, "2"), "mov.i: reg operand must be int"),
+            ("mov.d", (1, 2), (1, 2.0), "mov.d: freg operand must be int"),
+            ("li", (1, 1000), (1, 1e3), "li: imm operand must be int"),
+            ("li.d", (1, 2.5), (1, "2.5"),
+             "li.d: dimm operand must be a number"),
+            ("jmp", ("L1",), (1,), "jmp: label operand must be str"),
+            ("call", ("f",), (0,), "call: sym operand must be str"),
+        ]:
+            assert Instr(name, good).operands == good
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Instr(name, bad)
 
     def test_function_label_api(self):
         fn = VMFunction("f")

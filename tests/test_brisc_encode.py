@@ -199,6 +199,24 @@ class TestForgedImages:
         with pytest.raises(CorruptStreamError, match="alignment 0"):
             run_image(forged)
 
+    def test_globals_section_cuts_are_typed(self):
+        """The globals reader takes one-byte fields inline and wider ones
+        through ``read_uvarint``: both read a section back whole, and a
+        cut anywhere in it is a typed truncation."""
+        from repro.container.data import read_globals, write_globals
+        from repro.ir.tree import GlobalData, PtrInit, ScalarInit
+
+        items = [ScalarInit(0, 1, 5), ScalarInit(1, 1, 97),
+                 ScalarInit(200, 4, -70000), ScalarInit(300, 8, 2.5),
+                 PtrInit(392, "mixed")]
+        section = bytearray()
+        write_globals(section, [GlobalData("mixed", 400, 4, items)])
+        globals_, end = read_globals(bytes(section), 0)
+        assert (globals_[0].items, end) == (items, len(section))
+        for cut in range(len(section)):
+            with pytest.raises(TruncatedStreamError):
+                read_globals(bytes(section[:cut]), 0)
+
 
 _MOV = Instr("mov.i", (1, 2))
 _HLT = Instr("hlt", ())
@@ -246,7 +264,8 @@ def test_every_slot_reader_check_raises_typed(insns, code, error, message,
                                               jit_message):
     """Each check of the slot reader, on one forged slot, through every
     consumer that reads it: decompression, in-place interpretation with
-    and without the decode cache, and the JIT."""
+    and without the decode cache, and the JIT, whose template table
+    already holds the forged image's entries."""
     import re
 
     from repro.brisc import run_image
@@ -254,6 +273,7 @@ def test_every_slot_reader_check_raises_typed(insns, code, error, message,
 
     blob = single_function_image(*insns)
     decompress(blob)  # the image is sound before the forgery
+    jit_compile(blob)
     forged = with_code(blob, bytes.fromhex(code))
     with pytest.raises(error, match=re.escape(message)):
         decompress(forged)

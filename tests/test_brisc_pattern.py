@@ -9,7 +9,7 @@ from repro.brisc.pattern import (
     imm_class, pattern_of_instr, serialize_pattern,
 )
 from repro.compress.bitio import uvarint
-from repro.errors import CorruptStreamError
+from repro.errors import CorruptStreamError, TruncatedStreamError
 from repro.vm.instr import Instr
 from repro.vm.isa import MNEMONIC, REG_SP
 
@@ -206,32 +206,53 @@ class TestRejectedEntries:
 
     def test_wildcard_class_must_fit_operand_kind(self):
         # A register class on li's immediate field.
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError,
+                           match="wildcard class 'r' cannot carry a imm "
+                                 "operand of li"):
             deserialize_pattern(entry("li", WILD_R, WILD_R), 0)
+
+    def test_unknown_wildcard_class_rejected(self):
+        with pytest.raises(CorruptStreamError,
+                           match="unknown wildcard class id 9"):
+            deserialize_pattern(entry("li", WILD_R, b"\x89"), 0)
+
+    def test_entry_cut_before_a_field_tag(self):
+        with pytest.raises(TruncatedStreamError,
+                           match="data ends before field tag"):
+            deserialize_pattern(entry("li", WILD_R), 0)
 
     def test_burned_tag_must_fit_operand_kind(self):
         # A burned double in li's register field.
         forged = entry("li", b"\x02" + struct.pack("<d", 1.5), WILD_N4)
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError,
+                           match="field tag 0x2 cannot carry a reg operand "
+                                 "of li"):
             deserialize_pattern(forged, 0)
 
     def test_burned_label_rejected(self):
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError,
+                           match="field tag 0x3 cannot carry a label "
+                                 "operand of jmp"):
             deserialize_pattern(entry("jmp", b"\x03\x02L4"), 0)
 
-    @pytest.mark.parametrize("name, register, wildcard", [
-        ("mov.i", 16, WILD_R), ("mov.d", 8, WILD_F)], ids=["REG", "FREG"])
-    def test_burned_register_outside_register_file(self, name, register,
-                                                   wildcard):
+    @pytest.mark.parametrize("name, kind, register, wildcard", [
+        ("mov.i", "reg", 16, WILD_R), ("mov.d", "freg", 8, WILD_F)],
+        ids=["REG", "FREG"])
+    def test_burned_register_outside_register_file(self, name, kind,
+                                                   register, wildcard):
         inside = entry(name, b"\x00" + bytes([register - 1]), wildcard)
         assert deserialize_pattern(inside, 0)[1] == len(inside)
         forged = entry(name, b"\x00" + bytes([register]), wildcard)
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError,
+                           match=f"burned {kind} {register} of {register} "
+                                 f"in {name}"):
             deserialize_pattern(forged, 0)
 
     def test_burned_immediate_wider_than_32_bits(self):
         forged = entry("li", WILD_R, b"\x01" + uvarint(1 << 32))  # 2**31
-        with pytest.raises(CorruptStreamError):
+        with pytest.raises(CorruptStreamError,
+                           match="burned immediate 2147483648 wider than 32 "
+                                 "bits in li"):
             deserialize_pattern(forged, 0)
 
 

@@ -10,6 +10,7 @@ from repro.brisc import compress
 from repro.brisc.encode import encode_image
 from repro.corpus.samples import SAMPLES
 from repro.jit import BriscJIT, jit_compile
+from repro.jit.compiler import _TABLES
 from repro.native import PPCLike, PentiumLike
 
 from .test_brisc_encode import single_function_image, with_code
@@ -37,6 +38,66 @@ NATIVE_SHA256 = {
         "5e98973bf04c8cb7946e97fec7c8bb0bdfb5f87df43525d3b2314dc2e9cb0146",
     ("escape", "PPCLike"):
         "1c5593167cbb5a3d8eff02b2cf1098d6d6f66132be0bf460c486a6d785ffc888",
+}
+#: sha256 of ``jit_compile(image_for(name), target).native_code`` for
+#: every sample, measured before the JIT kept a template table per target.
+SAMPLE_SHA256 = {
+    ("bf", "PentiumLike"):
+        "bb426ddf44bb4ca77b9d7bef05f2b1d91fe39e20345af263b0a74ca30ef4e68b",
+    ("bf", "PPCLike"):
+        "a73b23cc4823fa33689a02b0a991910cb965ee704c6c69c8f96c1cccfc5ab0bf",
+    ("bst", "PentiumLike"):
+        "0bd93ec2578d490283db8d11ee157a6f45e4ba4cfc004f0290c4901289f16c70",
+    ("bst", "PPCLike"):
+        "bb856314f143051b8c59ee06923ca6e941a4e51f15ed59bbf9eded21e66ae5df",
+    ("calc", "PentiumLike"):
+        "f523b71abce78915056b93251feac830ca8dd39d0b11f00e2efc03bdb828f062",
+    ("calc", "PPCLike"):
+        "8275695c4b1e9a1abc49112bc4637ab2d32bde8d2c846fc7f0b957025ac3b3ce",
+    ("crc32", "PentiumLike"):
+        "8f0101059c0bd8a1b3091854d4f180dc446f4f4aab674bdfec300d84e00b721f",
+    ("crc32", "PPCLike"):
+        "291017419fa2f3a557a61c820bef3aeae24d1fe5cb9f1f7e24987511b40b7ff2",
+    ("hashtab", "PentiumLike"):
+        "08dd88f0cb57a3ce65391dd793426f75cc67ffa6bd481da46ff93207d9bfea3f",
+    ("hashtab", "PPCLike"):
+        "5108c34dcb83699852256a2c70cff17e29d0fa528e55dad6c211df6141a02cdb",
+    ("life", "PentiumLike"):
+        "40dd93647a07a472aea2ffa23554e1a0215ead80800607bbf3bce22ebd96f712",
+    ("life", "PPCLike"):
+        "7d9e5fe16d1289b34314a44f562dca24a5c5a9a9fd4494b8c3338d7b8ac27c17",
+    ("lzss", "PentiumLike"):
+        "635e2c0e5da15826f9af341126b56f4e9a0aa8450c5a218ba9871b672aeba03a",
+    ("lzss", "PPCLike"):
+        "341fb668e29cc3a81dd3982629f23bedf12763f84954d1a591539fe9b6185f7e",
+    ("matrix", "PentiumLike"):
+        "2d58d1d2a02154155531419d75f9cbcaf9e33c3fd1c78ca581efff0b40db5918",
+    ("matrix", "PPCLike"):
+        "5f498732da05c4e7be82f95b83d2a5f169f394e29ecbb2131f45f3b6f310f449",
+    ("queens", "PentiumLike"):
+        "57bb119f1951c0637de41b59117d408a08f4c450e7de0a1df60ab344a4a11b15",
+    ("queens", "PPCLike"):
+        "194c7a471848536677ac70784e3f19f6c61f12976cf63dce6de2787e04baa2bb",
+    ("rle", "PentiumLike"):
+        "d19ef5500cd4029edadd90f274d0ef38f92afbef50e0896dc477603b481cd04d",
+    ("rle", "PPCLike"):
+        "849dd110ecdd383c061ed2d8b255e20e8944ee6528b7c266181b5937982100c7",
+    ("sort", "PentiumLike"):
+        "2acbeab20f26cfb4ff194cdb050230380e3e738d0085488b4db0b96722bb3bfe",
+    ("sort", "PPCLike"):
+        "307ede89c58ea0570e11755b4cdb73a35d3d3a86957c29cc29b3841155796711",
+    ("stackvm", "PentiumLike"):
+        "9ab18020822527bf7476040b59ef6ea93f4af4440919a2ab3405a6575d57ca27",
+    ("stackvm", "PPCLike"):
+        "77a8903d1e161b41897202620e520f1efb15cd3c23c482e37da14dee04fe6012",
+    ("strings", "PentiumLike"):
+        "79959c3017a4474d0a0a22b1a7423c27dcfd1f300272b14e51ca185c18bc9701",
+    ("strings", "PPCLike"):
+        "ffafe73556076083d5735527a15567960d60c97e7ac3e05101f9b81575bb9f51",
+    ("wc", "PentiumLike"):
+        "de02b68bf5679558a0061747cee79be20529ee394964c41ff37e6f42bbc2ed39",
+    ("wc", "PPCLike"):
+        "2512a4c721527823c53dcdfaffb5bb7ea53983f522f85ffd3819f1c01e9fd364",
 }
 TARGETS = pytest.mark.parametrize("target", [PentiumLike, PPCLike],
                                   ids=["pentium", "ppc"])
@@ -108,6 +169,40 @@ class TestPinnedOutput:
         assert result.slots_compiled == 301
         assert hashlib.sha256(result.native_code).hexdigest() == \
             NATIVE_SHA256[("escape", target.__name__)]
+
+
+@pytest.fixture(scope="module")
+def sample_images():
+    return {name: image_for(name) for name in sorted(SAMPLES)}
+
+
+class TestTemplateTable:
+    """The splice plans a target's table holds depend only on the target
+    and the dictionary entry, so what the table already holds never
+    changes a byte of the output."""
+
+    @TARGETS
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_samples_pinned_whatever_the_table_holds(self, sample_images,
+                                                     name, target):
+        other = PPCLike if target is PentiumLike else PentiumLike
+        expected = SAMPLE_SHA256[(name, target.__name__)]
+
+        def native_sha256():
+            native = jit_compile(sample_images[name], target()).native_code
+            return hashlib.sha256(native).hexdigest()
+
+        _TABLES.clear()
+        assert native_sha256() == expected  # the table empty
+        _TABLES.clear()
+        for other_name, blob in sample_images.items():
+            if other_name != name:
+                jit_compile(blob, target())
+        assert native_sha256() == expected  # after every other sample
+        _TABLES.clear()
+        for blob in sample_images.values():
+            jit_compile(blob, other())
+        assert native_sha256() == expected  # after the other target
 
 
 class TestCorruptImages:
