@@ -174,9 +174,9 @@ class BriscJIT:
             if labels:
                 # The label operand is the trailing 2 bytes of the BRISC
                 # operand payload (labels encode last among wide fields).
-                target = code[end - 2] | code[end - 1] << 8
+                label = code[end - 2] | code[end - 1] << 8
                 for hole in labels:
-                    patches.append((start + hole, target))
+                    patches.append((start + hole, label))
             pos = end
         # Branch-patching pass: rewrite each branch's native field with the
         # native offset of its BRISC target block.
