@@ -10,6 +10,7 @@ from recompiling anything.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -102,10 +103,16 @@ class BriscRow:
     interp_ratio: float
 
 
+#: Alternated VM/BRISC run pairs behind each interp figure.
+INTERP_PAIRS = 5
+
+
 def interp_overhead(
-    name: str, max_steps: int = 200_000_000
+    name: str, max_steps: int = 200_000_000, pairs: int = INTERP_PAIRS,
 ) -> Tuple[float, float, float]:
-    """(vm_seconds, brisc_seconds, ratio) on the suite input's workload.
+    """(vm_seconds, brisc_seconds, ratio) on the suite input's workload:
+    the medians over ``pairs`` runs of each side, alternating which runs
+    first, and the median of the pairs' ratios.
 
     The BRISC side interprets the compressed image in place with slot
     caching disabled — every execution of an instruction re-decodes it,
@@ -114,16 +121,27 @@ def interp_overhead(
     """
     inp = build_input(name)
     cp = compressed_suite(name)
-    t0 = time.perf_counter()
-    base = run_program(inp.program, max_steps=max_steps)
-    t1 = time.perf_counter()
-    r = run_image(cp.image.blob, cache_decoded=False, max_steps=max_steps)
-    t2 = time.perf_counter()
-    if (r.exit_code, r.output) != (base.exit_code, base.output):
-        raise AssertionError(f"BRISC run diverged on {name}")
-    vm_s = t1 - t0
-    brisc_s = t2 - t1
-    return vm_s, brisc_s, brisc_s / vm_s if vm_s > 0 else float("inf")
+
+    def timed(run, *args, **kwargs):
+        t0 = time.perf_counter()
+        result = run(*args, max_steps=max_steps, **kwargs)
+        return time.perf_counter() - t0, result
+
+    vm_times, brisc_times, ratios = [], [], []
+    for i in range(pairs):
+        if i % 2:
+            brisc_s, r = timed(run_image, cp.image.blob, cache_decoded=False)
+            vm_s, base = timed(run_program, inp.program)
+        else:
+            vm_s, base = timed(run_program, inp.program)
+            brisc_s, r = timed(run_image, cp.image.blob, cache_decoded=False)
+        if (r.exit_code, r.output) != (base.exit_code, base.output):
+            raise AssertionError(f"BRISC run diverged on {name}")
+        vm_times.append(vm_s)
+        brisc_times.append(brisc_s)
+        ratios.append(brisc_s / vm_s if vm_s > 0 else float("inf"))
+    return (statistics.median(vm_times), statistics.median(brisc_times),
+            statistics.median(ratios))
 
 
 def brisc_row(name: str, measure_interp: bool = True) -> BriscRow:

@@ -17,7 +17,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..corpus import suite_names
-from .measure import ablation_rows, brisc_row, wire_row
+from .measure import INTERP_PAIRS, ablation_rows, brisc_row, wire_row
 from .tables import ablation_table, brisc_table, wire_table
 
 __all__ = ["regenerate_tables", "render_report"]
@@ -100,7 +100,9 @@ def patch_experiments(report: Dict[str, Dict[str, Any]],
     parts = ["", MARK_BEGIN,
              "## Regenerated tables (`python -m repro tables`)", ""]
     for title, text in (("Table 1 — wire-format sizes", t1),
-                        ("Table 2 — BRISC results", t2),
+                        ("Table 2 — BRISC results (interp: the median "
+                         f"ratio of {INTERP_PAIRS} alternated VM/BRISC run "
+                         "pairs)", t2),
                         ("Table 3 — abstract-machine ablation", t3)):
         if not text:
             continue

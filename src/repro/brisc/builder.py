@@ -675,7 +675,7 @@ class BriscBuilder:
         self._dict_overlap = 0
         self._changed: Set[int] = set(self._scanned)
         # Heap tie-break keys per cid: constant, so built once.
-        self._ties: Dict[int, Tuple[int, str, int]] = {}
+        self._ties: Dict[int, str] = {}
         # Replay journal: records the base seed and each pass's savings
         # deltas and admissions, so an edited program can replay this
         # build (see :mod:`repro.brisc.journal`).  ``prune=False`` never
@@ -901,28 +901,50 @@ class BriscBuilder:
 
 def _admissions(live, savings: Dict[int, int], interned: _InternState,
                 cost: CostModel, k: int,
-                ties: Dict[int, Tuple[int, str, int]]) -> List[int]:
+                ties: Dict[int, str]) -> List[int]:
     """The pass's admissions: the (at most) ``k`` best live candidates.
 
     The live set is exactly {cand : benefit(cand) > 0} and benefit ==
     savings - floor, so the heap (and therefore the admission order)
-    matches a full benefit sweep.  The tie-break keys come from the
-    pattern objects, and distinct patterns print differently, so the
-    trailing cid never orders two entries: the order is invariant under
-    id assignment.  ``ties`` caches each cid's tie-break key.
+    matches a full benefit sweep.  Candidates order by benefit, then by
+    dictionary bytes, then by the pattern's text; distinct patterns print
+    differently, so the order is invariant under id assignment.  Only
+    candidates of equal benefit within the admitted prefix or across its
+    k-th place are compared further (see :func:`_break_ties`).
     """
-    heap = []
-    for cid in live:
-        tie = ties.get(cid)
-        if tie is None:
-            pattern = interned.pattern(cid)
-            tie = ties[cid] = (pattern.dictionary_size(), str(pattern), cid)
-        heap.append((interned.floor(cid, cost) - savings[cid],) + tie)
+    heap = [(interned.floor(cid, cost) - savings[cid], cid) for cid in live]
     heapq.heapify(heap)
     admitted: List[int] = []
     while heap and len(admitted) < k:
-        admitted.append(heapq.heappop(heap)[-1])
+        benefit, cid = heapq.heappop(heap)
+        tied = [cid]
+        while heap and heap[0][0] == benefit:
+            tied.append(heapq.heappop(heap)[1])
+        if len(tied) > 1:
+            tied = _break_ties(tied, interned, ties)
+        admitted.extend(tied[:k - len(admitted)])
     return admitted
+
+
+def _break_ties(tied: List[int], interned: _InternState,
+                ties: Dict[int, str]) -> List[int]:
+    """Candidates of equal benefit in admission order: by dictionary
+    bytes, then by pattern text, built only for those equal on both and
+    cached per cid in ``ties``."""
+    by_size: Dict[int, List[int]] = {}
+    for cid in tied:
+        size = interned.pattern(cid).dictionary_size()
+        by_size.setdefault(size, []).append(cid)
+    ordered: List[int] = []
+    for size in sorted(by_size):
+        group = by_size[size]
+        if len(group) > 1:
+            for cid in group:
+                if cid not in ties:
+                    ties[cid] = str(interned.pattern(cid))
+            group.sort(key=ties.__getitem__)
+        ordered.extend(group)
+    return ordered
 
 
 def _config_sig(k: int, abundant_memory: bool, max_passes: int) -> str:

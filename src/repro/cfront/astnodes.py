@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple, Union
 
 from .ctypes import CType
 from .errors import Location
+from .symbols import Scope
 
 __all__ = [
     "Expr", "IntLit", "FloatLit", "StringLit", "NameRef", "Unary", "Binary",
@@ -21,7 +22,7 @@ __all__ = [
     "Stmt", "ExprStmt", "Block", "If", "While", "DoWhile", "For", "Return",
     "Break", "Continue", "Switch", "Case", "EmptyStmt", "DeclStmt",
     "Declarator", "VarDecl", "ParamDecl", "FunctionDef", "TranslationUnit",
-    "Initializer", "InitList",
+    "Initializer", "InitList", "Definition", "FrontEndRecord",
 ]
 
 
@@ -324,9 +325,43 @@ class FunctionDef:
 
 
 @dataclass
+class Definition:
+    """Where the front end met one function definition, and the
+    unit-wide state it found there: what re-parsing the definition alone
+    needs (see :mod:`repro.pipeline.incremental`)."""
+
+    function: FunctionDef
+    start: Location  # its first token
+    end: Location  # its closing brace
+    #: Names and tags in the parser's top-level scope before it.
+    scope: Tuple[int, int]
+    #: It changed unit-wide state: declared a top-level name or tag or
+    #: defined a tag (parser), or declared a function implicitly or
+    #: hoisted a static local (sema).  String labels are counted apart.
+    declares: bool = False
+    #: Sema's global symbols and interned string labels before it.
+    symbols: int = 0
+    strings: int = 0
+
+
+@dataclass
+class FrontEndRecord:
+    """A unit's top-level scopes and :class:`Definition` list, kept by
+    :func:`repro.cfront.parse` and :func:`repro.cfront.analyze`.  Both
+    scopes only grow, so a prefix of either is the scope as it stood
+    when an earlier definition was met."""
+
+    scope: Scope  # the parser's: typedef names, enum constants, tags
+    definitions: List[Definition] = field(default_factory=list)
+    symbols: Optional[Scope] = None  # sema's global scope
+
+
+@dataclass
 class TranslationUnit:
     """A whole source file: globals and functions in declaration order."""
 
     globals: List[VarDecl] = field(default_factory=list)
     functions: List[FunctionDef] = field(default_factory=list)
     strings: List[Tuple[str, str]] = field(default_factory=list)  # (label, text)
+    record: Optional[FrontEndRecord] = field(default=None, compare=False,
+                                             repr=False)

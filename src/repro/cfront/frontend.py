@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from .astnodes import TranslationUnit
-from .parser import parse
-from .sema import analyze
+from itertools import islice
+from typing import List, Tuple
 
-__all__ = ["compile_to_ast"]
+from .astnodes import Definition, FrontEndRecord, TranslationUnit
+from .lexer import Lexer
+from .parser import parse, parse_definition
+from .sema import analyze, check_definition
+from .symbols import Scope
+
+__all__ = ["compile_definition", "compile_to_ast"]
 
 
 def compile_to_ast(source: str, filename: str = "<input>") -> TranslationUnit:
@@ -15,3 +20,36 @@ def compile_to_ast(source: str, filename: str = "<input>") -> TranslationUnit:
     Raises :class:`repro.cfront.errors.CompileError` on any failure.
     """
     return analyze(parse(source, filename))
+
+
+def _prefix(scope: Scope, names: int, tags: int = 0) -> Scope:
+    """A new scope holding the first ``names`` names and ``tags`` tags
+    declared in ``scope``: ``scope`` as it stood then."""
+    out = Scope()
+    out.names = dict(islice(scope.names.items(), names))
+    out.tags = dict(islice(scope.tags.items(), tags))
+    return out
+
+
+def compile_definition(
+    source: str, filename: str, start: int, end: int,
+    record: FrontEndRecord, before: Definition,
+    strings: List[Tuple[str, str]],
+) -> Tuple[Definition, List[Tuple[str, str]]]:
+    """Lex, parse and check the one function definition in
+    ``source[start:end]``, with locations in the whole of ``source``,
+    against the unit-wide state ``record`` had before the definition
+    ``before``: its parser scope, its sema globals, and ``strings`` (the
+    ``(label, text)`` pairs interned before ``before``).
+
+    Returns the new definition's record and the pairs it interned.
+    Raises :class:`repro.cfront.errors.CompileError` on any failure, and
+    when the text changes unit-wide state: see :func:`parse_definition`
+    and :func:`check_definition`.  ``record`` is only read.
+    """
+    tokens = Lexer(source, filename, start, end).tokens()
+    definition = parse_definition(tokens, _prefix(record.scope, *before.scope))
+    interned = check_definition(definition.function,
+                                _prefix(record.symbols, before.symbols),
+                                strings)
+    return definition, interned

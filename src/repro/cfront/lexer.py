@@ -23,7 +23,7 @@ digit or ``_`` (``str.isalpha`` and ``str.isalnum``).
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Optional
 
 from .errors import CompileError, Location
 from .tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
@@ -115,16 +115,25 @@ def _decode(body: str) -> str:
 
 
 class Lexer:
-    """Single-pass scanner producing a list of :class:`Token`."""
+    """Single-pass scanner producing a list of :class:`Token`.
 
-    def __init__(self, text: str, filename: str = "<input>") -> None:
+    ``start`` and ``end`` scan only ``text[start:end]``, in place: the
+    tokens' locations are those of the whole text, and the EOF token
+    sits at ``end``.
+    """
+
+    def __init__(self, text: str, filename: str = "<input>", start: int = 0,
+                 end: Optional[int] = None) -> None:
         self.text = text
         self.filename = filename
+        self.start = start
+        self.end = len(text) if end is None else end
 
     def tokens(self) -> List[Token]:
-        """Scan the whole input, ending with an EOF token."""
+        """Scan the input, ending with an EOF token."""
         text = self.text
         filename = self.filename
+        start = self.start
         count = text.count
         # Token and Location are named tuples: build them without a
         # Python-level __new__ call, one per token.
@@ -135,14 +144,14 @@ class Lexer:
         punct_kind = _PUNCT_KIND
         out: List[Token] = []
         append = out.append
-        line = 1
-        line_start = 0
+        line = count("\n", 0, start) + 1
+        line_start = text.rfind("\n", 0, start) + 1
         # Newlines are counted from the previous token's start, so the
         # trivia inside a concatenated string literal is counted too.
-        prev = 0
+        prev = start
         # Every position matches an alternative, so the matches tile the
         # text; the end-of-input alternative ends the loop.
-        for m in _MASTER.finditer(text):
+        for m in _MASTER.finditer(text, start, self.end):
             group = m.lastindex
             start, end = m.span(group)
             newlines = count("\n", prev, start)

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import ctypes as ct
 from .astnodes import (
     Assign, Binary, Block, Break, Call, Case, Cast, Conditional, Continue,
-    DeclStmt, Declarator, DoWhile, EmptyStmt, Expr, ExprStmt, FloatLit, For,
-    FunctionDef, If, IncDec, Index, InitList, Initializer, IntLit, Member,
+    DeclStmt, Declarator, Definition, DoWhile, EmptyStmt, Expr, ExprStmt,
+    FloatLit, For, FrontEndRecord, FunctionDef, If, IncDec, Index, InitList, Initializer, IntLit, Member,
     NameRef, ParamDecl, Return, SizeofType, Stmt, StringLit, Switch,
     TranslationUnit, Unary, VarDecl, While,
 )
@@ -30,7 +30,7 @@ from .lexer import tokenize
 from .symbols import Scope, Storage, Symbol
 from .tokens import Token, TokenKind as TK
 
-__all__ = ["Parser", "parse"]
+__all__ = ["Parser", "parse", "parse_definition"]
 
 _TYPE_STARTERS = {
     TK.KW_VOID, TK.KW_CHAR, TK.KW_SHORT, TK.KW_INT, TK.KW_LONG,
@@ -76,11 +76,15 @@ MAX_STATEMENT_NESTING = 400
 class Parser:
     """Parses a token stream into a :class:`TranslationUnit`."""
 
-    def __init__(self, tokens: List[Token]) -> None:
+    def __init__(self, tokens: List[Token],
+                 scope: Optional[Scope] = None) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.scope = Scope()  # typedef names + struct tags + enum constants
+        # Typedef names + struct tags + enum constants.
+        self.scope = Scope() if scope is None else scope
         self.unit = TranslationUnit()
+        self.definitions: List[Definition] = []
+        self.declarations = 0  # changes to the scope, tag definitions
         self._anon_tag = 0
         self._expression_depth = 0
         self._statement_depth = 0
@@ -116,6 +120,11 @@ class Parser:
     def _error(self, message: str) -> CompileError:
         return CompileError(message, self._peek().location)
 
+    def _declare(self) -> None:
+        """Count one change to the top-level scope, made next: a name or
+        tag declared, or a tag's members defined."""
+        self.declarations += 1
+
     def _open_bracket(self, tok: Token) -> None:
         """Enter one level of expression nesting at ``tok``."""
         self._expression_depth += 1
@@ -131,6 +140,7 @@ class Parser:
         """Parse the whole translation unit."""
         while not self._at(TK.EOF):
             self._external_declaration()
+        self.unit.record = FrontEndRecord(self.scope, self.definitions)
         return self.unit
 
     # -- type parsing ------------------------------------------------------
@@ -227,10 +237,12 @@ class Parser:
             struct = self.scope.lookup_tag(tag)
         if struct is None:
             struct = StructType(tag, is_union)
+            self._declare()
             self.scope.declare_tag(tag, struct)
         if has_body:
             if struct.complete:
                 raise self._error(f"redefinition of '{struct}'")
+            self._declare()
             self._advance()  # {
             members: List[StructMember] = []
             while not self._at(TK.RBRACE):
@@ -263,6 +275,7 @@ class Parser:
                     name_tok.text, ct.INT, Storage.ENUM_CONST,
                     name_tok.location, enum_value=next_value,
                 )
+                self._declare()
                 self.scope.declare(sym)
                 next_value += 1
                 if not self._accept(TK.COMMA):
@@ -359,6 +372,9 @@ class Parser:
     # -- external declarations -------------------------------------------
 
     def _external_declaration(self) -> None:
+        start = self._peek().location
+        scope = (len(self.scope.names), len(self.scope.tags))
+        declarations = self.declarations
         is_typedef = bool(self._accept(TK.KW_TYPEDEF))
         is_static = bool(self._accept(TK.KW_STATIC))
         is_extern = bool(self._accept(TK.KW_EXTERN))
@@ -371,12 +387,17 @@ class Parser:
             if is_typedef:
                 if not decl.name:
                     raise CompileError("typedef requires a name", decl.location)
+                self._declare()
                 self.scope.declare(
                     Symbol(decl.name, decl.type, Storage.TYPEDEF, decl.location)
                 )
             elif isinstance(decl.type, FunctionType):
                 if first and self._at(TK.LBRACE):
                     self._function_definition(decl, is_static)
+                    self.definitions.append(Definition(
+                        self.unit.functions[-1], start,
+                        self.tokens[self.pos - 1].location, scope,
+                        self.declarations != declarations))
                     return
                 self.unit.functions.append(
                     FunctionDef(decl.name, decl.type, [], decl.location,
@@ -785,3 +806,26 @@ def _cmod(a: int, b: int) -> int:
 def parse(source: str, filename: str = "<input>") -> TranslationUnit:
     """Tokenize and parse ``source`` into an untyped AST."""
     return Parser(tokenize(source, filename)).parse_unit()
+
+
+class _DefinitionParser(Parser):
+    """A parser whose scope belongs to an earlier parse: it refuses to
+    change it."""
+
+    def _declare(self) -> None:
+        raise self._error("a re-parsed definition may not change the "
+                          "top-level scope")
+
+
+def parse_definition(tokens: List[Token], scope: Scope) -> Definition:
+    """Parse ``tokens``, which must hold exactly one function definition,
+    against ``scope``: a parser's top-level scope as it stood before that
+    definition.  Raises :class:`CompileError` when the tokens hold
+    anything else, or declare a name or tag, or define a tag: the scope
+    is only read."""
+    parser = _DefinitionParser(tokens, scope)
+    unit = parser.parse_unit()
+    if len(unit.functions) != 1 or unit.globals or not parser.definitions:
+        raise CompileError("not exactly one function definition",
+                           tokens[0].location)
+    return parser.definitions[0]

@@ -12,7 +12,7 @@ mangled names, matching how lcc treats them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from . import ctypes as ct
 from .astnodes import (
@@ -29,7 +29,7 @@ from .ctypes import (
 from .errors import CompileError, Location
 from .symbols import Scope, Storage, Symbol
 
-__all__ = ["analyze", "is_lvalue", "BUILTIN_FUNCTIONS"]
+__all__ = ["analyze", "check_definition", "is_lvalue", "BUILTIN_FUNCTIONS"]
 
 # Functions the VM runtime provides directly (see repro.vm.interp).  They
 # are implicitly declared so corpus programs need no headers.
@@ -111,8 +111,22 @@ class Analyzer:
             )
         for decl in self.unit.globals:
             self._check_global(decl)
+        record = self.unit.record
+        definitions = iter(record.definitions if record is not None else ())
         for fn in self.unit.functions:
+            if fn.body is None:
+                continue
+            mark = next(definitions, None)
+            symbols, hoisted = len(self.globals.names), len(self._hoisted)
+            strings = len(self._string_labels)
             self._check_function(fn)
+            if mark is not None:
+                mark.symbols, mark.strings = symbols, strings
+                mark.declares = mark.declares or (
+                    len(self.globals.names) != symbols
+                    or len(self._hoisted) != hoisted)
+        if record is not None:
+            record.symbols = self.globals
         self.unit.globals.extend(self._hoisted)
         return self.unit
 
@@ -946,3 +960,22 @@ def _truncdiv(a: int, b: int) -> int:
 def analyze(unit: TranslationUnit) -> TranslationUnit:
     """Run semantic analysis over a parsed unit (mutates and returns it)."""
     return Analyzer(unit).run()
+
+
+def check_definition(fn: FunctionDef, symbols: Scope,
+                     strings: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    """Check one parsed function definition (mutating it) against
+    ``symbols``, sema's global scope as it stood before the definition,
+    and ``strings``, the ``(label, text)`` pairs interned before it.
+    Returns the pairs it interns.  Raises :class:`CompileError` when the
+    definition declares a function implicitly (``symbols`` would grow)
+    or holds a static local (the unit's globals would)."""
+    analyzer = Analyzer(TranslationUnit())
+    analyzer.globals = analyzer.scope = symbols
+    analyzer._string_labels = {text: label for label, text in strings}
+    count = len(symbols.names)
+    analyzer._check_function(fn)
+    if analyzer._hoisted or len(symbols.names) != count:
+        raise CompileError("a re-checked definition may not declare "
+                           "globals", fn.location)
+    return analyzer.unit.strings

@@ -960,11 +960,18 @@ def _to_word(tree: Tree, src: IntType) -> Tuple[Tree, IntType]:
 
 
 class ModuleLowerer:
-    """Lowers a checked translation unit to an :class:`IRModule`."""
+    """Lowers a checked translation unit to an :class:`IRModule`.
 
-    def __init__(self, unit: TranslationUnit, name: str = "module") -> None:
+    ``reuse`` maps ``id()`` of a function definition to the
+    :class:`IRFunction` already lowered from that very object, which the
+    module takes instead of lowering it again.
+    """
+
+    def __init__(self, unit: TranslationUnit, name: str = "module",
+                 reuse: Optional[Dict[int, IRFunction]] = None) -> None:
         self.unit = unit
         self.module = IRModule(name)
+        self.reuse = reuse or {}
 
     def run(self) -> IRModule:
         for label, text in self.unit.strings:
@@ -981,7 +988,10 @@ class ModuleLowerer:
         for fn in self.unit.functions:
             if fn.body is None:
                 continue
-            self.module.functions.append(FunctionLowerer(fn, self).run())
+            lowered = self.reuse.get(id(fn))
+            if lowered is None:
+                lowered = FunctionLowerer(fn, self).run()
+            self.module.functions.append(lowered)
         return self.module
 
     def _lower_global(self, decl: VarDecl) -> GlobalData:
@@ -1071,6 +1081,8 @@ def _const_value(expr: Expr) -> Union[int, float, str, None]:
     return None
 
 
-def lower_unit(unit: TranslationUnit, name: str = "module") -> IRModule:
-    """Lower a checked translation unit to tree IR."""
-    return ModuleLowerer(unit, name).run()
+def lower_unit(unit: TranslationUnit, name: str = "module",
+               reuse: Optional[Dict[int, IRFunction]] = None) -> IRModule:
+    """Lower a checked translation unit to tree IR, taking the functions
+    ``reuse`` holds (see :class:`ModuleLowerer`) as they are."""
+    return ModuleLowerer(unit, name, reuse).run()

@@ -9,7 +9,7 @@ paper's examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .ops import Op, op
 
@@ -78,6 +78,11 @@ class IRFunction:
     ``frame_size`` covers all locals and temporaries, addressed by
     ``ADDRLP`` offsets in ``[0, frame_size)``.  ``ADDRFP`` offsets index the
     parameter area in ``[0, sum(param_sizes))``.
+
+    ``wire_streams`` holds the function's label-normalized, patternized
+    trees once a journaled build's wire encoder kept them (see
+    :func:`repro.wire.encode_module`); it is no part of the function's
+    value.
     """
 
     name: str
@@ -85,6 +90,8 @@ class IRFunction:
     frame_size: int = 0
     param_sizes: List[int] = field(default_factory=list)
     ret_suffix: str = "V"  # I/U/P/D/V — the function's return kind
+    wire_streams: Optional[Tuple[List[Tuple], Dict[str, List]]] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def param_bytes(self) -> int:

@@ -1,20 +1,32 @@
 """Function-grained incremental recompilation (the delta compiler).
 
 ``Toolchain.compile(prev=...)`` routes cache misses through a
-:class:`DeltaCompiler` built from the previous build of the same unit.
-The front end still parses, type-checks and lowers the whole unit (sema
-is unit-global: string interning, struct layouts, enum values); the
-delta compiler decides what the stages after it may reuse:
+:class:`DeltaCompiler` built from the previous build of the same unit,
+which decides what each stage may reuse:
 
-* **lower** swaps in the previous build's :class:`repro.ir.IRFunction`
-  for every function whose lowered IR is exactly unchanged.  An edit's
-  reach is read off the code the compressors see: a new global, or a
-  string literal that renumbers sema's ``<strN>`` labels, changes the
-  IR of exactly the functions it affects.
+* **parse** re-lexes, re-parses and re-checks only the edited function
+  definition when the edit lies inside one definition's body and moves
+  no line outside it, and splices it into a new unit that shares every
+  other declaration with the previous AST.  The definition is parsed
+  against the parser's top-level scope and sema's globals and string
+  labels as the previous parse had them before it (DESIGN.md,
+  "Function-grained edits", lists the guards); anything else, and every
+  ``CompileError``, runs the cold front end.
+* **lower** takes the previous :class:`repro.ir.IRFunction` of every
+  definition the parse shared by identity and lowers only the others;
+  any of those whose lowered IR is exactly unchanged is swapped for the
+  previous one too.  An edit's reach is read off the code the
+  compressors see: a new global, or a string literal that renumbers
+  sema's ``<strN>`` labels, changes the IR of exactly the functions it
+  affects.
 * **codegen** reuses the previous :class:`repro.vm.instr.VMFunction`
   for every IR function the lower derivation shared (identity check),
   running :func:`repro.codegen.riscgen.generate_function` only for the
   rest.
+* **wire** and **deflate** run cold, but a journaled build keeps each
+  shared function's patternized trees and VM bytes on the function
+  objects themselves, so only the edited function is patternized and
+  encoded again; MTF, Huffman, LZ and deflate still see the whole unit.
 * **brisc** replays the previous build's journal
   (:mod:`repro.brisc.journal`), re-scanning only changed functions.
 
@@ -28,14 +40,43 @@ mode can be slower than cold, never wrong.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import replace
 from typing import Any, List, Optional, Sequence
 
+from ..cfront import CompileError, Location
+from ..cfront.astnodes import FrontEndRecord, TranslationUnit
+from ..cfront.frontend import compile_definition
 from ..compress.bitio import literal_key
 from ..ir.tree import IRFunction, Tree
 from .config import PipelineConfig
 from .stages import Stage, finish_brisc, resolve_stages
 
 __all__ = ["DeltaCompiler"]
+
+
+def _common_prefix(a: str, b: str, limit: int) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, at most
+    ``limit``; by bisection, so the comparing runs in C."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _line_starts(text: str) -> List[int]:
+    """The offset at which each line of ``text`` starts."""
+    starts = [0]
+    find = text.find
+    pos = find("\n")
+    while pos >= 0:
+        starts.append(pos + 1)
+        pos = find("\n", pos + 1)
+    return starts
 
 
 def _forest_identity(trees: Sequence[Tree], out: List) -> List:
@@ -107,24 +148,103 @@ class DeltaCompiler:
 
     # -- per-stage derivations --------------------------------------------
 
+    def _derive_parse(self, source, unit, config):
+        prev_ast = self._prev_payload("parse")
+        record = getattr(prev_ast, "record", None)
+        old = self.prev.source
+        if (record is None or record.symbols is None
+                or self.prev.unit != unit):
+            return None
+        # The edit, as the one span [first, last) of ``old`` that
+        # ``source`` replaces: text before and after it is unchanged.
+        first = _common_prefix(old, source, min(len(old), len(source)))
+        last = len(old) - _common_prefix(
+            old[::-1], source[::-1], min(len(old), len(source)) - first)
+        shift = len(source) - len(old)
+        if old.count("\n", first, last) != source.count(
+                "\n", first, last + shift):
+            return None  # lines below the edit would move
+        lines = _line_starts(old)
+
+        def offset(loc: Location) -> int:
+            return lines[loc.line - 1] + loc.column - 1
+
+        # The one definition whose braces enclose the edit.
+        index = bisect_right([offset(d.start) for d in record.definitions],
+                             first) - 1
+        if index < 0:
+            return None
+        before = record.definitions[index]
+        end = offset(before.end)  # its closing brace
+        if (before.declares
+                or not offset(before.function.body.location) < first
+                or last > end):
+            return None
+        end += shift
+        line_end = source.find("\n", end)
+        if shift and source[end + 1:None if line_end < 0 else line_end].strip():
+            return None  # a declaration after it on its last line moves
+        strings = prev_ast.strings
+        after = (record.definitions[index + 1].strings
+                 if index + 1 < len(record.definitions) else len(strings))
+        try:
+            definition, interned = compile_definition(
+                source, unit, offset(before.start), end + 1, record, before,
+                strings[:before.strings])
+        except (CompileError, RecursionError):
+            return None  # the cold front end decides, and reports
+        fn, old_fn = definition.function, before.function
+        line_start = source.rfind("\n", 0, end) + 1
+        if (interned != strings[before.strings:after]
+                or definition.end != Location(unit, before.end.line,
+                                              end - line_start + 1)
+                or (fn.name, fn.type, fn.is_static)
+                != (old_fn.name, old_fn.type, old_fn.is_static)):
+            return None
+        definitions = list(record.definitions)
+        definitions[index] = replace(before, function=fn,
+                                     end=definition.end)
+        functions = [fn if f is old_fn else f for f in prev_ast.functions]
+        ast = TranslationUnit(list(prev_ast.globals), functions,
+                              list(strings), FrontEndRecord(
+                                  record.scope, definitions, record.symbols))
+        return ast, len(source.encode()), {"derived": True,
+                                           "reparsed_functions": 1}
+
     def _derive_lower(self, ast, unit, config):
         from ..ir import lower_unit
 
         prev_module = self._prev_payload("lower")
-        if prev_module is None:
+        prev_ast = self._prev_payload("parse")
+        if prev_module is None or prev_ast is None:
             return None
-        module = lower_unit(ast, unit)
+        prev_nodes = self.prev.artifacts["lower"].meta["nodes"]
+        # Every definition the parse shared is the *same object* as in
+        # the previous AST; its previous IR function is valid verbatim.
+        bodies = [fn for fn in prev_ast.functions if fn.body is not None]
+        lowered = {id(fn): ir for fn, ir in zip(bodies, prev_module.functions)}
+        module = lower_unit(ast, unit, lowered)
         prev_fns = {fn.name: fn for fn in prev_module.functions}
-        reused = 0
+        shared = set(map(id, prev_module.functions))
+        reused = relowered = 0
         for i, fn in enumerate(module.functions):
-            old = prev_fns.get(fn.name)
-            if old is not None and _same_ir(old, fn):
+            if id(fn) not in shared:
+                relowered += 1
+                old = prev_fns.get(fn.name)
+                if old is None or not _same_ir(old, fn):
+                    continue
                 module.functions[i] = old  # codegen reuses it by identity
-                reused += 1
+            reused += 1
+        # The node count moves by the functions that came and went.
+        kept = set(map(id, module.functions))
+        nodes = (prev_nodes
+                 + sum(fn.node_count() for fn in module.functions
+                       if id(fn) not in shared)
+                 - sum(fn.node_count() for fn in prev_module.functions
+                       if id(fn) not in kept))
         trees = sum(len(fn.forest) for fn in module.functions)
-        nodes = sum(t.size for fn in module.functions for t in fn.forest)
         meta = {"functions": len(module.functions), "trees": trees,
-                "nodes": nodes}
+                "nodes": nodes, "relowered_functions": relowered}
         if reused:
             meta.update(derived=True, reused_functions=reused)
         # Returned even when nothing matched, so the unit is never

@@ -35,12 +35,27 @@ __all__ = [
 ]
 
 
-def vm_code_bytes(program: VMProgram) -> bytes:
-    """The program's code segment in the base VM binary encoding."""
+def vm_code_bytes(program: VMProgram, keep: bool = False) -> bytes:
+    """The program's code segment in the base VM binary encoding.
+
+    A function's encoding depends on the program only through the symbol
+    ids, so one kept on the function (``VMFunction.code_bytes``) against
+    the same symbol names is taken as it is; ``keep`` keeps each one
+    encoded here.
+    """
     symbol_ids = {fn.name: i for i, fn in enumerate(program.functions)}
     for g in program.globals:
         symbol_ids.setdefault(g.name, len(symbol_ids))
-    return b"".join(encode_function(fn, symbol_ids) for fn in program.functions)
+    names = tuple(symbol_ids)
+    out = []
+    for fn in program.functions:
+        kept = fn.code_bytes
+        if kept is None or kept[0] != names:
+            kept = (names, encode_function(fn, symbol_ids))
+            if keep:
+                fn.code_bytes = kept
+        out.append(kept[1])
+    return b"".join(out)
 
 
 class Stage:
@@ -141,7 +156,7 @@ class WireStage(Stage):
                 "chunks": len(index.chunks),
                 "index_bytes": index.header_bytes,
             }
-        blob = encode_module(value)
+        blob = encode_module(value, keep=config.brisc_journal)
         container = blob[4:]
         # Read the blob back: every CRC checked, every stream decoded.
         streams = unpack_streams(container)
@@ -223,7 +238,7 @@ class DeflateStage(Stage):
     requires = "codegen"
 
     def run(self, value, unit, config):
-        code = vm_code_bytes(value)
+        code = vm_code_bytes(value, keep=config.brisc_journal)
         blob = deflate.compress(code)
         return blob, len(blob), {"raw_bytes": len(code)}
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..ir.tree import GlobalData
 from .isa import Operand, SPEC, InsnSpec
@@ -71,6 +71,10 @@ class VMFunction:
     """A function's instruction list plus its label map.
 
     ``labels`` maps label name -> instruction index within ``code``.
+    ``code_bytes`` holds the function's base encoding, with the symbol
+    names it was encoded against, once a journaled build kept it (see
+    :func:`repro.pipeline.vm_code_bytes`); it is no part of the
+    function's value.
     """
 
     name: str
@@ -78,6 +82,8 @@ class VMFunction:
     labels: Dict[str, int] = field(default_factory=dict)
     frame_size: int = 0
     param_bytes: int = 0
+    code_bytes: Optional[Tuple[Tuple[str, ...], bytes]] = field(
+        default=None, compare=False, repr=False)
 
     def define_label(self, label: str) -> None:
         """Attach ``label`` to the next emitted instruction."""

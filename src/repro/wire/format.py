@@ -270,19 +270,34 @@ def _function_streams(
     return pattern_stream, literal_streams
 
 
-def _collect_streams(module: IRModule) -> Tuple[
-    List[Pattern], Dict[str, List], List[int], IRModule
-]:
-    """Patternize the whole module.
+def _patternized(fn: IRFunction, keep: bool) -> Tuple[List[Pattern],
+                                                     Dict[str, List]]:
+    """``fn``'s label-normalized trees as its patterns and literal
+    streams; taken from ``fn.wire_streams`` when kept there, and kept
+    there when ``keep``."""
+    streams = fn.wire_streams
+    if streams is None:
+        streams = _function_streams([normalize_labels(fn)])
+        if keep:
+            fn.wire_streams = streams
+    return streams
 
-    Returns (pattern stream, literal streams, per-function tree counts,
-    label-normalized module).
-    """
-    normalized = IRModule(module.name, list(module.globals),
-                          [normalize_labels(fn) for fn in module.functions])
-    pattern_stream, literal_streams = _function_streams(normalized.functions)
-    tree_counts = [len(fn.forest) for fn in normalized.functions]
-    return pattern_stream, literal_streams, tree_counts, normalized
+
+def _collect_streams(module: IRModule, keep: bool = False) -> Tuple[
+    List[Pattern], Dict[str, List]
+]:
+    """Patternize the whole module, one function at a time (see
+    :func:`_patternized`): (pattern stream, literal streams).  A
+    literal stream first met in an earlier function comes first, as
+    when the module is patternized in one pass."""
+    pattern_stream: List[Pattern] = []
+    literal_streams: Dict[str, List] = {}
+    for fn in module.functions:
+        patterns, literals = _patternized(fn, keep)
+        pattern_stream.extend(patterns)
+        for key, values in literals.items():
+            literal_streams.setdefault(key, []).extend(values)
+    return pattern_stream, literal_streams
 
 
 def _stream_kind(key: str) -> str:
@@ -351,14 +366,19 @@ def _pack_code_streams(
     return streams
 
 
-def encode_module(module: IRModule, compress: bool = True) -> bytes:
-    """Encode ``module`` into the wire format (WIR2: per-stream CRC32)."""
-    pattern_stream, literal_streams, tree_counts, normalized = (
-        _collect_streams(module)
-    )
+def encode_module(module: IRModule, compress: bool = True,
+                  keep: bool = False) -> bytes:
+    """Encode ``module`` into the wire format (WIR2: per-stream CRC32).
+
+    ``keep`` leaves each function's patternized trees on the function
+    (``IRFunction.wire_streams``), so encoding a later module that shares
+    the function object patternizes it no more.
+    """
+    pattern_stream, literal_streams = _collect_streams(module, keep)
     streams = _pack_code_streams(pattern_stream, literal_streams)
-    streams["meta"] = _pack_meta(normalized,
-                                 [(count,) for count in tree_counts])
+    # Label normalization leaves every function header as it was.
+    streams["meta"] = _pack_meta(module,
+                                 [(len(fn.forest),) for fn in module.functions])
     return _MAGIC + pack_streams(streams, compress=compress, checksums=True)
 
 

@@ -18,15 +18,17 @@ Covers the acceptance criteria of the incremental-compilation change:
   cache-hit compile is not charged a second build's runs or seconds.
 """
 
+import dataclasses
 import re
 
 import pytest
 
-from repro.cfront import lexer
+from repro.cfront import CompileError, lexer
+from repro.cfront.ctypes import CType, StructType
 from repro.corpus.generator import generate_program_source
 from repro.ir.lower import ModuleLowerer
 from repro.pipeline import Toolchain
-from repro.pipeline.incremental import DeltaCompiler
+from repro.pipeline.incremental import DeltaCompiler, _same_ir
 
 BASE = """
 int add(int a, int b) { return a + b; }
@@ -277,6 +279,219 @@ class TestDeltaCompile:
         third = tc.compile(third_src, name="u", config=config, prev=second)
         fresh = Toolchain().compile(third_src, name="u", config=config)
         assert_byte_identical(third, fresh)
+
+
+# ---------------------------------------------------------------------------
+# function-grained front end: which edits re-parse one definition
+# ---------------------------------------------------------------------------
+
+
+def _shape(value):
+    """``value`` as nested tuples, for comparing ASTs built by different
+    parses: struct types by tag (a ``StructType`` equals only itself),
+    every other node and symbol field by field, locations included."""
+    if isinstance(value, StructType):
+        return ("struct", value.tag)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _shape(getattr(value, f.name))
+            for f in dataclasses.fields(value) if f.compare)
+    if isinstance(value, (list, tuple)):
+        return tuple(_shape(v) for v in value)
+    if isinstance(value, CType):
+        return str(value)
+    return value
+
+
+def _literal_in_body(source, skip=0):
+    """``source`` with the ``skip``-th three-digit literal inside the
+    first non-``main`` function body bumped by one: a same-width edit,
+    as the edit-loop benchmark makes."""
+    body = source.index(") {\n", source.index("\nint ", source.index("(")))
+    sites = list(re.finditer(r"\b[1-8]\d\d\b", source[body:]))
+    site = sites[skip]
+    at = body + site.start()
+    return source[:at] + str(int(site.group()) + 1) + source[at + 3:]
+
+
+#: ``f`` uses a typedef and a struct declared before it; one of each
+#: follows it, so the parser's scope at ``f`` is a strict prefix of its
+#: final one.
+SCOPED = """
+typedef int T0;
+struct P { int x; int y; };
+int f(struct P *p, T0 k) { return p->x * 7 + k; }
+typedef int T1;
+struct Q { int z; };
+int main(void) { struct P p; T1 t = 3; p.x = 2; return f(&p, t); }
+"""
+
+FAST_EDITS = [
+    pytest.param(BIG, BIG_EDIT, id="big-literal"),
+    pytest.param(BIG, BIG.replace("a * 12 + b", "a * 120000 + b"),
+                 id="big-wider-literal"),
+    pytest.param(SCOPED, SCOPED.replace("p->x * 7", "p->x * 8"),
+                 id="scope-prefix"),
+    *[pytest.param(generate_program_source(functions=6, seed=seed),
+                   generate_program_source(functions=6, seed=seed)
+                   .replace("acc * 31", "acc * 37", 1), id=f"gen{seed}-main")
+      for seed in (1, 2)],
+    *[pytest.param(src, _literal_in_body(src), id=f"units-{seed}-same-width")
+      for seed, src in ((11, generate_program_source(functions=20, seed=11)),
+                        (7919, generate_program_source(functions=20,
+                                                       seed=7919)))],
+]
+
+
+def assert_one_definition_reparsed(cold, delta):
+    """The delta build re-parsed and re-lowered exactly one definition;
+    every other one, and its IR, is the previous build's object; and its
+    AST and IR equal a cold build's."""
+    assert delta.artifacts["parse"].meta == {"derived": True,
+                                             "reparsed_functions": 1}
+    assert delta.artifacts["lower"].meta["relowered_functions"] == 1
+    before, after = cold.ast.functions, delta.ast.functions
+    assert len(before) == len(after)
+    assert sum(a is not b for a, b in zip(before, after)) == 1
+    assert all(a is b for a, b in zip(cold.ast.globals, delta.ast.globals))
+    fresh = Toolchain().compile(delta.source, name="u",
+                                config=delta.config)
+    assert _shape(delta.ast) == _shape(fresh.ast)
+    old_ir = {id(fn) for fn in cold.module.functions}
+    assert sum(id(fn) not in old_ir for fn in delta.module.functions) <= 1
+    assert delta.module.globals == fresh.module.globals
+    for ours, theirs in zip(delta.module.functions, fresh.module.functions):
+        assert ours.name == theirs.name and _same_ir(ours, theirs)
+    assert (delta.artifacts["lower"].meta["nodes"]
+            == fresh.artifacts["lower"].meta["nodes"])
+
+
+class TestFunctionGrainedFrontEnd:
+    @pytest.mark.parametrize("source, edited", FAST_EDITS)
+    def test_edit_reparses_one_definition(self, source, edited):
+        assert edited != source
+        cold, delta = edit_matches_cold(source, edited,
+                                        Toolchain().config.with_journal())
+        assert_one_definition_reparsed(cold, delta)
+
+    def test_chained_edits_reparse_one_definition_each(self):
+        config = Toolchain().config.with_journal()
+        tc = Toolchain()
+        first = tc.compile(BIG, name="u", config=config)
+        second = tc.compile(BIG_EDIT, name="u", config=config, prev=first)
+        third_src = BIG_EDIT.replace("a * 3 + b", "a * 5 + b")
+        third = tc.compile(third_src, name="u", config=config, prev=second)
+        assert_one_definition_reparsed(second, third)
+        assert_byte_identical(
+            third, Toolchain().compile(third_src, name="u", config=config))
+
+    def test_only_the_edited_function_is_patternized_and_encoded(
+            self, monkeypatch):
+        from repro.pipeline import stages
+        from repro.wire import format as wire_format
+
+        tc = Toolchain()
+        config = tc.config.with_journal().with_brisc(k=6)
+        cold = tc.compile(BIG, name="u", config=config)
+        trees, encoded = [], []
+        patternize, encode = (wire_format.patternize_tree,
+                              stages.encode_function)
+        monkeypatch.setattr(wire_format, "patternize_tree",
+                            lambda tree: trees.append(tree) or patternize(tree))
+        monkeypatch.setattr(stages, "encode_function",
+                            lambda fn, ids: encoded.append(fn.name)
+                            or encode(fn, ids))
+        delta = tc.compile(BIG_EDIT, name="u", config=config, prev=cold)
+        monkeypatch.undo()
+        assert encoded == ["f7"]
+        assert len(trees) == len(delta.module.function("f7").forest)
+        assert_byte_identical(
+            delta, Toolchain().compile(BIG_EDIT, name="u", config=config))
+
+    def test_default_builds_keep_no_pieces(self):
+        result = Toolchain().compile(BIG, name="u")
+        assert all(fn.wire_streams is None for fn in result.module.functions)
+        assert all(fn.code_bytes is None for fn in result.program.functions)
+
+
+#: Edits the front end must hand to the cold parse: each equals a cold
+#: compile, or raises the cold compile's error.
+FALLBACK_EDITS = [
+    pytest.param(BIG, BIG.replace("{ return a * 7 + b; }",
+                                  "{\n    return a * 7 + b; }"),
+                 id="line-added"),
+    pytest.param(BASE.replace("int add", "int g = 4;\nint add"),
+                 BASE.replace("int add", "int g = 5;\nint add"),
+                 id="global-initializer"),
+    pytest.param(BASE, BASE.replace("int twice(int x)",
+                                    "int twice(unsigned x)"),
+                 id="signature"),
+    pytest.param(BASE, BASE.replace("twice", "thrice"), id="rename"),
+    pytest.param(BIG, BIG.replace("a * 7 + b; }\nint f8(int a, int b) "
+                                  "{ return a * 8",
+                                  "a * 9 + b; }\nint f8(int a, int b) "
+                                  "{ return a * 6"),
+                 id="two-definitions"),
+    pytest.param(STRINGS, STRINGS.replace("return v * 3;",
+                                          'print_str("z"); return v * 3;'),
+                 id="new-string"),
+    pytest.param(STRINGS, STRINGS.replace("return v * 3;",
+                                          'print_str("y"); return v * 3;'),
+                 id="string-first-met-later"),
+    pytest.param(BIG, BIG.replace("{ return a * 7 + b; }",
+                                  "{ static int n = 7; return a * n + b; }"),
+                 id="static-local"),
+    pytest.param(BIG, BIG.replace("{ return a * 7 + b; }",
+                                  "{ struct L { int v; } l; l.v = a; "
+                                  "return l.v * 7 + b; }"),
+                 id="struct-inside"),
+    pytest.param(BIG, BIG.replace("{ return a * 7 + b; }",
+                                  "{ enum { SEVEN = 7 }; "
+                                  "return a * SEVEN + b; }"),
+                 id="enum-inside"),
+    pytest.param(SCOPED, SCOPED.replace("return p->x * 7 + k;",
+                                        "T1 j = k; return p->x * 7 + j;"),
+                 id="typedef-declared-after"),
+    pytest.param(SCOPED, SCOPED.replace("return p->x * 7 + k;",
+                                        "struct Q *q = 0; return p->x + k;"),
+                 id="tag-declared-after"),
+    pytest.param(BASE, BASE.replace("return add(x, x);",
+                                    "return add(x, x) +;"),
+                 id="syntax-error"),
+    pytest.param(BASE, BASE.replace("return add(x, x);",
+                                    "return add(x, &x);"),
+                 id="type-error"),
+    pytest.param(BASE, BASE.replace("return add(x, x);",
+                                    "return helper(x);"),
+                 id="implicit-declaration"),
+    pytest.param(BASE, BASE.replace("return add(x, x);",
+                                    'return add(x, x); /* } */'),
+                 id="comment"),
+]
+
+
+def _outcome(compile_):
+    """The artifacts of ``compile_()``, or its error's type, message and
+    location."""
+    try:
+        result = compile_()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc), getattr(exc, "location", None)
+    return binary_artifacts(result), builder_counters(result)
+
+
+class TestFrontEndFallback:
+    @pytest.mark.parametrize("source, edited", FALLBACK_EDITS)
+    def test_edit_matches_cold_outcome(self, source, edited):
+        assert edited != source
+        config = Toolchain().config.with_journal()
+        tc = Toolchain()
+        prev = tc.compile(source, name="u", config=config)
+        delta = _outcome(lambda: tc.compile(edited, name="u", config=config,
+                                            prev=prev))
+        cold = _outcome(lambda: Toolchain().compile(edited, name="u",
+                                                    config=config))
+        assert delta == cold
 
 
 # ---------------------------------------------------------------------------
