@@ -88,6 +88,9 @@ class ParseStage(Stage):
     def run(self, value, unit, config):
         source: str = value
         ast = compile_to_ast(source, unit)
+        if not config.brisc_journal:
+            # Only a journaled build's edits re-parse one definition.
+            ast.record = None
         return ast, len(source.encode()), {}
 
 

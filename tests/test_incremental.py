@@ -410,6 +410,7 @@ class TestFunctionGrainedFrontEnd:
 
     def test_default_builds_keep_no_pieces(self):
         result = Toolchain().compile(BIG, name="u")
+        assert result.ast.record is None
         assert all(fn.wire_streams is None for fn in result.module.functions)
         assert all(fn.code_bytes is None for fn in result.program.functions)
 
