@@ -18,9 +18,9 @@ from . import ctypes as ct
 from .astnodes import (
     Assign, Binary, Block, Break, Call, Case, Cast, Conditional, Continue,
     DeclStmt, Declarator, Definition, DoWhile, EmptyStmt, Expr, ExprStmt,
-    FloatLit, For, FrontEndRecord, FunctionDef, If, IncDec, Index, InitList, Initializer, IntLit, Member,
-    NameRef, ParamDecl, Return, SizeofType, Stmt, StringLit, Switch,
-    TranslationUnit, Unary, VarDecl, While,
+    FloatLit, For, FrontEndRecord, FunctionDef, If, IncDec, Index, InitList,
+    Initializer, IntLit, Member, NameRef, ParamDecl, Return, SizeofType, Stmt,
+    StringLit, Switch, TranslationUnit, Unary, VarDecl, While,
 )
 from .ctypes import (
     ArrayType, CType, FunctionType, PointerType, StructMember, StructType,

@@ -182,7 +182,8 @@ class DeltaCompiler:
             return None
         end += shift
         line_end = source.find("\n", end)
-        if shift and source[end + 1:None if line_end < 0 else line_end].strip():
+        rest = source[end + 1:None if line_end < 0 else line_end]
+        if shift and rest.strip():
             return None  # a declaration after it on its last line moves
         strings = prev_ast.strings
         after = (record.definitions[index + 1].strings

@@ -377,8 +377,8 @@ def encode_module(module: IRModule, compress: bool = True,
     pattern_stream, literal_streams = _collect_streams(module, keep)
     streams = _pack_code_streams(pattern_stream, literal_streams)
     # Label normalization leaves every function header as it was.
-    streams["meta"] = _pack_meta(module,
-                                 [(len(fn.forest),) for fn in module.functions])
+    streams["meta"] = _pack_meta(
+        module, [(len(fn.forest),) for fn in module.functions])
     return _MAGIC + pack_streams(streams, compress=compress, checksums=True)
 
 

@@ -397,7 +397,8 @@ class TestFunctionGrainedFrontEnd:
         patternize, encode = (wire_format.patternize_tree,
                               stages.encode_function)
         monkeypatch.setattr(wire_format, "patternize_tree",
-                            lambda tree: trees.append(tree) or patternize(tree))
+                            lambda tree: trees.append(tree)
+                            or patternize(tree))
         monkeypatch.setattr(stages, "encode_function",
                             lambda fn, ids: encoded.append(fn.name)
                             or encode(fn, ids))
