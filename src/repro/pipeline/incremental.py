@@ -152,8 +152,7 @@ class DeltaCompiler:
         prev_ast = self._prev_payload("parse")
         record = getattr(prev_ast, "record", None)
         old = self.prev.source
-        if (record is None or record.symbols is None
-                or self.prev.unit != unit):
+        if record is None or self.prev.unit != unit:
             return None
         # The edit, as the one span [first, last) of ``old`` that
         # ``source`` replaces: text before and after it is unchanged.

@@ -303,15 +303,14 @@ def _shape(value):
     return value
 
 
-def _literal_in_body(source, skip=0):
-    """``source`` with the ``skip``-th three-digit literal inside the
-    first non-``main`` function body bumped by one: a same-width edit,
+def _same_width_edit(source):
+    """``source`` with the first three-digit literal after its first
+    function body opens bumped by one: a same-width edit inside a body,
     as the edit-loop benchmark makes."""
-    body = source.index(") {\n", source.index("\nint ", source.index("(")))
-    sites = list(re.finditer(r"\b[1-8]\d\d\b", source[body:]))
-    site = sites[skip]
-    at = body + site.start()
-    return source[:at] + str(int(site.group()) + 1) + source[at + 3:]
+    body = _FIRST_FN.search(source).end()
+    site = re.compile(r"\b[1-8]\d\d\b").search(source, body)
+    return (source[:site.start()] + str(int(site.group()) + 1)
+            + source[site.end():])
 
 
 #: ``f`` uses a typedef and a struct declared before it; one of each
@@ -336,7 +335,7 @@ FAST_EDITS = [
                    generate_program_source(functions=6, seed=seed)
                    .replace("acc * 31", "acc * 37", 1), id=f"gen{seed}-main")
       for seed in (1, 2)],
-    *[pytest.param(src, _literal_in_body(src), id=f"units-{seed}-same-width")
+    *[pytest.param(src, _same_width_edit(src), id=f"units-{seed}-same-width")
       for seed, src in ((11, generate_program_source(functions=20, seed=11)),
                         (7919, generate_program_source(functions=20,
                                                        seed=7919)))],
