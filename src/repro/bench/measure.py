@@ -108,11 +108,11 @@ INTERP_PAIRS = 5
 
 
 def interp_overhead(
-    name: str, max_steps: int = 200_000_000, pairs: int = INTERP_PAIRS,
+    name: str, max_steps: int = 200_000_000
 ) -> Tuple[float, float, float]:
     """(vm_seconds, brisc_seconds, ratio) on the suite input's workload:
-    the medians over ``pairs`` runs of each side, alternating which runs
-    first, and the median of the pairs' ratios.
+    the medians over :data:`INTERP_PAIRS` runs of each side, alternating
+    which runs first, and the median of the pairs' ratios.
 
     The BRISC side interprets the compressed image in place with slot
     caching disabled — every execution of an instruction re-decodes it,
@@ -128,7 +128,7 @@ def interp_overhead(
         return time.perf_counter() - t0, result
 
     vm_times, brisc_times, ratios = [], [], []
-    for i in range(pairs):
+    for i in range(INTERP_PAIRS):
         if i % 2:
             brisc_s, r = timed(run_image, cp.image.blob, cache_decoded=False)
             vm_s, base = timed(run_program, inp.program)

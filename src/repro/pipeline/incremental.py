@@ -4,14 +4,13 @@
 :class:`DeltaCompiler` built from the previous build of the same unit,
 which decides what each stage may reuse:
 
-* **parse** re-lexes, re-parses and re-checks only the edited function
-  definition when the edit lies inside one definition's body and moves
-  no line outside it, and splices it into a new unit that shares every
-  other declaration with the previous AST.  The definition is parsed
-  against the parser's top-level scope and sema's globals and string
-  labels as the previous parse had them before it (DESIGN.md,
-  "Function-grained edits", lists the guards); anything else, and every
-  ``CompileError``, runs the cold front end.
+* **parse** finds the one span of the source the edit replaced and,
+  when it moves no line, has
+  :func:`repro.cfront.frontend.recompile_definition` re-lex, re-parse
+  and re-check only the function definition whose body holds it,
+  spliced into a new unit that shares every other declaration with the
+  previous AST (DESIGN.md, "Function-grained edits", lists the guards);
+  anything else, and every ``CompileError``, runs the cold front end.
 * **lower** takes the previous :class:`repro.ir.IRFunction` of every
   definition the parse shared by identity and lowers only the others;
   any of those whose lowered IR is exactly unchanged is swapped for the
@@ -40,13 +39,10 @@ mode can be slower than cold, never wrong.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import replace
 from typing import Any, List, Optional, Sequence
 
-from ..cfront import CompileError, Location
-from ..cfront.astnodes import FrontEndRecord, TranslationUnit
-from ..cfront.frontend import compile_definition
+from ..cfront import CompileError
+from ..cfront.frontend import recompile_definition
 from ..compress.bitio import literal_key
 from ..ir.tree import IRFunction, Tree
 from .config import PipelineConfig
@@ -66,17 +62,6 @@ def _common_prefix(a: str, b: str, limit: int) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def _line_starts(text: str) -> List[int]:
-    """The offset at which each line of ``text`` starts."""
-    starts = [0]
-    find = text.find
-    pos = find("\n")
-    while pos >= 0:
-        starts.append(pos + 1)
-        pos = find("\n", pos + 1)
-    return starts
 
 
 def _forest_identity(trees: Sequence[Tree], out: List) -> List:
@@ -150,64 +135,24 @@ class DeltaCompiler:
 
     def _derive_parse(self, source, unit, config):
         prev_ast = self._prev_payload("parse")
-        record = getattr(prev_ast, "record", None)
         old = self.prev.source
-        if record is None or self.prev.unit != unit:
+        if prev_ast is None or self.prev.unit != unit:
             return None
         # The edit, as the one span [first, last) of ``old`` that
         # ``source`` replaces: text before and after it is unchanged.
         first = _common_prefix(old, source, min(len(old), len(source)))
         last = len(old) - _common_prefix(
             old[::-1], source[::-1], min(len(old), len(source)) - first)
-        shift = len(source) - len(old)
         if old.count("\n", first, last) != source.count(
-                "\n", first, last + shift):
+                "\n", first, last + len(source) - len(old)):
             return None  # lines below the edit would move
-        lines = _line_starts(old)
-
-        def offset(loc: Location) -> int:
-            return lines[loc.line - 1] + loc.column - 1
-
-        # The one definition whose braces enclose the edit.
-        index = bisect_right([offset(d.start) for d in record.definitions],
-                             first) - 1
-        if index < 0:
-            return None
-        before = record.definitions[index]
-        end = offset(before.end)  # its closing brace
-        if (before.declares
-                or not offset(before.function.body.location) < first
-                or last > end):
-            return None
-        end += shift
-        line_end = source.find("\n", end)
-        rest = source[end + 1:None if line_end < 0 else line_end]
-        if shift and rest.strip():
-            return None  # a declaration after it on its last line moves
-        strings = prev_ast.strings
-        after = (record.definitions[index + 1].strings
-                 if index + 1 < len(record.definitions) else len(strings))
         try:
-            definition, interned = compile_definition(
-                source, unit, offset(before.start), end + 1, record, before,
-                strings[:before.strings])
+            ast = recompile_definition(prev_ast, old, source, unit, first,
+                                       last)
         except (CompileError, RecursionError):
             return None  # the cold front end decides, and reports
-        fn, old_fn = definition.function, before.function
-        line_start = source.rfind("\n", 0, end) + 1
-        if (interned != strings[before.strings:after]
-                or definition.end != Location(unit, before.end.line,
-                                              end - line_start + 1)
-                or (fn.name, fn.type, fn.is_static)
-                != (old_fn.name, old_fn.type, old_fn.is_static)):
+        if ast is None:
             return None
-        definitions = list(record.definitions)
-        definitions[index] = replace(before, function=fn,
-                                     end=definition.end)
-        functions = [fn if f is old_fn else f for f in prev_ast.functions]
-        ast = TranslationUnit(list(prev_ast.globals), functions,
-                              list(strings), FrontEndRecord(
-                                  record.scope, definitions, record.symbols))
         return ast, len(source.encode()), {"derived": True,
                                            "reparsed_functions": 1}
 

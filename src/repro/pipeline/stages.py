@@ -85,6 +85,13 @@ class ParseStage(Stage):
     name = "parse"
     requires = None
 
+    def config_fragment(self, config):
+        # A journaled build's payloads carry what its edits reuse: the
+        # front-end record, each function's wire trees and VM bytes, the
+        # replay journal.  Keying it apart at the root of the chain keeps
+        # a default build from sharing (and so growing) those objects.
+        return "journal=1" if config.brisc_journal else ""
+
     def run(self, value, unit, config):
         source: str = value
         ast = compile_to_ast(source, unit)
@@ -181,11 +188,8 @@ class BriscStage(Stage):
     def config_fragment(self, config):
         # The cost model and pass cap are compress()'s defaults; their
         # text stays in the key so existing cache entries stay valid.
-        # Journaling leaves the image bytes untouched but attaches the
-        # replay journal to the payload, so it keys separately.
+        # Journaling keys apart at the parse stage.
         fragment = f"k={config.brisc_k};abundant=False;passes=40"
-        if config.brisc_journal:
-            fragment += ";journal=1"
         if config.brisc_container != 2:
             fragment += (f";container={config.brisc_container}"
                          f";chunk={config.chunk_target_bytes}")

@@ -365,6 +365,16 @@ def assert_one_definition_reparsed(cold, delta):
             == fresh.artifacts["lower"].meta["nodes"])
 
 
+def assert_keeps_pieces(result, kept):
+    """``result`` holds the front-end record and every function's wire
+    trees and VM bytes when ``kept``, and none of them otherwise."""
+    assert (result.ast.record is not None) is kept
+    assert all((fn.wire_streams is not None) is kept
+               for fn in result.module.functions)
+    assert all((fn.code_bytes is not None) is kept
+               for fn in result.program.functions)
+
+
 class TestFunctionGrainedFrontEnd:
     @pytest.mark.parametrize("source, edited", FAST_EDITS)
     def test_edit_reparses_one_definition(self, source, edited):
@@ -409,10 +419,30 @@ class TestFunctionGrainedFrontEnd:
             delta, Toolchain().compile(BIG_EDIT, name="u", config=config))
 
     def test_default_builds_keep_no_pieces(self):
-        result = Toolchain().compile(BIG, name="u")
-        assert result.ast.record is None
-        assert all(fn.wire_streams is None for fn in result.module.functions)
-        assert all(fn.code_bytes is None for fn in result.program.functions)
+        assert_keeps_pieces(Toolchain().compile(BIG, name="u"), False)
+
+    @pytest.mark.parametrize("journaled_first", [False, True],
+                             ids=["default-first", "journaled-first"])
+    def test_configs_in_one_toolchain_share_no_payload(self,
+                                                       journaled_first):
+        """A default and a journaled build of one unit in one toolchain
+        key apart: the default build keeps no record or pieces, and the
+        journaled build keeps them, so its edit re-parses one
+        definition."""
+        tc = Toolchain()
+        configs = [tc.config, tc.config.with_journal()]
+        if journaled_first:
+            configs.reverse()
+        built = {config.brisc_journal: tc.compile(BIG, name="u",
+                                                  config=config)
+                 for config in configs}
+        default, cold = built[False], built[True]
+        assert_keeps_pieces(default, False)
+        assert_keeps_pieces(cold, True)
+        delta = tc.compile(BIG_EDIT, name="u", config=cold.config,
+                           prev=cold)
+        assert_one_definition_reparsed(cold, delta)
+        assert_keeps_pieces(default, False)
 
 
 #: Edits the front end must hand to the cold parse: each equals a cold

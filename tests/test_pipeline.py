@@ -129,11 +129,16 @@ WC_DEFAULT_KEYS = {
     "deflate": "a39438ed3395ec137c62ebeda2321b3362c24e58afe80a43eba91aaf90b18c8d",
 }
 
-#: The journaling config re-keys brisc only (``;journal=1``).
-WC_JOURNAL_KEYS = dict(
-    WC_DEFAULT_KEYS,
-    brisc="eb91c5b0c1d044f778b7f82eca8250dba507c6942b825b9bc49dbefa555694a9",
-)
+#: The journaling config re-keys every stage: its payloads carry what
+#: an edit reuses, so they are never shared with a default build's.
+WC_JOURNAL_KEYS = {
+    "parse": "62a9766c6310065ef81075356449168c64d1585d7e7d955d465f2c8d8ad3f606",
+    "lower": "5a6ddb25a3a266f09ca1171198d04d8fb852d15d0b63f0291a728da994ec99b9",
+    "codegen": "e69b69792161456be92dd73f853671bb0fb9960747da98606d843639cea5b1c4",
+    "wire": "b1a922a15532cc52f935b03e3e76ac59c1ccfa4036da54134a5e328a429c201c",
+    "brisc": "aa0de4376f43f7745098e9cc999947cbadd6fe66ae401e3de2a1f7b0e655e7ff",
+    "deflate": "e86b25b84b16acfbd6211cb6c2c02f4b2d9455cf78c8bbd119cdb21a43c3c2d5",
+}
 
 #: Table 3's "minus both" machine re-keys codegen and what it feeds;
 #: parse, lower and wire (which reads the lowered IR) keep their keys.
