@@ -23,7 +23,7 @@ import re
 
 import pytest
 
-from repro.cfront import CompileError, lexer
+from repro.cfront import lexer
 from repro.cfront.ctypes import CType, StructType
 from repro.corpus.generator import generate_program_source
 from repro.ir.lower import ModuleLowerer
