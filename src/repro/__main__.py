@@ -233,9 +233,10 @@ def cmd_fuzz(args) -> int:
     asserts partial reads of *other* chunks stay byte-identical.
     """
     from .brisc import decode_image
+    from .brisc.encode import repack_v3
     from .faults import fuzz_chunked_container, fuzz_decoder
     from .ir import dump_module
-    from .wire import decode_module
+    from .wire import decode_module, encode_module_v3
 
     units = _names(args.units)
     formats = _names(args.formats)
@@ -243,14 +244,17 @@ def cmd_fuzz(args) -> int:
     if unknown:
         print(f"error: unknown formats {sorted(unknown)}", file=sys.stderr)
         return 2
+    if args.chunk_bytes < 1:
+        print(f"error: --chunk-bytes must be >= 1, got {args.chunk_bytes}",
+              file=sys.stderr)
+        return 2
     from .corpus import get_sample, suite_source
 
     toolchain = _toolchain(args)
-    stages = tuple(sorted({f.rstrip("3") for f in formats}))
-    config = toolchain.config.with_container(
-        wire=3 if "wire3" in formats else None,
-        brisc=3 if "brisc3" in formats else None,
-        chunk_bytes=args.chunk_bytes)
+    # A seekable container is framed from the flat artifact: WIR3 from
+    # the IR module, BRI3 by moving the BRISC image's code bytes.
+    stages = tuple(sorted({"lower" if f == "wire3" else f.rstrip("3")
+                           for f in formats}))
     reports = []
     for unit in units:
         try:
@@ -261,33 +265,32 @@ def cmd_fuzz(args) -> int:
             except KeyError:
                 print(f"error: unknown corpus unit {unit!r}", file=sys.stderr)
                 return 2
-        res = toolchain.compile(source, name=unit, stages=stages,
-                                config=config)
-        if "wire" in formats or "wire3" in formats:
-            suffix = "wire3" if "wire3" in formats else "wire"
-            reports.append(fuzz_decoder(
-                res.wire_blob, decode_module,
-                target=f"{unit}.{suffix}", mutations=args.mutations,
-                seed=args.seed, deadline=args.deadline,
-                canonical=dump_module))
-            print(reports[-1].summary())
-        if "brisc" in formats or "brisc3" in formats:
-            suffix = "brisc3" if "brisc3" in formats else "brisc"
-            reports.append(fuzz_decoder(
-                res.brisc.image.blob, decode_image,
-                target=f"{unit}.{suffix}", mutations=args.mutations,
-                seed=args.seed, deadline=args.deadline))
-            print(reports[-1].summary())
+        res = toolchain.compile(source, name=unit, stages=stages)
+        blobs = {}
         if "wire3" in formats:
-            reports.append(fuzz_chunked_container(
-                res.wire_blob, target=f"{unit}.wire3[chunks]",
-                seed=args.seed, deadline=args.deadline))
-            print(reports[-1].summary())
+            blobs["wire3"] = encode_module_v3(res.module,
+                                              chunk_bytes=args.chunk_bytes)
+        elif "wire" in formats:
+            blobs["wire"] = res.wire_blob
         if "brisc3" in formats:
-            reports.append(fuzz_chunked_container(
-                res.brisc.image.blob, target=f"{unit}.brisc3[chunks]",
-                seed=args.seed, deadline=args.deadline))
+            blobs["brisc3"] = repack_v3(res.brisc.image.blob,
+                                        args.chunk_bytes)
+        elif "brisc" in formats:
+            blobs["brisc"] = res.brisc.image.blob
+        for fmt, blob in blobs.items():
+            wire = fmt.startswith("wire")
+            reports.append(fuzz_decoder(
+                blob, decode_module if wire else decode_image,
+                target=f"{unit}.{fmt}", mutations=args.mutations,
+                seed=args.seed, deadline=args.deadline,
+                canonical=dump_module if wire else None))
             print(reports[-1].summary())
+        for fmt in ("wire3", "brisc3"):
+            if fmt in blobs:
+                reports.append(fuzz_chunked_container(
+                    blobs[fmt], target=f"{unit}.{fmt}[chunks]",
+                    seed=args.seed, deadline=args.deadline))
+                print(reports[-1].summary())
     failures = [f for r in reports for f in r.failures]
     for failure in failures:
         print(f"FAIL {failure.target} #{failure.index} ({failure.kind}): "

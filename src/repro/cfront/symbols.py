@@ -59,9 +59,6 @@ class Scope:
         self.names: Dict[str, Symbol] = {}
         self.tags: Dict[str, StructType] = {}
 
-    def is_global(self) -> bool:
-        return self.parent is None
-
     # -- ordinary namespace -------------------------------------------------
 
     def declare(self, symbol: Symbol) -> Symbol:

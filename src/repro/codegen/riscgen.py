@@ -575,12 +575,29 @@ def generate_function(fn: IRFunction, isa: Optional[ISA] = None,
 
 def generate_program(
     module: IRModule, isa: Optional[ISA] = None, entry: str = "main",
-    optimize: bool = True,
+    optimize: bool = True, reuse: Optional[Dict[int, VMFunction]] = None,
 ) -> VMProgram:
-    """Generate a linked VM program from an IR module."""
+    """Generate a linked VM program from an IR module.
+
+    ``reuse`` maps ``id(ir_function)`` to a VM function already generated
+    from that very IR function, taken as it is.  Linking checks that
+    every ``call`` and ``la`` names a function or global of the program,
+    as the VM's loader does.
+    """
     isa = isa or ISA()
+    reuse = reuse or {}
     program = VMProgram(module.name, entry=entry)
     program.globals = list(module.globals)
     for fn in module.functions:
-        program.functions.append(generate_function(fn, isa, optimize))
+        vm = reuse.get(id(fn))
+        program.functions.append(
+            vm if vm is not None else generate_function(fn, isa, optimize))
+    symbols = {fn.name for fn in program.functions}
+    symbols.update(g.name for g in program.globals)
+    for fn in program.functions:
+        for instr in fn.code:
+            if instr.name in ("call", "la") \
+                    and instr.operands[-1] not in symbols:
+                raise CodegenError(
+                    f"undefined symbol {instr.operands[-1]!r} in {fn.name}")
     return program

@@ -40,7 +40,7 @@ from .huffman import (
 )
 from .lz77 import MAX_MATCH, WINDOW_SIZE, detokenize_packed, tokenize_packed
 
-__all__ = ["MIN_BLOCK_BYTES", "compress", "decompress", "compressed_size"]
+__all__ = ["MIN_BLOCK_BYTES", "compress", "decompress"]
 
 _END_OF_BLOCK = 256
 
@@ -107,31 +107,6 @@ _DIST_BASE = [base for _, _, base in _DIST_CODES]
 
 #: extra-bit count -> format spec for the MSB-first extra-value bits.
 _EXTRA_FMT = ["0%db" % _n for _n in range(14)]
-
-
-def _length_to_code(length: int) -> Tuple[int, int, int]:
-    """Map a match length to (symbol, extra_bits, extra_value)."""
-    if length > MAX_MATCH:
-        return 285, 0, length - 258
-    if length < 3:
-        raise ValueError(f"unencodable match length {length}")
-    sym = _LEN_SYM_OF[length]
-    i = sym - 257
-    return sym, _LEN_EXTRA[i], length - _LEN_BASE[i]
-
-
-def _dist_to_code(distance: int) -> Tuple[int, int, int]:
-    """Map a match distance to (symbol, extra_bits, extra_value)."""
-    if distance > WINDOW_SIZE:
-        return 29, 13, distance - 24577
-    if distance < 1:
-        raise ValueError(f"unencodable match distance {distance}")
-    sym = _DIST_SYM_OF[distance]
-    return sym, _DIST_EXTRA[sym], distance - _DIST_BASE[sym]
-
-
-_LENGTH_BY_SYMBOL = {sym: (extra, base) for sym, extra, base in _LENGTH_CODES}
-_DIST_BY_SYMBOL = {sym: (extra, base) for sym, extra, base in _DIST_CODES}
 
 
 def compress(data: bytes) -> bytes:
@@ -243,7 +218,3 @@ def decompress(
                 f"decompressed {len(out)} bytes, header said {expected}")
         return out
 
-
-def compressed_size(data: bytes) -> int:
-    """Convenience: size in bytes of ``compress(data)``."""
-    return len(compress(data))

@@ -38,11 +38,6 @@ class Op:
         """True for compare-and-branch operators (EQ/NE/LT/LE/GT/GE)."""
         return self.name[:2] in ("EQ", "NE", "LT", "LE", "GT", "GE")
 
-    @property
-    def type_suffix(self) -> str:
-        """The operator's type letter (last character of the name)."""
-        return self.name[-1]
-
 
 OPS: Dict[str, Op] = {}
 

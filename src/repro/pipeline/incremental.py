@@ -20,8 +20,8 @@ which decides what each stage may reuse:
   affects.
 * **codegen** reuses the previous :class:`repro.vm.instr.VMFunction`
   for every IR function the lower derivation shared (identity check),
-  running :func:`repro.codegen.riscgen.generate_function` only for the
-  rest.
+  generating only the rest, and links the program through
+  :func:`repro.codegen.generate_program` as a cold build does.
 * **wire** and **deflate** run cold, but a journaled build keeps each
   shared function's patternized trees and VM bytes on the function
   objects themselves, so only the edited function is patternized and
@@ -197,9 +197,8 @@ class DeltaCompiler:
         return module, 0, meta
 
     def _derive_codegen(self, module, unit, config):
-        from ..codegen.riscgen import generate_function
+        from ..codegen import generate_program
         from ..vm import program_size
-        from ..vm.instr import VMProgram
 
         prev_module = self._prev_payload("lower")
         prev_program = self._prev_payload("codegen")
@@ -208,23 +207,14 @@ class DeltaCompiler:
         # An IR function the lower derivation shared is the *same object*
         # as in the previous module; its previous VM function is valid
         # verbatim (generate_function is deterministic per IR function).
-        # Every other function is generated cold.
-        prev_ir = {id(fn): fn.name for fn in prev_module.functions}
-        prev_vm = {fn.name: fn for fn in prev_program.functions}
-        reused = 0
-        program = VMProgram(module.name, entry="main")
-        program.globals = list(module.globals)
-        for fn in module.functions:
-            name = prev_ir.get(id(fn))
-            vm = prev_vm.get(name) if name == fn.name else None
-            if vm is not None:
-                program.functions.append(vm)
-                reused += 1
-            else:
-                program.functions.append(
-                    generate_function(fn, config.isa, True))
+        # Every other function is generated cold, and the program is
+        # linked as a cold build links it.
+        reuse = {id(ir): vm for ir, vm in zip(prev_module.functions,
+                                              prev_program.functions)}
+        reused = sum(id(fn) in reuse for fn in module.functions)
         if not reused:
             return None  # nothing carried over; cold codegen is as fast
+        program = generate_program(module, config.isa, reuse=reuse)
         meta = {
             "functions": len(program.functions),
             "instructions": sum(len(fn.code) for fn in program.functions),
@@ -247,7 +237,7 @@ class DeltaCompiler:
                                   journal=config.brisc_journal)
         if cp is None:
             return None  # journal missing/mismatched: cold build
-        payload, size, meta = finish_brisc(cp, config)
+        payload, size, meta = finish_brisc(cp)
         meta["replayed"] = True
         meta["changed_functions"] = len(changed)
         return payload, size, meta

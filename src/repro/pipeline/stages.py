@@ -146,26 +146,9 @@ class WireStage(Stage):
     requires = "lower"
 
     def config_fragment(self, config):
-        fragment = "compress=True"
-        # Only non-default container settings enter the key, so existing
-        # v2 cache entries stay valid.
-        if config.wire_container != 2:
-            fragment += (f";container={config.wire_container}"
-                         f";chunk={config.chunk_target_bytes}")
-        return fragment
+        return "compress=True"
 
     def run(self, value, unit, config):
-        if config.wire_container == 3:
-            from ..wire import container_index, encode_module_v3
-
-            blob = encode_module_v3(value,
-                                    chunk_bytes=config.chunk_target_bytes)
-            index = container_index(blob)
-            return blob, len(blob), {
-                "code_size": len(blob) - index.header_bytes,
-                "chunks": len(index.chunks),
-                "index_bytes": index.header_bytes,
-            }
         blob = encode_module(value, keep=config.brisc_journal)
         container = blob[4:]
         # Read the blob back: every CRC checked, every stream decoded.
@@ -189,39 +172,20 @@ class BriscStage(Stage):
         # The cost model and pass cap are compress()'s defaults; their
         # text stays in the key so existing cache entries stay valid.
         # Journaling keys apart at the parse stage.
-        fragment = f"k={config.brisc_k};abundant=False;passes=40"
-        if config.brisc_container != 2:
-            fragment += (f";container={config.brisc_container}"
-                         f";chunk={config.chunk_target_bytes}")
-        return fragment
+        return f"k={config.brisc_k};abundant=False;passes=40"
 
     def run(self, value, unit, config):
         from ..brisc import compress  # deferred: brisc is the heaviest import
 
         cp = compress(value, k=config.brisc_k, journal=config.brisc_journal)
-        return finish_brisc(cp, config)
+        return finish_brisc(cp)
 
 
-def finish_brisc(cp, config: PipelineConfig) -> Tuple[Any, int, Dict[str, Any]]:
-    """Post-process a :class:`repro.brisc.CompressedProgram` into a brisc
-    stage result: optional v3 repack plus the artifact meta.  Shared by
-    the cold stage and the incremental replay path, so both produce
+def finish_brisc(cp) -> Tuple[Any, int, Dict[str, Any]]:
+    """A brisc stage result for a :class:`repro.brisc.CompressedProgram`:
+    the payload, its image size and the builder's meta.  Shared by the
+    cold stage and the incremental replay path, so both produce
     identical payloads and meta for identical builds."""
-    chunk_meta = {}
-    if config.brisc_container == 3:
-        from ..brisc.encode import container_index, repack_v3
-
-        blob = repack_v3(cp.image.blob, config.chunk_target_bytes)
-        index = container_index(blob)
-        cp.image.blob = blob
-        # The v3 header re-homes the function/chunk metadata that v2
-        # interleaved with the code; report it as index overhead.
-        cp.image.breakdown["index"] = (
-            index.header_bytes - cp.image.breakdown.get("dictionary", 0)
-            - cp.image.breakdown.get("tables", 0)
-            - cp.image.breakdown.get("meta", 0))
-        chunk_meta = {"chunks": len(index.chunks),
-                      "index_bytes": index.header_bytes}
     meta = {
         "code_segment": cp.image.code_segment_size,
         "patterns": cp.image.pattern_count,
@@ -234,7 +198,6 @@ def finish_brisc(cp, config: PipelineConfig) -> Tuple[Any, int, Dict[str, Any]]:
             for p in cp.build.pass_stats
         ],
     }
-    meta.update(chunk_meta)
     return cp, cp.image.size, meta
 
 

@@ -58,12 +58,12 @@ WORK_OPS = frozenset({"compile", "wire", "brisc", "verify", "sleep",
                       "fetch_range", "fetch_function"})
 
 #: The demand-paging ops: serve byte ranges of seekable (v3) containers
-#: out of the warm store.
+#: framed from the warm store's flat artifacts.
 _FETCH_OPS = frozenset({"fetch_range", "fetch_function"})
 
-#: Parsed block indexes kept for fetches (the memory cache's default
+#: Framed containers kept for fetches (the memory cache's default
 #: capacity).
-_INDEX_CAPACITY = 512
+_CONTAINER_CAPACITY = 512
 
 #: Ops answered inline on the event loop, bypassing admission — probes
 #: and control must work even when the worker pool is saturated.
@@ -228,12 +228,12 @@ class CompressionService:
             max_workers=self.config.max_concurrency,
             thread_name_prefix="repro-service")
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # Parsing a container's block index inflates its header, and a
-        # stage key fixes the blob's bytes: keep the parsed index per
-        # served artifact key, in an LRU of the memory cache's default
-        # size.  Fetches run on the worker threads, hence the lock.
-        self._indexes: "OrderedDict[str, Any]" = OrderedDict()
-        self._indexes_lock = threading.Lock()
+        # A flat artifact's key and a chunk size fix a v3 container's
+        # bytes: keep each framed container with its parsed block index,
+        # in an LRU of the memory cache's default size.  Fetches run on
+        # the worker threads, hence the lock.
+        self._containers: "OrderedDict[Any, Any]" = OrderedDict()
+        self._containers_lock = threading.Lock()
         self._writers: set = set()
         self._cancel_events: set = set()
         self._waiting = 0
@@ -569,11 +569,18 @@ class CompressionService:
                   cancel: threading.Event) -> Dict[str, Any]:
         """Serve byte ranges of a seekable container from the warm store.
 
-        The unit is compiled (or found cached — ``cache_hit``) with the
-        v3 container layout, the block index is consulted for the
-        minimal ranges covering the request, and only those bytes go
-        back to the client — never the whole blob.
+        The unit's flat artifact (the IR module for ``wire``, the BRISC
+        image for ``brisc``) is compiled, or found cached, under the
+        service's own config, then framed as a v3 container at the
+        request's chunk size.  The container and its block index are kept
+        per flat artifact key and chunk size (``cache_hit``: the bytes
+        served were already framed).  The index gives the minimal ranges
+        covering the request, and only those bytes go back to the client,
+        never the whole blob.
         """
+        from .. import container, wire
+        from ..brisc.encode import repack_v3
+
         source = message.get("source")
         if not isinstance(source, str):
             raise CorruptStreamError(f"{op} request missing source text")
@@ -583,35 +590,36 @@ class CompressionService:
             raise CorruptStreamError(
                 f"fetch format must be 'wire' or 'brisc', got {fmt!r}")
         chunk_bytes = message.get("chunk_bytes")
-        if chunk_bytes is not None and (
-                not isinstance(chunk_bytes, int) or chunk_bytes < 1):
+        if chunk_bytes is None:
+            chunk_bytes = container.DEFAULT_CHUNK_BYTES
+        elif not isinstance(chunk_bytes, int) or chunk_bytes < 1:
             raise CorruptStreamError(
                 f"chunk_bytes must be a positive integer, got {chunk_bytes!r}")
-        config = self.toolchain.config.with_container(
-            wire=3, brisc=3, chunk_bytes=chunk_bytes)
-        try:
-            result = self.toolchain.compile(source, name=name, stages=(fmt,),
-                                            config=config, cancel=cancel.is_set)
-        except KeyError as exc:
-            raise CorruptStreamError(str(exc)) from exc
-        from ..container import container_index
-
-        artifact = result.artifacts[fmt]
-        blob = result.wire_blob if fmt == "wire" else result.brisc.image.blob
-        with self._indexes_lock:
-            index = self._indexes.get(artifact.key)
-            if index is not None:
-                self._indexes.move_to_end(artifact.key)
-        if index is None:
-            index = container_index(blob)
-            with self._indexes_lock:
-                self._indexes[artifact.key] = index
-                if len(self._indexes) > _INDEX_CAPACITY:
-                    self._indexes.popitem(last=False)
+        stage = "lower" if fmt == "wire" else "brisc"
+        result = self.toolchain.compile(source, name=name, stages=(stage,),
+                                        cancel=cancel.is_set)
+        key = (result.artifacts[stage].key, chunk_bytes)
+        with self._containers_lock:
+            framed = self._containers.get(key)
+            if framed is not None:
+                self._containers.move_to_end(key)
+        cache_hit = framed is not None
+        if not cache_hit:
+            if fmt == "wire":
+                blob = wire.encode_module_v3(result.module,
+                                             chunk_bytes=chunk_bytes)
+            else:
+                blob = repack_v3(result.brisc.image.blob, chunk_bytes)
+            framed = blob, container.container_index(blob)
+            with self._containers_lock:
+                self._containers[key] = framed
+                if len(self._containers) > _CONTAINER_CAPACITY:
+                    self._containers.popitem(last=False)
+        blob, index = framed
 
         reply: Dict[str, Any] = {"unit": name, "format": fmt,
                                  "total_bytes": len(blob),
-                                 "cache_hit": artifact.from_cache}
+                                 "cache_hit": cache_hit}
         function = message.get("function")
         if op == "fetch_function" or function is not None:
             if not isinstance(function, str):

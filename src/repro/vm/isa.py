@@ -66,10 +66,6 @@ class InsnSpec:
     needs_immediates: bool = False     # removed by the "-imm" ablation
     needs_regdisp: bool = False        # removed by the "-regdisp" ablation
 
-    @property
-    def has_imm(self) -> bool:
-        return Operand.IMM in self.signature
-
 
 _SPECS: List[InsnSpec] = []
 

@@ -7,7 +7,9 @@ from repro.bench import (
     wire_row, wire_table,
 )
 from repro.bench.measure import WireRow, BriscRow, AblationRow
+from repro.compress import deflate
 from repro.corpus import build_input
+from repro.native import PentiumLike
 
 
 class TestWireRow:
@@ -32,6 +34,13 @@ class TestBriscRow:
         assert not math.isnan(row.interp_ratio) and row.interp_ratio > 0
         assert (row.native_bytes, row.brisc_rel, row.gzip_rel) == \
             (skipped.native_bytes, skipped.brisc_rel, skipped.gzip_rel)
+
+    def test_gzip_column_is_deflated_vm_code(self):
+        """The deflate stage's blob is the gzip column's old formula."""
+        inp = build_input("wc")
+        native = PentiumLike().program_size(inp.program)
+        expected = len(deflate.compress(vm_code_bytes(inp.program))) / native
+        assert brisc_row("wc", measure_interp=False).gzip_rel == expected
 
 
 class TestVmCodeBytes:

@@ -11,7 +11,7 @@ import pytest
 import repro.__main__
 from repro.__main__ import main
 
-from .test_pipeline import REGISTER_PRESSURE
+from .test_pipeline import REGISTER_PRESSURE, UNDEFINED_CALLEE
 
 HELLO = """
 int sq(int x) { return x * x; }
@@ -133,6 +133,18 @@ def test_compile_error_reported(tmp_path, capsys, source):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["brisc", "sizes", "run"])
+def test_undefined_callee_reported(tmp_path, capsys, command):
+    bad = tmp_path / "bad.c"
+    bad.write_text(UNDEFINED_CALLEE)
+    args = [command, str(bad)]
+    if command == "brisc":
+        args += ["-o", str(tmp_path / "bad.brisc")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: undefined symbol 'helper' in main\n"
+
+
 def test_corrupt_image_reported(hello_c, tmp_path, capsys):
     image = tmp_path / "hello.brisc"
     assert main(["brisc", hello_c, "-o", str(image)]) == 0
@@ -239,6 +251,12 @@ def test_fuzz_smoke(capsys):
 def test_fuzz_rejects_unknown_format(capsys):
     assert main(["fuzz", "--formats", "tar"]) == 2
     assert "unknown formats" in capsys.readouterr().err
+
+
+def test_fuzz_rejects_bad_chunk_bytes(capsys):
+    assert main(["fuzz", "--formats", "wire3", "--chunk-bytes", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --chunk-bytes must be >= 1, got 0\n"
 
 
 def test_fuzz_chunked_formats(capsys):

@@ -64,10 +64,6 @@ class TestErrors:
         with pytest.raises((EOFError, ValueError)):
             deflate.decompress(bytes(blob))
 
-    def test_compressed_size_helper(self):
-        data = b"zzzz" * 100
-        assert deflate.compressed_size(data) == len(deflate.compress(data))
-
 
 def test_min_block_bytes_is_the_empty_block():
     """The bound pack_streams skips below is tight: the empty input's

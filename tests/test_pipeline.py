@@ -19,7 +19,7 @@ import re
 import pytest
 
 from repro.cfront import CompileError, compile_to_ast
-from repro.codegen import ABLATION_VARIANTS, generate_program
+from repro.codegen import ABLATION_VARIANTS, CodegenError, generate_program
 from repro.corpus import suite_names, suite_source
 from repro.ir import dump_module, lower_unit
 from repro.pipeline import (
@@ -44,6 +44,9 @@ BAD = "int main(void) { return undeclared; }"
 REGISTER_PRESSURE = (
     "double d=3.0; int main(void){ return (int)(d*9.0 + (d*8.0 + (d*7.0 + "
     "(d*6.0 + (d*5.0 + (d*4.0 + (d*3.0 + (d*2.0 + d)))))))); }")
+
+#: Calls a function that is declared nowhere (C89's implicit declaration).
+UNDEFINED_CALLEE = "int main(void) { return helper(1); }"
 
 
 def nested_parens(depth):
@@ -265,6 +268,14 @@ def test_batch_serial_error_isolation():
     assert "nests too deeply" in items[3].error
     assert items[4].error_type == "CodegenError"
     assert "scratch registers" in items[4].error
+
+
+def test_undefined_callee_is_a_codegen_error():
+    """Linking names the missing symbol as the VM loader would, before
+    any encoder meets it."""
+    with pytest.raises(CodegenError) as info:
+        Toolchain().compile(UNDEFINED_CALLEE, name="u")
+    assert str(info.value) == "undefined symbol 'helper' in main"
 
 
 def test_batch_parallel_error_isolation_and_order():

@@ -16,6 +16,7 @@ Covers the acceptance criteria of the resilient-service change:
   backoff, and an exhausted budget propagates the error unchanged.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -31,11 +32,13 @@ from random import Random
 import pytest
 
 from repro import errors
+from repro.corpus import generate_program_source
 from repro.errors import (
     CircuitOpenError, CorruptStreamError, ResourceLimitError,
     TruncatedStreamError, UnsupportedFormatError,
 )
 from repro.faults import CHAOS_SCENARIOS, apply_mutation, chaos_probe
+from repro.pipeline import Toolchain
 from repro.service import (
     BackgroundService, CompressionService, RemoteServiceError,
     ServiceClient, ServiceConfig,
@@ -738,6 +741,22 @@ int main(void) { print_int(sq(7)); putchar('\\n'); return 0; }
 """
 
 
+#: A 13-function generated unit: several chunks at the default size.
+GEN12 = generate_program_source(functions=12, seed=3)
+
+#: sha256 over GEN12's fetch replies (see test_fetch_replies_are_pinned).
+FETCH_DIGESTS = {
+    ("wire", None):
+        "058335fbec996e7932fd19493881924b6750d2f0f7dc220ce60ad068f8fd2e15",
+    ("wire", 64):
+        "a40f2f52dbbf11d57aaac23bb48ace1080493299944b5ef9cfb514e6cfa8fc58",
+    ("brisc", None):
+        "20d74a6e04370d07b4fcd5965d7870f0cc3b192256e2f42988044be7ca97fa5f",
+    ("brisc", 64):
+        "b717684058b4e840388f1bb861736fa1f69a3988bd7a88f5a729dc9e5e62b4f7",
+}
+
+
 class TestFetchOps:
     def test_fetch_function_transfers_fewer_bytes(self):
         from repro.wire import decode_function
@@ -829,6 +848,52 @@ class TestFetchOps:
         assert second["cache_hit"]
         del first["cache_hit"], second["cache_hit"]
         assert first == second
+
+    def test_brisc_fetch_repacks_the_built_image(self, monkeypatch):
+        """A BRISC fetch frames the image a ``brisc`` request built, at
+        any chunk size: no dictionary build runs again."""
+        import repro.brisc
+
+        builds = []
+        build = repro.brisc.build_dictionary
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(repro.brisc, "build_dictionary", counting)
+        with make_service() as bg:
+            with ServiceClient(port=bg.port, timeout=30.0) as client:
+                client.brisc(MULTI, name="multi.c")
+                for chunk_bytes in (None, 64):
+                    fetched = client.fetch_function(
+                        MULTI, "cube", name="multi.c", format="brisc",
+                        chunk_bytes=chunk_bytes)
+                    assert not fetched["cache_hit"]
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("fmt, chunk_bytes", list(FETCH_DIGESTS),
+                             ids=lambda v: str(v or "default"))
+    def test_fetch_replies_are_pinned(self, fmt, chunk_bytes):
+        """Every function's reply and one range's serve the bytes, sizes
+        and chunks pinned when v3 containers were compiled as stage
+        artifacts."""
+        module = Toolchain().compile(GEN12, name="gen12",
+                                     stages=("lower",)).module
+        requests = [("fetch_function", {"function": fn.name})
+                    for fn in module.functions]
+        requests.append(("fetch_range", {"start": 40, "length": 900}))
+        digest = hashlib.sha256()
+        with make_service() as bg:
+            with ServiceClient(port=bg.port, timeout=30.0) as client:
+                for op, fields in requests:
+                    reply = client.request(
+                        op, source=GEN12, name="gen12", format=fmt,
+                        chunk_bytes=chunk_bytes, **fields)
+                    digest.update(json.dumps(
+                        [reply["segments"], reply["total_bytes"],
+                         reply["chunks"]]).encode())
+        assert digest.hexdigest() == FETCH_DIGESTS[fmt, chunk_bytes]
 
     def test_verify_function_accepts_sparse_blob(self):
         with make_service() as bg:
