@@ -267,16 +267,16 @@ def cmd_fuzz(args) -> int:
                 return 2
         res = toolchain.compile(source, name=unit, stages=stages)
         blobs = {}
+        if "wire" in formats:
+            blobs["wire"] = res.wire_blob
         if "wire3" in formats:
             blobs["wire3"] = encode_module_v3(res.module,
                                               chunk_bytes=args.chunk_bytes)
-        elif "wire" in formats:
-            blobs["wire"] = res.wire_blob
+        if "brisc" in formats:
+            blobs["brisc"] = res.brisc.image.blob
         if "brisc3" in formats:
             blobs["brisc3"] = repack_v3(res.brisc.image.blob,
                                         args.chunk_bytes)
-        elif "brisc" in formats:
-            blobs["brisc"] = res.brisc.image.blob
         for fmt, blob in blobs.items():
             wire = fmt.startswith("wire")
             reports.append(fuzz_decoder(

@@ -269,6 +269,15 @@ def test_fuzz_chunked_formats(capsys):
     assert "[chunks]" in out and "0 contract violations" in out
 
 
+def test_fuzz_flat_and_chunked_formats_together(capsys):
+    """A flat format is fuzzed beside its chunked one, not dropped."""
+    assert main(["fuzz", "--seed", "5", "--mutations", "5",
+                 "--units", "wc", "--formats", "wire,wire3"]) == 0
+    out = capsys.readouterr().out
+    assert "wc.wire:" in out and "wc.wire3:" in out
+    assert "wc.wire3[chunks]:" in out
+
+
 # ---------------------------------------------------------------------------
 # seekable containers: verify --function
 # ---------------------------------------------------------------------------
